@@ -18,7 +18,7 @@ import numpy as np
 
 from . import clustering as cl
 from . import experiments, plots
-from .fields import NumericalError, basin_labels, ctf_grid
+from .fields import basin_labels, ctf_grid
 from .geometry import curve_curvature, surface_curvatures
 from .kernels import kernel_by_name, load_profile_csv
 from .measures import (
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args, cfg_file)
         return _fail(2, "config", f"unknown command {args.command!r}")
-    except NumericalError as exc:
+    except RuntimeError as exc:  # NumericalError, failed transport solves
         return _fail(3, "numerical", str(exc))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         return _fail(2, "config", str(exc))

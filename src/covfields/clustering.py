@@ -65,8 +65,7 @@ def tensorized_distances(
     base = reference if reference is not None else empirical_measure(points)
     if base.dim != points.shape[1]:
         raise ValueError("dimension mismatch between data and reference measure")
-    accel = "indexed" if params.kernel.compact_support_radius_sq is not None else "exact"
-    tensors = ctf_grid(base, params.kernel, points, params.sigma, acceleration=accel).tensors
+    tensors = ctf_grid(base, params.kernel, points, params.sigma).tensors
     n = points.shape[0]
     flat = tensors.reshape(n, -1)
     d2 = cdist(flat, flat, metric="sqeuclidean")

@@ -108,7 +108,7 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
             theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
             pts = cfg.radius * np.column_stack([np.cos(theta), np.sin(theta)])
             emp = empirical_measure(pts)
-            tensors = ctf_grid(emp, kernel, grid, cfg.sigma, acceleration="indexed").tensors
+            tensors = ctf_grid(emp, kernel, grid, cfg.sigma).tensors
             errs.append(float(np.linalg.norm(tensors - exact, axis=(1, 2)).max()))
         return errs
 

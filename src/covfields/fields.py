@@ -7,14 +7,14 @@ kernel-weighted covariance about x,
 
 a symmetric positive semi-definite d x d tensor.  The Fréchet value
 V(x, sigma) = sum_i w_i ||y_i - x||^2 K(x, y_i, sigma) equals the trace of
-the tensor.  Grid evaluation optionally uses a uniform bucket index for
-compactly supported kernels; measures and kernels are immutable during
-evaluation and every query is independent, so grids parallelize trivially.
+the tensor.  Every tensor comes from one blocked accumulator in
+:func:`ctf_grid`: atoms sorted by their first coordinate, each query
+scanning only the slab that can reach its kernel support; measures and
+kernels are immutable during evaluation and every query is independent.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +24,8 @@ from .kernels import RadialKernel
 from .measures import WeightedMeasure
 
 SYM_TOL = 1e-12
+# (queries x atoms) pairs evaluated per block of ctf_grid
+_PAIR_BUDGET = 1 << 16
 
 
 class NumericalError(RuntimeError):
@@ -108,38 +110,13 @@ def dimension_estimate(s: SpectrumSummary, threshold: float = 0.5) -> int:
     return int(np.sum(lam / top > threshold))
 
 
-def _kernel_row(kernel: RadialKernel, diff: np.ndarray, sigma: float, c_d: float):
-    """Profile values / C_d for a block of difference vectors."""
-    r2 = np.einsum("ij,ij->i", diff, diff) / (sigma * sigma)
-    return kernel.profile(r2) / c_d, r2
-
-
 def ctf_at(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> CovTensor:
     """Covariance tensor of the measure about x at scale sigma.
 
-    Exact weighted sum over atoms; returns the zero tensor when no atom has
-    positive kernel weight (e.g. an isolated query under the truncation
-    kernel).
+    A one-point :func:`ctf_grid`; the zero tensor when no atom has positive
+    kernel weight (e.g. an isolated query under the truncation kernel).
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != measure.dim:
-        raise ValueError(f"dimension mismatch: measure dim {measure.dim}, point dim {x.size}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    c_d = kernel.normalizer(sigma, measure.dim)
-    diff = measure.atoms - x
-    if kernel.compact_support_radius_sq is not None:
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        keep = r2 <= kernel.compact_support_radius_sq * sigma * sigma
-        diff = diff[keep]
-        if diff.shape[0] == 0:
-            return CovTensor(np.zeros((measure.dim, measure.dim)))
-        w = measure.weights[keep] * (kernel.profile(r2[keep] / (sigma * sigma)) / c_d)
-    else:
-        kv, _ = _kernel_row(kernel, diff, sigma, c_d)
-        w = measure.weights * kv
-    m = (diff * w[:, None]).T @ diff
-    return CovTensor(0.5 * (m + m.T))
+    return CovTensor(ctf_grid(measure, kernel, np.reshape(x, (1, -1)), sigma).tensors[0])
 
 
 def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> float:
@@ -151,48 +128,11 @@ def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: floa
     x = np.asarray(x, dtype=float).ravel()
     if x.size != measure.dim:
         raise ValueError(f"dimension mismatch: measure dim {measure.dim}, point dim {x.size}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     c_d = kernel.normalizer(sigma, measure.dim)
     diff = measure.atoms - x
     r2 = np.einsum("ij,ij->i", diff, diff)
     vals = measure.weights * r2 * (kernel.profile(r2 / (sigma * sigma)) / c_d)
     return float(vals.sum())
-
-
-class _BucketIndex:
-    """Uniform bucket grid with cell size equal to the query radius.
-
-    Scanning the 3^d neighborhood of a query's cell covers every atom within
-    the radius exactly, so ball queries are exact (no tree needed).
-    """
-
-    def __init__(self, points: np.ndarray, cell: float):
-        self.points = points
-        self.cell = cell
-        keys = np.floor(points / cell).astype(np.int64)
-        order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-        self.table: dict[tuple, np.ndarray] = {}
-        start = 0
-        for end in list(boundaries) + [len(order)]:
-            idx = order[start:end]
-            self.table[tuple(keys[idx[0]])] = idx
-            start = end
-        d = points.shape[1]
-        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
-
-    def candidates(self, x: np.ndarray) -> np.ndarray:
-        base = np.floor(x / self.cell).astype(np.int64)
-        hits = []
-        for off in self.offsets:
-            got = self.table.get(tuple(base + off))
-            if got is not None:
-                hits.append(got)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
 
 
 @dataclass(frozen=True)
@@ -239,54 +179,53 @@ def ctf_grid(
 ) -> FieldGrid:
     """Evaluate the covariance field at many query points.
 
-    ``acceleration="indexed"`` (compact-support kernels only) buckets atoms
-    into cells of the support radius and visits only neighboring cells per
-    query; it agrees with exact mode to within floating-point summation
-    order (<= 1e-12 per entry).
+    Atoms sorted by their first coordinate put the atoms a query can reach
+    (|y_1 - x_1| <= sigma sqrt(css), css the kernel's support radius
+    squared; all atoms for full support) in one contiguous slab.  Queries
+    sorted the same way go in blocks of one query or of at most
+    ``_PAIR_BUDGET`` (query, slab atom) pairs, each one batched product; an
+    atom counts iff ||y - x||^2 <= css sigma^2.  ``acceleration`` selects
+    no code, and ``"indexed"`` requires a compactly supported kernel.
     """
+    d = measure.dim
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
     if pts.size == 0:
-        d = measure.dim
-        return FieldGrid(pts.reshape(0, d), sigma, np.zeros((0, d, d)), np.zeros(0))
-    if pts.shape[1] != measure.dim:
-        raise ValueError(f"dimension mismatch: measure dim {measure.dim}, points dim {pts.shape[1]}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        pts = pts.reshape(0, d)
+    if pts.shape[1] != d:
+        raise ValueError(f"dimension mismatch: measure dim {d}, points dim {pts.shape[1]}")
     if acceleration not in ("exact", "indexed"):
         raise ValueError("acceleration must be 'exact' or 'indexed'")
-    d = measure.dim
-    m = pts.shape[0]
-    c_d = kernel.normalizer(sigma, d)
-    tensors = np.zeros((m, d, d))
     css = kernel.compact_support_radius_sq
-    if acceleration == "indexed":
-        if css is None:
-            raise ValueError("indexed acceleration requires a compactly supported kernel")
-        radius = sigma * math.sqrt(css)
-        index = _BucketIndex(measure.atoms, radius)
-        r2cap = css * sigma * sigma
-        for i in range(m):
-            cand = index.candidates(pts[i])
-            if cand.size == 0:
-                continue
-            diff = measure.atoms[cand] - pts[i]
-            r2 = np.einsum("ij,ij->i", diff, diff)
-            keep = r2 <= r2cap
-            if not np.any(keep):
-                continue
-            diff = diff[keep]
-            w = measure.weights[cand[keep]] * (kernel.profile(r2[keep] / (sigma * sigma)) / c_d)
-            tensors[i] = (diff * w[:, None]).T @ diff
-    elif m * measure.size * d <= 4_000_000:
-        # small problems: one fused einsum over (query, atom) pairs
-        diff = pts[:, None, :] - measure.atoms[None, :, :]
-        r2 = np.einsum("mnd,mnd->mn", diff, diff)
-        kv = kernel.profile(r2 / (sigma * sigma)) / c_d
-        w = measure.weights[None, :] * kv
-        tensors = np.einsum("mn,mni,mnj->mij", w, diff, diff)
-    else:
-        for i in range(m):
-            tensors[i] = ctf_at(measure, kernel, pts[i], sigma).entries
+    if acceleration == "indexed" and css is None:
+        raise ValueError("indexed acceleration requires a compactly supported kernel")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("query points must be finite")
+    c_d = kernel.normalizer(sigma, d)
+    r2cap = math.inf if css is None else css * sigma * sigma
+    if css is not None and len(pts) > 1:
+        order = np.argsort(measure.atoms[:, 0], kind="stable")
+        reach = math.sqrt(r2cap) * (1.0 + 1e-9)
+    else:  # the sort cannot narrow anything: every slab is all atoms
+        order, reach = slice(None), math.inf
+    atoms = measure.atoms[order]
+    weights = measure.weights[order] / c_d
+    q_order = np.argsort(pts[:, 0], kind="stable")
+    q = pts[q_order]
+    # bounds of +-inf give 0 and n whether or not the atoms are sorted
+    lo = np.searchsorted(atoms[:, 0], q[:, 0] - reach, side="left")
+    hi = np.searchsorted(atoms[:, 0], q[:, 0] + reach, side="right")
+    tensors = np.empty((len(q), d, d))
+    start = 0
+    while start < len(q):
+        stop = start + 1
+        while stop < len(q) and (stop + 1 - start) * (hi[stop] - lo[start]) <= _PAIR_BUDGET:
+            stop += 1
+        a, b = lo[start], hi[stop - 1]
+        diff = atoms[None, a:b, :] - q[start:stop, None, :]
+        r2 = np.einsum("bkd,bkd->bk", diff, diff)
+        w = weights[a:b] * kernel.profile(r2 / (sigma * sigma)) * (r2 <= r2cap)
+        tensors[q_order[start:stop]] = np.matmul(np.swapaxes(diff * w[..., None], 1, 2), diff)
+        start = stop
     tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
     traces = np.trace(tensors, axis1=1, axis2=2)
     return FieldGrid(pts, sigma, tensors, traces)

@@ -26,6 +26,11 @@ import numpy as np
 from scipy import integrate, optimize
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+
+
 def unit_ball_volume(d: int) -> float:
     """Volume nu_d of the unit ball in R^d; nu_0 = 1 by convention."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
@@ -83,9 +88,8 @@ class RadialKernel:
         return float(val)
 
     def normalizer(self, sigma: float, d: int) -> float:
-        """C_d(sigma) = (1/2) sigma^d M_d omega_{d-1}."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        """C_d(sigma) = (1/2) sigma^d M_d omega_{d-1} (sigma finite and > 0)."""
+        _check_sigma(sigma)
         return 0.5 * sigma**d * self.moment(d) * unit_sphere_area(d)
 
 
@@ -199,12 +203,9 @@ def eval_kernel(kernel: RadialKernel, x, y, sigma: float, d: int | None = None) 
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if d is None:
-        d = x.size
+    c_d = kernel.normalizer(sigma, x.size if d is None else d)
     r = float(np.sum((y - x) ** 2)) / (sigma * sigma)
-    return float(kernel.profile(np.asarray(r))) / kernel.normalizer(sigma, d)
+    return float(kernel.profile(np.asarray(r))) / c_d
 
 
 def _sup_search(fn: Callable[[np.ndarray], np.ndarray], r_max: float) -> float:
@@ -248,8 +249,7 @@ class KernelConstants:
         return 2.0 * (self.a1 + self.a2)
 
     def c_d(self, sigma: float) -> float:
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(sigma)
         return 0.5 * sigma**self.dim * self.m_d * self.omega_dm1
 
 

@@ -142,6 +142,36 @@ class TestStabilityCommand:
         assert doc["passed"] is True
         assert doc["lhs"] <= doc["rhs"]
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "truncation"])
+    def test_non_finite_sigma_exit_2(self, tmp_path, capsys, kernel):
+        from covfields import empirical_measure
+
+        a = tmp_path / "a.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [0.5, 0.5]]), a)
+        code = run_cli("--out", str(tmp_path), "stability", "--alpha", str(a),
+                       "--beta", str(a), "--kernel", kernel, "--sigma", "nan",
+                       "--lam", "1", "--diameter", "1", "--grid=-1:1:3")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "NaN" not in out + err
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+
+    def test_runtime_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        from covfields import cli, empirical_measure
+
+        def failed_solve(*args, **kwargs):
+            raise RuntimeError("transport LP failed: infeasible")
+
+        monkeypatch.setattr(cli, "check_stability_smooth", failed_solve)
+        a = tmp_path / "a.csv"
+        save_measure(empirical_measure([[0.0, 0.0]]), a)
+        code = run_cli("--out", str(tmp_path), "stability", "--alpha", str(a),
+                       "--beta", str(a), "--sigma", "1.0", "--grid=-1:1:3")
+        assert code == 3
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc == {"error": "numerical", "message": "transport LP failed: infeasible"}
+
     def test_truncation_needs_lam(self, tmp_path):
         from covfields import empirical_measure
 
@@ -203,6 +233,16 @@ class TestErrorPaths:
         else:
             # a fit this degenerate may also clamp; either way no crash
             assert code == 0
+
+    def test_indexed_full_support_exit_2(self, tmp_path, capsys):
+        from covfields import empirical_measure
+
+        data = tmp_path / "m.csv"
+        save_measure(empirical_measure([[0.0, 0.0]]), data)
+        code = run_cli("--out", str(tmp_path), "ctf", "--input", str(data),
+                       "--kernel", "gaussian", "--sigma", "0.5", "--grid=-1:1:3", "--indexed")
+        assert code == 2
+        assert "compact" in json.loads(capsys.readouterr().err.strip())["message"]
 
     def test_unknown_kernel_exit_2(self, tmp_path):
         from covfields import empirical_measure

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covfields import (
     FlowParams,
+    RadialKernel,
     WeightedMeasure,
     basin_labels,
     builtin_gaussian,
@@ -18,15 +22,40 @@ from covfields import (
     frechet_value,
     quadrature_segment,
     spectrum,
+    tabulated_kernel,
     unit_ball_volume,
     wedge_tensor,
 )
+from covfields import fields
 
 
 def random_measure(rng, n, d, spread=1.0):
     pts = rng.normal(0, spread, size=(n, d))
     w = rng.uniform(0.2, 1.0, size=n)
     return WeightedMeasure(pts, w / w.sum())
+
+
+@st.composite
+def grid_problems(draw):
+    """Weighted atoms and queries on a 1/8 grid, so atoms land exactly on supports."""
+    d = draw(st.integers(1, 3))
+    coords = st.integers(-16, 16)
+    atoms = draw(hnp.arrays(np.int64, (draw(st.integers(1, 60)), d), elements=coords)) / 8.0
+    queries = draw(hnp.arrays(np.int64, (draw(st.integers(1, 40)), d), elements=coords)) / 8.0
+    w = draw(hnp.arrays(np.float64, len(atoms), elements=st.floats(0.1, 2.0)))
+    return atoms, w, queries
+
+
+def closed_ball_sum(atoms, weights, queries, sigma):
+    """sum of w (y-x)(y-x)^T / (nu_d sigma^d) over atoms with ||y-x|| <= sigma."""
+    d = atoms.shape[1]
+    norm = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * sigma**d
+    out = np.zeros((len(queries), d, d))
+    for k, x in enumerate(queries):
+        diff = atoms - x
+        keep = (diff * diff).sum(axis=1) <= sigma * sigma
+        out[k] = (diff[keep] * weights[keep, None]).T @ diff[keep] / norm
+    return out
 
 
 class TestCtfAt:
@@ -108,27 +137,89 @@ class TestCtfGrid:
         fg = ctf_grid(m, builtin_gaussian(), np.zeros((0, 2)), 1.0)
         assert fg.tensors.shape == (0, 2, 2)
 
-    def test_indexed_matches_exact(self):
-        rng = np.random.default_rng(11)
-        m = random_measure(rng, 500, 2, spread=2.0)
-        grid = rng.normal(0, 2, size=(80, 2))
-        for sigma in (0.3, 0.9):
-            a = ctf_grid(m, builtin_truncation(), grid, sigma, acceleration="exact")
-            b = ctf_grid(m, builtin_truncation(), grid, sigma, acceleration="indexed")
-            assert np.abs(a.tensors - b.tensors).max() <= 1e-12
+    @pytest.mark.parametrize("budget", [fields._PAIR_BUDGET, 40], ids=["default_budget", "budget_40"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_brute_force_closed_ball(self, d, budget, monkeypatch):
+        monkeypatch.setattr(fields, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(11 + d)
+        sigma = 0.375  # dyadic: the boundary cases below are exact in floating point
+        centre = np.full(d, 0.25)
+        axes = np.eye(d) * sigma
+        # on both slab edges x_1 = 0.25 -+ sigma, outside the ball when d > 1
+        edges = np.vstack([centre - axes[0], centre + axes[0]])
+        edges[:, 1:] += 0.125
+        special = np.vstack([centre + axes, centre - axes, edges])
+        atoms = np.vstack([special, rng.normal(0, 1.0, size=(300, d))])
+        w = rng.uniform(0.2, 1.0, size=len(atoms))
+        m = WeightedMeasure(atoms, w)
+        queries = np.vstack([centre, np.zeros(d), rng.normal(0, 1.0, size=(60, d))])
+        queries = queries[rng.permutation(len(queries))]
+        for kernel in (builtin_truncation(), tabulated_kernel([0.0, 1.0], [1.0, 1.0])):
+            got = ctf_grid(m, kernel, queries, sigma).tensors
+            np.testing.assert_allclose(got, closed_ball_sum(atoms, w, queries, sigma), rtol=1e-12,
+                                       atol=1e-13)
+        at_centre = closed_ball_sum(atoms, w, centre[None, :], sigma)[0]
+        inside = np.einsum("ij,ij->i", atoms - centre, atoms - centre) <= sigma * sigma
+        assert inside[: 2 * d].all() and (d == 1 or not inside[2 * d : 2 * d + 2].any())
+        np.testing.assert_allclose(ctf_at(m, builtin_truncation(), centre, sigma).entries,
+                                   at_centre, rtol=1e-12, atol=1e-13)
 
-    def test_indexed_matches_exact_3d(self):
-        rng = np.random.default_rng(12)
-        m = random_measure(rng, 400, 3, spread=1.5)
-        grid = rng.normal(0, 1.5, size=(40, 3))
-        a = ctf_grid(m, builtin_truncation(), grid, 0.8, acceleration="exact")
-        b = ctf_grid(m, builtin_truncation(), grid, 0.8, acceleration="indexed")
-        assert np.abs(a.tensors - b.tensors).max() <= 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=grid_problems(),
+        kernel_name=st.sampled_from(["gaussian", "truncation", "tabulated", "cut_gaussian"]),
+        sigma=st.sampled_from([0.125, 0.5, 1.0, 1.5]),
+        budget=st.sampled_from([1, 7, 1 << 16]),
+    )
+    def test_property_matches_brute_force(self, problem, kernel_name, sigma, budget):
+        atoms, w, queries = problem
+        d = atoms.shape[1]
+        kernel = {
+            "gaussian": builtin_gaussian(),
+            "truncation": builtin_truncation(),
+            "tabulated": tabulated_kernel([0.0, 0.5, 2.0], [1.0, 0.8, 0.1]),
+            # support declared inside the profile's own: the closed ball still decides
+            "cut_gaussian": RadialKernel("cut_gaussian", builtin_gaussian().profile,
+                                         compact_support_radius_sq=1.0),
+        }[kernel_name]
+        css = kernel.compact_support_radius_sq
+        diff = atoms[None, :, :] - queries[:, None, :]
+        r2 = (diff**2).sum(axis=2)
+        kw = w * kernel.profile(r2 / sigma**2) / kernel.normalizer(sigma, d)
+        if css is not None:
+            kw = np.where(r2 <= css * sigma**2, kw, 0.0)
+        want = np.einsum("mn,mni,mnj->mij", kw, diff, diff)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_PAIR_BUDGET", budget)
+            got = ctf_grid(WeightedMeasure(atoms, w), kernel, queries, sigma).tensors
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_indexed_requires_compact(self):
         m = empirical_measure([[0.0, 0.0]])
         with pytest.raises(ValueError, match="compact"):
             ctf_grid(m, builtin_gaussian(), [[0.0, 0.0]], 1.0, acceleration="indexed")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        m = empirical_measure([[0.0, 0.0], [0.5, 0.0]])
+        for kernel in (builtin_gaussian(), builtin_truncation()):
+            with pytest.raises(ValueError, match="sigma"):
+                ctf_grid(m, kernel, [[0.0, 0.0]], bad)
+            with pytest.raises(ValueError, match="sigma"):
+                ctf_at(m, kernel, [0.0, 0.0], bad)
+            with pytest.raises(ValueError, match="sigma"):
+                frechet_value(m, kernel, [0.0, 0.0], bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_queries(self, bad):
+        m = empirical_measure([[0.0, 0.0], [0.5, 0.0]])
+        grid = [[0.0, 0.0], [bad, 0.0]]
+        for kernel, accel in ((builtin_gaussian(), "exact"), (builtin_truncation(), "exact"),
+                              (builtin_truncation(), "indexed")):
+            with pytest.raises(ValueError, match="finite"):
+                ctf_grid(m, kernel, grid, 1.0, acceleration=accel)
+        with pytest.raises(ValueError, match="finite"):
+            ctf_at(m, builtin_truncation(), [0.0, bad], 1.0)
 
     def test_frechet_values_are_traces(self):
         rng = np.random.default_rng(2)

@@ -128,6 +128,16 @@ class TestEvalKernel:
         with pytest.raises(ValueError, match="sigma"):
             eval_kernel(builtin_gaussian(), [0.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_normalizer_and_c_d_reject_bad_sigma(self, bad):
+        for kernel in (builtin_gaussian(), builtin_truncation()):
+            with pytest.raises(ValueError, match="sigma"):
+                kernel.normalizer(bad, 2)
+            with pytest.raises(ValueError, match="sigma"):
+                derive_constants(kernel, 2).c_d(bad)
+            with pytest.raises(ValueError, match="sigma"):
+                eval_kernel(kernel, [0.0], [1.0], bad)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("name", ["gaussian", "truncation"])
