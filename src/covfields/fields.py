@@ -189,7 +189,7 @@ def ctf_grid(
     """
     d = measure.dim
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
-    if pts.size == 0:
+    if pts.shape[1] == 0:  # [] names no points and no dimension
         pts = pts.reshape(0, d)
     if pts.shape[1] != d:
         raise ValueError(f"dimension mismatch: measure dim {d}, points dim {pts.shape[1]}")

@@ -1,12 +1,18 @@
 """Exact optimal transport between finite measures and stability certificates.
 
-W1 is solved as the transportation linear program (HiGHS dual simplex, an
-exact vertex method); W-infinity as a bottleneck problem by binary search
-over the sorted pairwise distances with a max-flow feasibility check.  Only
-exact solvers are used — certifying an inequality against an approximate
-transport cost would invalidate its direction.  Couplings induce
-correspondences between supports, whose metric distortion upper-bounds
-twice the Gromov-Hausdorff distance.
+Which solver runs depends on the input.  When both measures have the same
+number of atoms and each has all-equal weights, some optimal coupling is a
+permutation (Birkhoff-von Neumann): W1 is then the optimal assignment
+(``scipy.optimize.linear_sum_assignment``) and W-infinity the bottleneck
+assignment, a binary search over the sorted pairwise distances with a
+perfect-matching feasibility test (itself an assignment on 0/1 costs).
+Every other pair (weighted or unequal sizes) takes the general solvers: W1
+as the transportation linear program (HiGHS dual simplex, an exact vertex
+method) and W-infinity by the same binary search with a max-flow
+feasibility test.  Only exact solvers are used — certifying an inequality
+against an approximate transport cost would invalidate its direction.
+Couplings induce correspondences between supports, whose metric distortion
+upper-bounds twice the Gromov-Hausdorff distance.
 
 The certificates implemented here:
 
@@ -30,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial.distance import cdist
 
@@ -99,25 +105,37 @@ def _check_size(measure: WeightedMeasure, max_atoms: int, label: str) -> None:
         )
 
 
-def w1_exact(
-    alpha: WeightedMeasure,
-    beta: WeightedMeasure,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> tuple[float, TransportPlan]:
-    """Exact 1-Wasserstein distance and an optimal coupling.
-
-    Solves min <d, pi> over couplings pi with the prescribed marginals as a
-    linear program with HiGHS dual simplex; the optimum is attained at a
-    vertex, so the returned plan has at most n + m - 1 atoms of support.
-    """
+def _check_pair(alpha: WeightedMeasure, beta: WeightedMeasure, max_atoms: int) -> None:
     _check_probability(alpha, "alpha")
     _check_probability(beta, "beta")
     _check_size(alpha, max_atoms, "alpha")
     _check_size(beta, max_atoms, "beta")
     if alpha.dim != beta.dim:
         raise ValueError("measures must live in the same dimension")
-    n, m = alpha.size, beta.size
-    cost = cdist(alpha.atoms, beta.atoms)
+
+
+def _uniform_equal_size(alpha: WeightedMeasure, beta: WeightedMeasure) -> bool:
+    """Both measures have n atoms and all-equal weights.
+
+    Then a permutation scaled by 1/n is an optimal coupling for W1 and for
+    W-infinity (Birkhoff-von Neumann), so assignment solvers are exact.  The
+    comparison is exact: near-uniform weights keep the general solvers.
+    """
+    wa, wb = alpha.weights, beta.weights
+    return alpha.size == beta.size and bool(np.all(wa == wa[0]) and np.all(wb == wb[0]))
+
+
+def _assignment_coupling(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Optimal coupling of two equal uniform marginals: the optimal assignment."""
+    rows, cols = linear_sum_assignment(cost)
+    pi = np.zeros_like(cost)
+    pi[rows, cols] = wa[rows]
+    return pi
+
+
+def _lp_coupling(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Optimal coupling of any marginals: the transportation LP (HiGHS dual simplex)."""
+    n, m = cost.shape
     # marginal constraints; the last one is redundant and dropped
     row_idx = np.repeat(np.arange(n), m)
     col_idx = n + np.tile(np.arange(m), n)
@@ -129,11 +147,31 @@ def w1_exact(
         ),
         shape=(n + m, n * m),
     )[:-1]
-    b_eq = np.concatenate([alpha.weights, beta.weights])[:-1]
+    b_eq = np.concatenate([wa, wb])[:-1]
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    pi = np.maximum(res.x.reshape(n, m), 0.0)
+    return np.maximum(res.x.reshape(n, m), 0.0)
+
+
+def w1_exact(
+    alpha: WeightedMeasure,
+    beta: WeightedMeasure,
+    max_atoms: int = DEFAULT_MAX_ATOMS,
+) -> tuple[float, TransportPlan]:
+    """Exact 1-Wasserstein distance and an optimal coupling.
+
+    Minimises <d, pi> over couplings pi with the prescribed marginals.  When
+    both measures have the same number of atoms and each has all-equal
+    weights, this is the optimal assignment (``linear_sum_assignment``) and
+    the plan holds alpha's weight at each matched pair.  Every other pair is
+    solved as a linear program with HiGHS dual simplex.  Both return a
+    vertex, so the plan has at most n + m - 1 atoms of support.
+    """
+    _check_pair(alpha, beta, max_atoms)
+    cost = cdist(alpha.atoms, beta.atoms)
+    solve = _assignment_coupling if _uniform_equal_size(alpha, beta) else _lp_coupling
+    pi = solve(cost, alpha.weights, beta.weights)
     value = float((pi * cost).sum())
     return value, TransportPlan(pi, value, alpha, beta)
 
@@ -184,18 +222,65 @@ def _scaled_capacities(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.n
     return a, b, scale
 
 
-def _bottleneck_feasible(dist: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float):
-    """Max-flow test: can all mass move along edges of length <= threshold?"""
+def _bottleneck_search(dist: np.ndarray, feasible) -> tuple[float, object]:
+    """Least distinct distance t at which ``feasible(dist <= t)`` gives a witness.
+
+    ``feasible`` maps the boolean matrix of allowed edges to a witness, or to
+    None when the mass cannot move along those edges.  Binary search over
+    the sorted distinct distances; returns (t, witness at t).
+    """
+    levels = np.unique(dist)
+    lo, hi = 0, levels.size - 1
+    best = feasible(dist <= levels[hi])
+    if best is None:
+        raise RuntimeError("bottleneck search failed at the maximal distance")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        witness = feasible(dist <= levels[mid])
+        if witness is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, witness
+    return float(levels[hi]), best
+
+
+def _matching_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bottleneck of two equal uniform marginals: a perfect matching on edges <= t.
+
+    A perfect matching exists iff the least-cost assignment under the 0/1
+    cost "edge not allowed" costs 0.  Hopcroft-Karp
+    (``maximum_bipartite_matching``) answers the same question but took up
+    to 25x longer near the threshold on 1-D samples of 1000 atoms.
+    """
+
+    def perfect_matching(edges):
+        rows, cols = linear_sum_assignment(~edges)
+        return cols if edges[rows, cols].all() else None
+
+    value, match = _bottleneck_search(dist, perfect_matching)
+    pi = np.zeros_like(dist)
+    pi[np.arange(dist.shape[0]), match] = wa
+    return value, pi
+
+
+def _maxflow_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bottleneck of any marginals: a max flow on edges <= t that saturates the mass."""
     n, m = dist.shape
+    a, b, denom = _scaled_capacities(wa, wb)
     total = int(a.sum())
     src, snk = 0, n + m + 1
-    ii, jj = np.nonzero(dist <= threshold)
-    rows = np.concatenate([np.zeros(n, dtype=np.int64), 1 + ii, 1 + n + np.arange(m)])
-    cols = np.concatenate([1 + np.arange(n), 1 + n + jj, np.full(m, snk, dtype=np.int64)])
-    caps = np.concatenate([a, np.minimum(a[ii], b[jj]), b])
-    graph = sparse.csr_matrix((caps, (rows, cols)), shape=(n + m + 2, n + m + 2))
-    result = maximum_flow(graph, src, snk)
-    return result.flow_value == total, result, (ii, jj)
+
+    def saturating_flow(edges):
+        ii, jj = np.nonzero(edges)
+        rows = np.concatenate([np.zeros(n, dtype=np.int64), 1 + ii, 1 + n + np.arange(m)])
+        cols = np.concatenate([1 + np.arange(n), 1 + n + jj, np.full(m, snk, dtype=np.int64)])
+        caps = np.concatenate([a, np.minimum(a[ii], b[jj]), b])
+        graph = sparse.csr_matrix((caps, (rows, cols)), shape=(n + m + 2, n + m + 2))
+        result = maximum_flow(graph, src, snk)
+        return result.flow if result.flow_value == total else None
+
+    value, flow = _bottleneck_search(dist, saturating_flow)
+    return value, flow.tocsr()[1 : 1 + n, 1 + n : 1 + n + m].toarray() / denom
 
 
 def winf_exact(
@@ -205,43 +290,19 @@ def winf_exact(
 ) -> tuple[float, TransportPlan]:
     """Exact infinity-Wasserstein (bottleneck) distance and a witness plan.
 
-    Binary-searches the sorted distinct pairwise distances; a threshold t is
-    feasible iff the max flow through the bipartite graph restricted to
-    edges <= t saturates the total mass.  The witness plan's largest support
-    edge equals the returned value.
+    Binary-searches the sorted distinct pairwise distances for the least t
+    at which all mass can move along edges <= t.  When both measures have
+    the same number of atoms and each has all-equal weights, the test is a
+    perfect bipartite matching (a 0/1-cost ``linear_sum_assignment``); for
+    every other pair it is a max flow that saturates the total mass, on
+    weights scaled to integer capacities.  The witness plan's largest
+    support edge equals the returned value.
     """
-    _check_probability(alpha, "alpha")
-    _check_probability(beta, "beta")
-    _check_size(alpha, max_atoms, "alpha")
-    _check_size(beta, max_atoms, "beta")
-    if alpha.dim != beta.dim:
-        raise ValueError("measures must live in the same dimension")
+    _check_pair(alpha, beta, max_atoms)
     dist = cdist(alpha.atoms, beta.atoms)
-    a, b, denom = _scaled_capacities(alpha.weights, beta.weights)
-    levels = np.unique(dist)
-    lo, hi = 0, levels.size - 1
-    feasible_hi = _bottleneck_feasible(dist, a, b, levels[hi])
-    if not feasible_hi[0]:
-        raise RuntimeError("bottleneck search failed at the maximal distance")
-    best = feasible_hi
-    best_level = levels[hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ok = _bottleneck_feasible(dist, a, b, levels[mid])
-        if ok[0]:
-            hi = mid
-            best = ok
-            best_level = levels[mid]
-        else:
-            lo = mid + 1
-    n, m = dist.shape
-    flow = best[1].flow.tocsr()
-    pi = np.zeros((n, m))
-    block = flow[1 : 1 + n, 1 + n : 1 + n + m].toarray()
-    pi[:, :] = block / denom
-    value = float(best_level)
-    plan = TransportPlan(pi, float((pi * dist).sum()), alpha, beta)
-    return value, plan
+    search = _matching_bottleneck if _uniform_equal_size(alpha, beta) else _maxflow_bottleneck
+    value, pi = search(dist, alpha.weights, beta.weights)
+    return value, TransportPlan(pi, float((pi * dist).sum()), alpha, beta)
 
 
 def distortion(corr: Correspondence, d_x: np.ndarray, d_y: np.ndarray) -> float:

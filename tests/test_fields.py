@@ -134,8 +134,11 @@ class TestCtfGrid:
 
     def test_empty_grid(self):
         m = empirical_measure([[0.0, 0.0]])
-        fg = ctf_grid(m, builtin_gaussian(), np.zeros((0, 2)), 1.0)
-        assert fg.tensors.shape == (0, 2, 2)
+        for empty in (np.zeros((0, 2)), []):
+            fg = ctf_grid(m, builtin_gaussian(), empty, 1.0)
+            assert fg.tensors.shape == (0, 2, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            ctf_grid(m, builtin_gaussian(), np.zeros((0, 3)), 1.0)
 
     @pytest.mark.parametrize("budget", [fields._PAIR_BUDGET, 40], ids=["default_budget", "budget_40"])
     @pytest.mark.parametrize("d", [1, 2, 3])

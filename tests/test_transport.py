@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from covfields import (
@@ -27,6 +29,7 @@ from covfields import (
     w1_exact,
     winf_exact,
 )
+from covfields import transport
 
 
 def uniform_on(points):
@@ -60,16 +63,6 @@ class TestW1:
         row, col = plan.marginal_errors()
         assert row <= 1e-9 and col <= 1e-9
         assert plan.coupling.min() >= -1e-12
-
-    def test_hungarian_oracle(self):
-        rng = np.random.default_rng(1)
-        for n in (5, 16, 64):
-            a = uniform_on(rng.normal(size=(n, 2)))
-            b = uniform_on(rng.normal(size=(n, 2)))
-            val, _ = w1_exact(a, b)
-            cost = cdist(a.atoms, b.atoms)
-            rows, cols = linear_sum_assignment(cost)
-            assert val == pytest.approx(cost[rows, cols].sum() / n, abs=1e-9)
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(2)
@@ -157,6 +150,143 @@ class TestWinf:
         a = uniform_on(rng.normal(size=(5, 2)))
         b = uniform_on(rng.normal(size=(5, 2)))
         assert winf_exact(a, b)[0] == pytest.approx(winf_exact(b, a)[0], abs=1e-12)
+
+
+def _fast_path_cases():
+    rng = np.random.default_rng(1)
+    cases = {f"random_n{n}": (rng.normal(size=(n, 2)), rng.normal(size=(n, 2))) for n in (5, 16, 64)}
+    pts = rng.normal(size=(16, 2))
+    cases["identical_n16"] = (pts, pts)
+    # integer grids: many pairs at the same distance, so both solvers meet ties
+    grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    cases["grid_ties_n25"] = (grid, grid[::-1] + [1.0, 1.0])
+    return cases
+
+
+FAST_PATH_CASES = _fast_path_cases()
+
+
+def _counting(monkeypatch, name):
+    """Replace transport.<name> with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(transport, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transport, name, wrapper)
+    return calls
+
+
+class TestFastPaths:
+    """Assignment and bottleneck matching against the general LP and max-flow."""
+
+    @pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+    def test_matches_general_solvers(self, case, monkeypatch):
+        a, b = (uniform_on(p) for p in FAST_PATH_CASES[case])
+        flow_calls = _counting(monkeypatch, "maximum_flow")
+        lp_calls = _counting(monkeypatch, "linprog")
+        w1, plan1 = w1_exact(a, b)
+        winf, plan_inf = winf_exact(a, b)
+        assert lp_calls == [] and flow_calls == []  # both took the assignment path
+        cost = cdist(a.atoms, b.atoms)
+        pi_lp = transport._lp_coupling(cost, a.weights, b.weights)
+        assert w1 == pytest.approx((pi_lp * cost).sum(), abs=1e-9)
+        ref_inf, pi_flow = transport._maxflow_bottleneck(cost, a.weights, b.weights)
+        assert winf == pytest.approx(ref_inf, abs=1e-9)
+        assert plan_inf.max_edge() == pytest.approx(winf, abs=1e-12)
+        for plan in (plan1, plan_inf):
+            row, col = plan.marginal_errors()
+            assert row <= 1e-12 and col <= 1e-12
+            assert plan.coupling.min() >= 0.0
+            assert np.count_nonzero(plan.coupling) == a.size
+
+    @pytest.mark.parametrize("kind", ["unequal_weights", "unequal_sizes"])
+    def test_other_pairs_keep_general_solvers(self, kind, monkeypatch):
+        rng = np.random.default_rng(2)
+        pts_a, pts_b = rng.normal(size=(12, 2)), rng.normal(size=(12, 2))
+        if kind == "unequal_weights":
+            w = np.full(12, 1.0 / 12)
+            w[0] += 1e-3
+            w[1] -= 1e-3
+            a, b = WeightedMeasure(pts_a, w), uniform_on(pts_b)
+        else:
+            a, b = uniform_on(pts_a), uniform_on(pts_b[:9])
+        flow_calls = _counting(monkeypatch, "maximum_flow")
+        lp_calls = _counting(monkeypatch, "linprog")
+        w1, plan1 = w1_exact(a, b)
+        winf, plan_inf = winf_exact(a, b)
+        assert lp_calls == ["linprog"] and len(flow_calls) >= 1
+        cost = cdist(a.atoms, b.atoms)
+        assert w1 == pytest.approx((transport._lp_coupling(cost, a.weights, b.weights) * cost).sum(), abs=1e-12)
+        assert winf == transport._maxflow_bottleneck(cost, a.weights, b.weights)[0]
+        for plan in (plan1, plan_inf):
+            row, col = plan.marginal_errors()
+            assert row <= 1e-9 and col <= 1e-9
+
+
+class TestOneDimensionalOracles:
+    """Closed forms on the line (Vallender 1973) at realistic sizes."""
+
+    def test_uniform_equal_size_sorted_gaps(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=1000)
+        y = rng.normal(0.3, 1.2, size=1000)
+        a, b = uniform_on(x[:, None]), uniform_on(y[:, None])
+        gaps = np.abs(np.sort(x) - np.sort(y))
+        assert w1_exact(a, b)[0] == pytest.approx(gaps.mean(), abs=1e-9)
+        assert winf_exact(a, b)[0] == pytest.approx(gaps.max(), abs=1e-12)
+
+    def test_weighted_cdf_integral(self):
+        # W1 = integral of |F_a - F_b|; the merged sorted atoms cut the line
+        # into gaps on which both CDFs are constant
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=150)
+        y = rng.normal(0.5, 0.8, size=140)
+        wx, wy = rng.uniform(0.2, 1.0, 150), rng.uniform(0.2, 1.0, 140)
+        a = WeightedMeasure(x[:, None], wx / wx.sum())
+        b = WeightedMeasure(y[:, None], wy / wy.sum())
+        pts = np.concatenate([x, y])
+        order = np.argsort(pts, kind="stable")
+        cdf_diff = np.cumsum(np.concatenate([a.weights, -b.weights])[order])[:-1]
+        want = float(np.sum(np.abs(cdf_diff) * np.diff(pts[order])))
+        assert w1_exact(a, b)[0] == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def measure_triples(draw):
+    """Three small planar measures on a 1/4 grid (ties included): either
+    uniform of one common size (assignment path) or with integer weights and
+    sizes of their own (LP and max-flow path)."""
+    uniform = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    coords = st.integers(-12, 12)
+    out = []
+    for _ in range(3):
+        size = n if uniform else draw(st.integers(1, 6))
+        atoms = draw(hnp.arrays(np.int64, (size, 2), elements=coords)) / 4.0
+        if uniform:
+            out.append(uniform_on(atoms))
+        else:
+            w = draw(hnp.arrays(np.int64, size, elements=st.integers(1, 5))).astype(float)
+            out.append(WeightedMeasure(atoms, w / w.sum()))
+    return out
+
+
+class TestTransportProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ms=measure_triples())
+    def test_metric_bounds(self, ms):
+        a, b, c = ms
+        w1_ab, w1_ba = w1_exact(a, b)[0], w1_exact(b, a)[0]
+        winf_ab, winf_ba = winf_exact(a, b)[0], winf_exact(b, a)[0]
+        assert w1_ab == pytest.approx(w1_ba, abs=1e-9)
+        assert winf_ab == pytest.approx(winf_ba, abs=1e-12)
+        assert w1_ab <= winf_ab + 1e-9
+        shift = np.linalg.norm(a.weights @ a.atoms - b.weights @ b.atoms)
+        assert w1_ab >= shift - 1e-9
+        assert w1_exact(a, c)[0] <= w1_ab + w1_exact(b, c)[0] + 1e-9
 
 
 class TestCorrespondence:
