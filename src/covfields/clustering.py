@@ -11,18 +11,26 @@ spanning tree; the cophenetic distance u(i, j) — the dendrogram level at
 which i and j first merge — equals the minimax path value, i.e. the largest
 edge on the unique MST path.  u satisfies the strong triangle inequality
 u(x, x') <= max(u(x, x''), u(x'', x')).
+
+The merge sweep records the leaf order and the merge height between
+adjacent leaves (the gaps): u(order[p], order[q]) = max(gaps[p:q]), so a cut
+splits the leaf order at the gaps above its level.  Cuts and the cophenetic
+mean and std need no n x n matrix; ``Dendrogram.cophenetic`` builds it on
+demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .fields import ctf_grid
-from .kernels import RadialKernel
+from .kernels import RadialKernel, _check_sigma
 from .measures import WeightedMeasure, empirical_measure
 from .transport import Correspondence, distortion
 
@@ -40,10 +48,9 @@ class TensorizedMetricParams:
     kernel: RadialKernel
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma!r}")
+        _check_sigma(self.sigma)
 
 
 def tensorized_distances(
@@ -58,19 +65,31 @@ def tensorized_distances(
     (useful for denoising: tensors from a clean reference, metric on noisy
     points).
     """
-    if isinstance(data, WeightedMeasure):
-        points = data.atoms
-    else:
-        points = np.atleast_2d(np.asarray(data, dtype=float))
+    is_measure = isinstance(data, WeightedMeasure)
+    points = data.atoms if is_measure else np.atleast_2d(np.asarray(data, dtype=float))
+    features = tensor_features(points, params.kernel, params.sigma, reference)
+    return lifted_distances(features, points, params.gamma)
+
+
+def tensor_features(
+    points: np.ndarray, kernel: RadialKernel, sigma: float, reference: WeightedMeasure | None = None
+) -> np.ndarray:
+    """The tensors Sigma(x_i, sigma) flattened to rows of length d*d.
+
+    They depend on sigma but not on gamma, so one call serves a whole
+    gamma grid through :func:`lifted_distances`.
+    """
     base = reference if reference is not None else empirical_measure(points)
     if base.dim != points.shape[1]:
         raise ValueError("dimension mismatch between data and reference measure")
-    tensors = ctf_grid(base, params.kernel, points, params.sigma).tensors
-    n = points.shape[0]
-    flat = tensors.reshape(n, -1)
-    d2 = cdist(flat, flat, metric="sqeuclidean")
-    if params.gamma > 0:
-        d2 = d2 + params.gamma**2 * cdist(points, points, metric="sqeuclidean")
+    return ctf_grid(base, kernel, points, sigma).tensors.reshape(points.shape[0], -1)
+
+
+def lifted_distances(features: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarray:
+    """Pairwise tensorized distances from :func:`tensor_features` rows."""
+    d2 = cdist(features, features, metric="sqeuclidean")
+    if gamma > 0:
+        d2 = d2 + gamma**2 * cdist(points, points, metric="sqeuclidean")
     np.fill_diagonal(d2, 0.0)
     d = np.sqrt(np.maximum(d2, 0.0))
     return 0.5 * (d + d.T)
@@ -78,21 +97,35 @@ def tensorized_distances(
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Single-linkage merge tree together with its cophenetic ultrametric.
+    """Single-linkage merge tree with its leaf order and adjacent-leaf gaps.
 
     ``merges`` rows are (cluster_a, cluster_b, height) with leaves 0..n-1
     and the k-th merge creating cluster n + k; heights are non-decreasing.
-    ``cophenetic[i, j]`` is the height at which i and j first share a
-    cluster (the minimax path value over the base metric).
+    ``order`` lists the leaves as the tree is drawn (cluster_a's before
+    cluster_b's) and ``gaps[p]`` is the height at which order[p] and
+    order[p + 1] first share a cluster.  ``cophenetic[i, j]``, that height
+    for any i, j (the minimax path value), is built on first access.
     """
 
     merges: np.ndarray  # (n-1, 3)
     n_leaves: int
-    cophenetic: np.ndarray  # (n, n)
+    pair_counts: np.ndarray  # (n-1,) leaf pairs joined by each merge: |a| * |b|
+    order: np.ndarray  # (n,)
+    gaps: np.ndarray  # (n-1,)
 
     @property
     def heights(self) -> np.ndarray:
         return self.merges[:, 2]
+
+    @cached_property
+    def cophenetic(self) -> np.ndarray:
+        """Dense (n, n) ultrametric: u(order[p], order[q]) = max(gaps[p:q])."""
+        n = self.n_leaves
+        u = np.zeros((n, n))
+        for p in range(n - 1):
+            u[p, p + 1 :] = np.maximum.accumulate(self.gaps[p:])
+        position = np.argsort(self.order)  # the inverse permutation
+        return (u + u.T)[np.ix_(position, position)]
 
 
 def _mst_prim(d: np.ndarray) -> list[tuple[int, int, float]]:
@@ -119,40 +152,38 @@ def _mst_prim(d: np.ndarray) -> list[tuple[int, int, float]]:
 def single_linkage(metric: np.ndarray) -> Dendrogram:
     """Single-linkage dendrogram of a (pseudo-)metric matrix via the MST.
 
-    Merge heights are the sorted MST edge weights; the cophenetic matrix is
-    filled during the union sweep, which makes it exactly the minimax path
-    value.  NaNs in the matrix are rejected.
+    Merge heights are the sorted MST edge weights.  The union sweep joins
+    the two components' leaf lists end to end and records the merge height
+    as the gap at the junction.  NaN or infinite entries are rejected.
     """
     d = np.asarray(metric, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("metric must be a square matrix")
-    if np.isnan(d).any():
-        raise ValueError("metric matrix contains NaN")
+    if not np.isfinite(d).all():  # an infinite entry would make Prim add a self-loop
+        raise ValueError("metric matrix contains NaN or infinite entries")
     n = d.shape[0]
-    if n == 1:
-        return Dendrogram(np.zeros((0, 3)), 1, np.zeros((1, 1)))
     edges = sorted(_mst_prim(d), key=lambda e: e[2])
-    # union-find with component member lists and scipy-style cluster ids
+    # union-find with scipy-style cluster ids; each component keeps its
+    # leaves in drawing order, and the smaller side is relabelled
     comp_id = np.arange(n)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    cluster_of: dict[int, int] = {i: i for i in range(n)}
-    u = np.zeros((n, n))
+    leaves = {i: [i] for i in range(n)}
+    cluster_of = list(range(n))
+    gap_after = np.zeros(n)
     merges = np.zeros((n - 1, 3))
+    pair_counts = np.zeros(n - 1)
     for k, (i, j, h) in enumerate(edges):
         ci, cj = int(comp_id[i]), int(comp_id[j])
-        a, b = members[ci], members[cj]
-        u[np.ix_(a, b)] = h
-        u[np.ix_(b, a)] = h
+        a, b = leaves.pop(ci), leaves.pop(cj)
         merges[k] = (cluster_of[ci], cluster_of[cj], h)
-        if len(a) < len(b):
-            ci, cj = cj, ci
-            a, b = b, a
-        a.extend(b)
-        comp_id[b] = ci
-        del members[cj]
-        cluster_of[ci] = n + k
-        cluster_of.pop(cj, None)
-    return Dendrogram(merges, n, u)
+        pair_counts[k] = len(a) * len(b)
+        gap_after[a[-1]] = h
+        keep, moved = (ci, b) if len(a) >= len(b) else (cj, a)
+        comp_id[moved] = keep
+        leaves[keep] = a + b
+        cluster_of[keep] = n + k
+    order = np.array(leaves.popitem()[1], dtype=np.int64)
+    gaps = gap_after[order[:-1]]
+    return Dendrogram(merges, n, pair_counts, order, gaps)
 
 
 @dataclass(frozen=True)
@@ -164,64 +195,56 @@ class ClusterAssignment:
     cutoff_height: float
 
 
-def _labels_from_threshold(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Connected components of the relation ``keep`` (boolean n x n)."""
-    n = u.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        block = np.nonzero(keep[i])[0]
-        labels[block] = nxt
-        labels[i] = nxt
-        nxt += 1
-    return labels
-
-
 def cut(dendrogram: Dendrogram, k: int | None = None, height: float | None = None) -> ClusterAssignment:
     """Cut a dendrogram at a cluster count or at a height.
 
     ``height=h`` keeps merges with height <= h.  ``k`` removes the k-1
     largest merge heights; when ties straddle the threshold every tied edge
     is removed, so the achieved count may exceed k (reported in the result).
+    Clusters are the runs of the leaf order between removed gaps, labelled
+    in the order of their lowest leaf index.
     """
     if (k is None) == (height is None):
         raise ValueError("specify exactly one of k or height")
     n = dendrogram.n_leaves
-    u = dendrogram.cophenetic
     if height is not None:
-        if height < 0:
-            raise ValueError("height must be non-negative")
-        keep = u <= height
+        if not height >= 0:
+            raise ValueError(f"height must be non-negative, got {height!r}")
+        breaks = dendrogram.gaps > height
         cutoff = float(height)
+    elif not (1 <= k <= n):
+        raise ValueError("k must be between 1 and the number of leaves")
+    elif k == 1:
+        breaks = np.zeros(n - 1, dtype=bool)
+        cutoff = float(dendrogram.heights[-1]) if n > 1 else 0.0
     else:
-        if not (1 <= k <= n):
-            raise ValueError("k must be between 1 and the number of leaves")
-        if k == 1:
-            keep = np.ones_like(u, dtype=bool)
-            cutoff = float(dendrogram.heights[-1]) if n > 1 else 0.0
-        else:
-            threshold = float(np.sort(dendrogram.heights)[-(k - 1)])
-            keep = u < threshold
-            cutoff = threshold
-    labels = _labels_from_threshold(u, keep)
-    return ClusterAssignment(labels, int(labels.max()) + 1, cutoff)
+        cutoff = float(np.sort(dendrogram.heights)[-(k - 1)])
+        breaks = dendrogram.gaps >= cutoff
+    run = np.zeros(n, dtype=np.int64)
+    run[dendrogram.order[1:]] = np.cumsum(breaks)
+    # runs are 0..r-1; number them in the order of their lowest leaf index
+    first = np.unique(run, return_index=True)[1]
+    return ClusterAssignment(np.argsort(np.argsort(first))[run], first.size, cutoff)
+
+
+def _cophenetic_moments(dendrogram: Dendrogram) -> tuple[float, float]:
+    """Mean and std of u over leaf pairs: merge k sets u = its height on
+    ``pair_counts[k]`` pairs (two-pass variance)."""
+    if dendrogram.n_leaves < 2:
+        raise ValueError("need at least 2 leaves")
+    w, h = dendrogram.pair_counts, dendrogram.heights
+    mean = float(w @ h / w.sum())
+    return mean, math.sqrt(float(w @ (h - mean) ** 2 / w.sum()))
 
 
 def mean_cophenetic(dendrogram: Dendrogram) -> float:
     """Average cophenetic distance over unordered leaf pairs."""
-    n = dendrogram.n_leaves
-    if n < 2:
-        raise ValueError("need at least 2 leaves")
-    iu = np.triu_indices(n, k=1)
-    return float(dendrogram.cophenetic[iu].mean())
+    return _cophenetic_moments(dendrogram)[0]
 
 
 def cophenetic_std(dendrogram: Dendrogram) -> float:
-    n = dendrogram.n_leaves
-    iu = np.triu_indices(n, k=1)
-    return float(dendrogram.cophenetic[iu].std())
+    """Standard deviation of the cophenetic distance over unordered leaf pairs."""
+    return _cophenetic_moments(dendrogram)[1]
 
 
 def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> ClusterAssignment:
@@ -229,24 +252,24 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
 
     Size ties are broken toward the lower cluster id.  Every point of a
     dropped cluster joins the cluster containing its nearest point (under
-    the supplied metric) among the kept ones.
+    the supplied metric) among the kept ones; distance ties go to the
+    lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
     """
     labels = assignment.labels
     ids, counts = np.unique(labels, return_counts=True)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if k > ids.size:
         raise ValueError(f"k={k} exceeds the number of clusters {ids.size}")
-    order = np.lexsort((ids, -counts))
-    kept = set(int(ids[i]) for i in order[:k])
-    new_labels = labels.copy()
-    kept_mask = np.isin(labels, list(kept))
+    kept = np.sort(ids[np.lexsort((ids, -counts))[:k]])
+    kept_mask = np.isin(labels, kept)
     kept_idx = np.nonzero(kept_mask)[0]
-    for p in np.nonzero(~kept_mask)[0]:
-        nearest = kept_idx[np.argmin(metric[p, kept_idx])]
-        new_labels[p] = labels[nearest]
-    # renumber to 0..k-1, ordered by kept cluster id
-    remap = {c: i for i, c in enumerate(sorted(kept))}
-    new_labels = np.array([remap[int(c)] for c in new_labels], dtype=np.int64)
-    return ClusterAssignment(new_labels, k, assignment.cutoff_height)
+    dropped = np.nonzero(~kept_mask)[0]
+    new_labels = labels.copy()
+    if dropped.size:
+        nearest = np.argmin(np.asarray(metric)[np.ix_(dropped, kept_idx)], axis=1)
+        new_labels[dropped] = labels[kept_idx[nearest]]
+    return ClusterAssignment(np.searchsorted(kept, new_labels), k, assignment.cutoff_height)
 
 
 def score(labels: np.ndarray, truth: np.ndarray) -> float:
@@ -259,13 +282,10 @@ def score(labels: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=np.int64).ravel()
     if labels.shape != truth.shape:
         raise ValueError("label vectors must have equal length")
-    la, lb = np.unique(labels), np.unique(truth)
+    la, ia = np.unique(labels, return_inverse=True)
+    lb, ib = np.unique(truth, return_inverse=True)
     k = max(la.size, lb.size)
-    conf = np.zeros((k, k), dtype=np.int64)
-    amap = {int(v): i for i, v in enumerate(la)}
-    bmap = {int(v): i for i, v in enumerate(lb)}
-    for a, b in zip(labels, truth):
-        conf[amap[int(a)], bmap[int(b)]] += 1
+    conf = np.bincount(ia * k + ib, minlength=k * k).reshape(k, k)
     rows, cols = linear_sum_assignment(-conf)
     matched = conf[rows, cols].sum()
     return 1.0 - matched / labels.size

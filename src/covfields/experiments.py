@@ -31,6 +31,14 @@ def square_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def _map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, on a thread pool when ``threads > 1``."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 # ---------------------------------------------------------------------------
 # convergence of empirical covariance fields on the circle
 # ---------------------------------------------------------------------------
@@ -112,13 +120,8 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
             errs.append(float(np.linalg.norm(tensors - exact, axis=(1, 2)).max()))
         return errs
 
-    reps = range(cfg.replicates)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            all_errs = list(pool.map(one_replicate, reps))
-    else:
-        all_errs = [one_replicate(r) for r in reps]
-    per_n = np.asarray(all_errs)  # (reps, len(n_values))
+    # (reps, len(n_values))
+    per_n = np.asarray(_map(one_replicate, range(cfg.replicates), cfg.threads))
     eps = per_n.mean(axis=0)
 
     ln = np.log(np.asarray(n_values, dtype=float))
@@ -226,17 +229,28 @@ class BenchmarkResult:
         return json.dumps(asdict(self), indent=2)
 
 
-def _cluster_errors_for_params(dataset, kernel, sigma, gamma, offsets, k_true):
-    """Error rate at each cutoff offset (in cophenetic stds) for one sample."""
-    params = cl.TensorizedMetricParams(gamma=gamma, sigma=sigma, kernel=kernel)
-    d = cl.tensorized_distances(dataset.measure, params)
+def _sample_errors(dataset, params, offsets, k_true):
+    """Error rates for each of ``params`` (one kernel) on one sample (rows)
+    at each cutoff offset (columns); the tensors are computed once per sigma."""
+    points = dataset.measure.atoms
+    features = {}
+    table = []
+    for p in params:
+        if p.sigma not in features:
+            features[p.sigma] = cl.tensor_features(points, p.kernel, p.sigma)
+        d = cl.lifted_distances(features[p.sigma], points, p.gamma)
+        table.append(_offset_errors(dataset, d, offsets, k_true))
+        del d  # free the n x n matrix before the next one is built
+    return table
+
+
+def _offset_errors(dataset, d, offsets, k_true):
+    """Error rate at each cutoff offset (in cophenetic stds) under metric d."""
     dend = cl.single_linkage(d)
-    h0 = cl.mean_cophenetic(dend)
-    sd = cl.cophenetic_std(dend)
+    h0, sd = cl.mean_cophenetic(dend), cl.cophenetic_std(dend)
     errs = []
     for u in offsets:
-        h = max(h0 + u * sd, 0.0)
-        assignment = cl.cut(dend, height=h)
+        assignment = cl.cut(dend, height=max(h0 + u * sd, 0.0))
         if assignment.k >= k_true:
             assignment = cl.topk_reassign(assignment, d, k_true)
         errs.append(cl.score(assignment.labels, dataset.labels))
@@ -270,43 +284,25 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     train, test = suite[: cfg.n_train], suite[cfg.n_train :]
     offsets = np.linspace(-cfg.cutoff_width_stds, cfg.cutoff_width_stds, cfg.cutoff_steps)
 
-    combos = [(s, g) for s in cfg.sigma_grid for g in cfg.gamma_grid]
-
-    def train_one(combo):
-        s, g = combo
-        table = np.array(
-            [_cluster_errors_for_params(ds, kernel, s, g, offsets, k_true) for ds in train]
-        )
-        return table.mean(axis=0)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            tables = list(pool.map(train_one, combos))
-    else:
-        tables = [train_one(c) for c in combos]
+    combos = [cl.TensorizedMetricParams(gamma=g, sigma=s, kernel=kernel)
+              for s in cfg.sigma_grid for g in cfg.gamma_grid]
+    train_tables = _map(lambda ds: _sample_errors(ds, combos, offsets, k_true), train, cfg.threads)
     best_err = math.inf
-    best = (cfg.sigma_grid[0], cfg.gamma_grid[0], 0.0)
-    for (s, g), mean_by_offset in zip(combos, tables):
+    best = (combos[0], 0.0)
+    for c, params in enumerate(combos):
+        mean_by_offset = np.array([table[c] for table in train_tables]).mean(axis=0)
         j = int(np.argmin(mean_by_offset))
         if mean_by_offset[j] < best_err:
             best_err = float(mean_by_offset[j])
-            best = (s, g, float(offsets[j]))
-    s, g, u = best
-
-    def test_one(ds):
-        return _cluster_errors_for_params(ds, kernel, s, g, [u], k_true)[0]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            test_errs = list(pool.map(test_one, test))
-    else:
-        test_errs = [test_one(ds) for ds in test]
+            best = (params, float(offsets[j]))
+    params, u = best
+    test_errs = _map(lambda ds: _sample_errors(ds, [params], [u], k_true)[0][0], test, cfg.threads)
     result = BenchmarkResult(
         kind=cfg.kind,
         ae=float(np.mean(test_errs)),
         me=float(np.median(test_errs)),
-        best_sigma=float(s),
-        best_gamma=float(g),
+        best_sigma=float(params.sigma),
+        best_gamma=float(params.gamma),
         best_cut_offset=float(u),
         train_error=best_err,
         test_errors=[float(e) for e in test_errs],

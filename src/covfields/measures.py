@@ -361,19 +361,24 @@ def _random_segment(rng, box_lo, box_hi, min_len):
     raise RuntimeError("could not draw a segment of the requested length")
 
 
-def _gen_lines2d(rng, n_components, points_per, noise_sd):
-    # distinct slopes: draw until pairwise direction angles exceed 30 degrees
+def _separated_segments(rng, count):
+    """``count`` segments of length >= 0.7 in the unit square, redrawn
+    together until every two direction angles are >= 30 degrees apart."""
     box_lo, box_hi = np.zeros(2), np.ones(2)
     while True:
-        segs = [_random_segment(rng, box_lo, box_hi, 0.7) for _ in range(n_components)]
+        segs = [_random_segment(rng, box_lo, box_hi, 0.7) for _ in range(count)]
         dirs = [(b - a) / np.linalg.norm(b - a) for a, b in segs]
-        ok = True
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                if abs(_cross2(dirs[i], dirs[j])) < np.sin(np.radians(30.0)):
-                    ok = False
-        if ok:
-            break
+        if all(
+            abs(_cross2(dirs[i], dirs[j])) >= np.sin(np.radians(30.0))
+            for i in range(count)
+            for j in range(i + 1, count)
+        ):
+            return segs
+
+
+def _gen_lines2d(rng, n_components, points_per, noise_sd):
+    # distinct slopes, pairwise direction angles >= 30 degrees
+    segs = _separated_segments(rng, n_components)
     pts, labels = [], []
     for idx, (a, b) in enumerate(segs):
         t = np.linspace(0.0, 1.0, points_per)
@@ -386,17 +391,7 @@ def _gen_lines2d(rng, n_components, points_per, noise_sd):
 def _gen_mixed2d(rng, points_per, noise_sd):
     # four curves, each a segment or a shallow parabola arc; chord directions
     # kept >= 30 degrees apart so tangent ranges stay distinguishable
-    box_lo, box_hi = np.zeros(2), np.ones(2)
-    while True:
-        segs = [_random_segment(rng, box_lo, box_hi, 0.7) for _ in range(4)]
-        dirs = [(b - a) / np.linalg.norm(b - a) for a, b in segs]
-        ok = True
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                if abs(_cross2(dirs[i], dirs[j])) < np.sin(np.radians(30.0)):
-                    ok = False
-        if ok:
-            break
+    segs = _separated_segments(rng, 4)
     pts, labels = [], []
     for idx, (a, b) in enumerate(segs):
         t = np.linspace(0.0, 1.0, points_per)

@@ -101,22 +101,10 @@ def loglog_svg(x, series, path, xlabel="n", ylabel="error") -> None:
 
 
 def dendrogram_svg(dendrogram, path) -> None:
-    """Classic merge-tree rendering; leaves ordered by recursive traversal."""
+    """Classic merge-tree rendering; leaves in the dendrogram's leaf order."""
     n = dendrogram.n_leaves
     merges = dendrogram.merges
-    children = {n + k: (int(merges[k, 0]), int(merges[k, 1])) for k in range(len(merges))}
-    order: list[int] = []
-
-    def walk(node):
-        if node < n:
-            order.append(node)
-            return
-        a, b = children[node]
-        walk(a)
-        walk(b)
-
-    walk(n + len(merges) - 1 if len(merges) else 0)
-    pos = {leaf: i for i, leaf in enumerate(order)}
+    pos = {int(leaf): i for i, leaf in enumerate(dendrogram.order)}
     hmax = merges[:, 2].max() if len(merges) else 1.0
     hmax = hmax if hmax > 0 else 1.0
     x0, x1 = _MARGIN, _W - _MARGIN

@@ -126,6 +126,21 @@ class TestClusterCommand:
         doc = json.loads(err)
         assert doc["error"] == "config"
 
+    @pytest.mark.parametrize("option", [("--gamma", "nan", "--cut", "k:1"),
+                                        ("--gamma", "inf", "--cut", "k:1"),
+                                        ("--cut", "h:nan")])
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, option):
+        from covfields import empirical_measure
+
+        data = tmp_path / "m.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), data)
+        code = run_cli("--out", str(tmp_path), "cluster", "--input", str(data),
+                       "--sigma", "0.5", *option)
+        assert code == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+        assert not (tmp_path / "clusters.csv").exists()
+
 
 class TestStabilityCommand:
     def test_smooth_report(self, tmp_path):

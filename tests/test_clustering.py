@@ -2,9 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.cluster.hierarchy import cophenet, fcluster, linkage
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist, squareform
 
 from covfields import (
+    BenchmarkConfig,
+    ClusterAssignment,
     Correspondence,
     TensorizedMetricParams,
     WeightedMeasure,
@@ -13,15 +20,18 @@ from covfields import (
     cut,
     dendrogram_distortion_check,
     derive_constants,
+    emit_plot,
     empirical_measure,
     mean_cophenetic,
     quadrature_disk,
+    run_cluster_benchmark,
     score,
     single_linkage,
     tensorized_distances,
     topk_reassign,
     winf_exact,
 )
+from covfields.clustering import cophenetic_std
 
 
 def random_metric(rng, n):
@@ -101,6 +111,12 @@ class TestSingleLinkage:
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
+            single_linkage(d)
+
+    def test_infinite_entry_rejected(self):
+        # leaf 2 is unreachable; Prim would join it by a self-loop at inf
+        d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
+        with pytest.raises(ValueError, match="infinite"):
             single_linkage(d)
 
 
@@ -330,3 +346,250 @@ def distortion_of(corr, dx, dy):
     from covfields import distortion
 
     return distortion(corr, dx, dy)
+
+
+# ---------------------------------------------------------------------------
+# the leaf-order / gap representation against scipy and the dense loops it
+# replaced
+# ---------------------------------------------------------------------------
+
+def integer_metric(rng, n):
+    """City-block distances of points on a small integer grid: many tied
+    distances, and zero distances between repeated points (the gamma = 0
+    duplicate-point case)."""
+    pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+    return cdist(pts, pts, metric="cityblock")
+
+
+def reference_metrics():
+    rng = np.random.default_rng(30)
+    cases = [random_metric(rng, n) for n in (2, 3, 7, 20, 41)]
+    cases += [integer_metric(rng, n) for n in (2, 5, 12, 30, 50)]
+    return cases
+
+
+def threshold_labels(u, keep):
+    """Connected components of ``keep``, numbered by lowest leaf index
+    (the dense labelling the gap cut replaced)."""
+    n = u.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    nxt = 0
+    for i in range(n):
+        if labels[i] >= 0:
+            continue
+        block = np.nonzero(keep[i])[0]
+        labels[block] = nxt
+        labels[i] = nxt
+        nxt += 1
+    return labels
+
+
+def same_partition(a, b):
+    pairs = np.unique(np.column_stack([a, b]), axis=0)
+    return len(pairs) == len(np.unique(a)) == len(np.unique(b))
+
+
+def loop_topk_reassign(assignment, metric, k):
+    """The per-point loop topk_reassign was written as (reference)."""
+    labels = assignment.labels
+    ids, counts = np.unique(labels, return_counts=True)
+    order = np.lexsort((ids, -counts))
+    kept = set(int(ids[i]) for i in order[:k])
+    new_labels = labels.copy()
+    kept_mask = np.isin(labels, list(kept))
+    kept_idx = np.nonzero(kept_mask)[0]
+    for p in np.nonzero(~kept_mask)[0]:
+        nearest = kept_idx[np.argmin(metric[p, kept_idx])]
+        new_labels[p] = labels[nearest]
+    remap = {c: i for i, c in enumerate(sorted(kept))}
+    return np.array([remap[int(c)] for c in new_labels], dtype=np.int64)
+
+
+def loop_score(labels, truth):
+    """The dict-and-loop confusion matrix score was written with (reference)."""
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    truth = np.asarray(truth, dtype=np.int64).ravel()
+    la, lb = np.unique(labels), np.unique(truth)
+    k = max(la.size, lb.size)
+    conf = np.zeros((k, k), dtype=np.int64)
+    amap = {int(v): i for i, v in enumerate(la)}
+    bmap = {int(v): i for i, v in enumerate(lb)}
+    for a, b in zip(labels, truth):
+        conf[amap[int(a)], bmap[int(b)]] += 1
+    rows, cols = linear_sum_assignment(-conf)
+    return 1.0 - conf[rows, cols].sum() / labels.size
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("case", range(10))
+    def test_heights_cophenetic_and_height_cuts(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        z = linkage(squareform(d, checks=False), method="single")
+        np.testing.assert_array_equal(dend.heights, np.sort(z[:, 2]))
+        np.testing.assert_array_equal(dend.cophenetic, squareform(cophenet(z)))
+        levels = np.unique(d)
+        for h in np.concatenate([levels, 0.5 * (levels[1:] + levels[:-1]), [levels[-1] + 1.0]]):
+            got = cut(dend, height=h)
+            want = fcluster(z, t=h, criterion="distance")
+            assert same_partition(got.labels, want), h
+            assert got.k == len(np.unique(want))
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_leaf_order_and_gaps(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        n = d.shape[0]
+        np.testing.assert_array_equal(np.sort(dend.order), np.arange(n))
+        u = dend.cophenetic
+        np.testing.assert_array_equal(dend.gaps, u[dend.order[:-1], dend.order[1:]])
+        # the order is the merge tree's left-to-right traversal
+        children = {n + k: (int(a), int(b)) for k, (a, b, _) in enumerate(dend.merges)}
+        stack, walk = [2 * n - 2], []
+        while stack:
+            node = stack.pop()
+            if node < n:
+                walk.append(node)
+            else:
+                stack.extend(reversed(children[node]))
+        np.testing.assert_array_equal(dend.order, walk)
+
+
+class TestCutRules:
+    @pytest.mark.parametrize("case", range(10))
+    def test_k_cut_removes_every_tied_edge(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        u = dend.cophenetic
+        n = d.shape[0]
+        for k in range(1, n + 1):
+            got = cut(dend, k=k)
+            if k == 1:
+                want = np.zeros(n, dtype=np.int64)
+            else:
+                want = threshold_labels(u, u < np.sort(dend.heights)[-(k - 1)])
+            np.testing.assert_array_equal(got.labels, want)
+            assert got.k == want.max() + 1 >= k
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_height_cut_labels_by_first_leaf(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        u = dend.cophenetic
+        for h in np.unique(d):
+            np.testing.assert_array_equal(cut(dend, height=h).labels, threshold_labels(u, u <= h))
+
+    def test_tie_at_threshold_splits_all(self):
+        # a 2 x 3 unit grid: all seven MST candidates tie at 1, so any k > 1
+        # removes them all
+        pts = np.array([[x, y] for x in range(3) for y in range(2)], dtype=float)
+        dend = single_linkage(cdist(pts, pts, metric="cityblock"))
+        for k in range(2, 7):
+            asg = cut(dend, k=k)
+            assert asg.k == 6 and asg.cutoff_height == 1.0
+            np.testing.assert_array_equal(asg.labels, np.arange(6))
+
+    def test_nan_height_rejected(self):
+        dend = single_linkage(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="height"):
+            cut(dend, height=float("nan"))
+        with pytest.raises(ValueError, match="height"):
+            cut(dend, height=-1.0)
+
+
+class TestCopheneticStatistics:
+    @pytest.mark.parametrize("case", range(10))
+    def test_closed_form_matches_dense(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        values = dend.cophenetic[np.triu_indices(d.shape[0], 1)]
+        assert mean_cophenetic(dend) == pytest.approx(values.mean(), rel=1e-12)
+        assert cophenetic_std(dend) == pytest.approx(values.std(), rel=1e-12, abs=1e-15)
+
+    def test_std_single_leaf_error(self):
+        with pytest.raises(ValueError):
+            cophenetic_std(single_linkage(np.zeros((1, 1))))
+
+
+class TestVectorizedAgainstLoops:
+    @pytest.mark.parametrize("case", range(10))
+    def test_topk_reassign(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        n = d.shape[0]
+        for h in np.unique(d)[:6]:
+            asg = cut(dend, height=h)
+            for k in range(1, asg.k + 1):
+                got = topk_reassign(asg, d, k)
+                np.testing.assert_array_equal(got.labels, loop_topk_reassign(asg, d, k))
+                assert got.k == k and got.labels.shape == (n,)
+
+    def test_topk_reassign_size_ties(self):
+        # four clusters of sizes 2, 1, 2, 1: the size tie between ids 0 and 2
+        # keeps both, and ids 1 and 3 break toward id 1
+        labels = np.array([0, 0, 1, 2, 2, 3])
+        pts = np.array([[0.0], [0.1], [5.0], [9.0], [9.1], [4.0]])
+        asg = ClusterAssignment(labels, 4, 0.0)
+        d = cdist(pts, pts)
+        for k in (1, 2, 3, 4):
+            np.testing.assert_array_equal(topk_reassign(asg, d, k).labels, loop_topk_reassign(asg, d, k))
+
+    def test_topk_reassign_k_below_one(self):
+        asg = ClusterAssignment(np.array([0, 1]), 2, 0.0)
+        with pytest.raises(ValueError, match="at least 1"):
+            topk_reassign(asg, np.zeros((2, 2)), 0)
+
+    def test_score(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            a = rng.integers(0, int(rng.integers(1, 7)), n) * 3 - 2  # sparse, negative ids
+            b = rng.integers(0, int(rng.integers(1, 7)), n)
+            assert score(a, b) == loop_score(a, b)
+            assert score(b, a) == loop_score(b, a)
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            TensorizedMetricParams(gamma=gamma, sigma=0.5, kernel=builtin_gaussian())
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            TensorizedMetricParams(gamma=0.0, sigma=sigma, kernel=builtin_gaussian())
+
+
+def test_chain_dendrogram_svg(tmp_path):
+    # 1200 leaves merged one at a time: deeper than Python's recursion limit
+    x = np.cumsum(np.linspace(1.0, 2.0, 1200))[:, None]
+    emit_plot("dendrogram", {"dendrogram": single_linkage(cdist(x, x))}, str(tmp_path / "d.svg"))
+    assert (tmp_path / "d.svg").stat().st_size > 0
+
+
+def test_benchmark_threads_match_serial():
+    cfg = dict(kind="lines2d", n_samples=5, n_train=3, points_per_component=30, cutoff_steps=7, seed=3)
+    serial = run_cluster_benchmark(BenchmarkConfig(threads=1, **cfg))
+    pooled = run_cluster_benchmark(BenchmarkConfig(threads=2, **cfg))
+    assert pooled == serial
+
+
+@st.composite
+def grid_metrics(draw):
+    """Euclidean metrics of 2-12 points on a 1/2 grid (ties and zeros)."""
+    n = draw(st.integers(2, 12))
+    pts = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(-4, 4))) / 2.0
+    return cdist(pts, pts)
+
+
+class TestUltrametricProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(grid_metrics())
+    def test_strong_triangle_and_below_metric(self, d):
+        u = single_linkage(d).cophenetic
+        np.testing.assert_array_equal(u, u.T)
+        assert np.all(np.diag(u) == 0)
+        assert np.all(u <= d)
+        # u(i, j) <= max(u(i, k), u(k, j)), indexed [i, k, j]
+        assert np.all(u[:, None, :] <= np.maximum(u[:, :, None], u[None, :, :]))
