@@ -1,10 +1,17 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from covfields import load_measure, quadrature_circle, save_measure
+from covfields import (
+    LabeledDataset,
+    WeightedMeasure,
+    load_measure,
+    quadrature_circle,
+    save_measure,
+)
 from covfields.cli import main
 
 
@@ -267,3 +274,119 @@ class TestErrorPaths:
         code = run_cli("--out", str(tmp_path), "ctf", "--input", str(data),
                        "--kernel", "sinc", "--sigma", "0.5", "--grid=-1:1:3")
         assert code == 2
+
+
+def _seeded(seed, shape, positive=False):
+    """Floats from a seeded PCG64 stream over twenty orders of magnitude.
+
+    Only uniform draws and exact scalings are used, so the values (and the
+    bytes written from them) are the same on every platform.
+    """
+    rng = np.random.default_rng(seed)
+    scale = np.array([1e-7, 1e-3, 1.0, 3.0, 1e3, 1e17])[rng.integers(0, 6, shape)]
+    u = rng.random(shape)
+    return (u + 1e-3 if positive else u - 0.5) * scale
+
+
+class TestCsvBytesFrozen:
+    """Every CSV the package writes, from small seeded inputs, pinned by SHA-256.
+
+    The numerical layers behind the CLI commands are replaced by seeded
+    stand-ins, so the digests pin the writers' bytes and nothing else.
+    """
+
+    # recorded with the per-command row loops, before one writer served all
+    FROZEN_DIGESTS = {
+        "measure": "d73195567428887a6532edade76eba3c338aac88156f0457d5d2c8ffe5939b71",
+        "labeled_measure": "439c43ccab71c38f1dc6c400111c7d2dbac957226209a224539cb816fc056e5b",
+        "ctf": "8cdfcbf0c2d5c6158cce2da60f0e8823fe22fabb3ac35249891d32829cbad8fa",
+        "frechet": "ecd9ba87c10a9df2ae96e9973f6e4ea6713f41ce8c7630c62b6166770481e4d8",
+        "flow": "50d0e984abc1bbd810de6688882d52d2ac11576264a4d39a9b594f0688504d94",
+        "curvature": "137fa66fe9e2351e7b7037e8adaf35c94cd64829aa737cbba21b8ab95f082362",
+        "curvature_surface": "d6fb8b13a72de452fe09f64e666d7ca46064363882f1e44cc667361e18d27bcd",
+        "merges": "9289999c9724456f21b9ffb20262fea4a5221b04674f01c5dcf973b5290d2ca6",
+        "converge": "766b89a822df356feec4736f85740a94286a08294ac201a17499a81bf78ae481",
+        "bench_lines2d": "5035a86d059de75659823a679c68080485aded7d44bb98ee15450e36b2af17cb",
+    }
+
+    @staticmethod
+    def _measure_csv(tmp_path):
+        path = tmp_path / "m.csv"
+        save_measure(WeightedMeasure(_seeded(1, (9, 2)), _seeded(2, 9, positive=True)), path)
+        return path
+
+    def _write(self, name, tmp_path, monkeypatch):
+        from covfields import clustering, cli, experiments
+        from covfields.fields import FieldGrid, FlowResult
+        from covfields.geometry import CurveCurvatureEstimate, SurfaceCurvatureEstimate
+
+        out = tmp_path / "out"
+        if name == "measure":
+            return self._measure_csv(tmp_path)
+        if name == "labeled_measure":
+            path = tmp_path / "ds.csv"
+            labels = np.random.default_rng(3).integers(0, 12, 9)
+            save_measure(LabeledDataset(WeightedMeasure(_seeded(4, (9, 3)),
+                                                        _seeded(5, 9, positive=True)), labels), path)
+            return path
+        data = str(self._measure_csv(tmp_path))
+
+        def fake_ctf_grid(measure, kernel, grid, sigma, acceleration="exact"):
+            m = len(grid)
+            s = _seeded(6, (m, 3))
+            tensors = np.empty((m, 2, 2))
+            tensors[:, 0, 0], tensors[:, 1, 1] = s[:, 0], s[:, 1]
+            tensors[:, 0, 1] = tensors[:, 1, 0] = s[:, 2]
+            return FieldGrid(grid, sigma, tensors, _seeded(7, m))
+
+        def fake_basin_labels(measure, kernel, starts, sigma):
+            attractors = _seeded(8, starts.shape)
+            results = [FlowResult(s, a, np.array([s, a]), bool(i % 2))
+                       for i, (s, a) in enumerate(zip(starts, attractors))]
+            labels = np.arange(len(starts)) % 4
+            return labels, attractors[:4], results
+
+        def estimate(cls, *fields):
+            def fake(measure, point, ladder):
+                return cls(_seeded(9, len(point)), _seeded(10, len(ladder)), *fields)
+            return fake
+
+        monkeypatch.setattr(cli, "ctf_grid", fake_ctf_grid)
+        monkeypatch.setattr(cli, "basin_labels", fake_basin_labels)
+        monkeypatch.setattr(cli, "curve_curvature", estimate(
+            CurveCurvatureEstimate, *_seeded(11, 2).tolist(), True))
+        monkeypatch.setattr(cli, "surface_curvatures", estimate(
+            SurfaceCurvatureEstimate, *_seeded(12, 2).tolist(), False, *_seeded(13, 2).tolist()))
+        half = np.triu(_seeded(14, (9, 9), positive=True), 1)
+        monkeypatch.setattr(clustering, "tensorized_distances", lambda m, p: half + half.T)
+        rng = np.random.default_rng(15)
+        monkeypatch.setattr(experiments, "_sample_errors", lambda ds, params, offsets, k: [
+            rng.random(len(offsets)).tolist() for _ in params])
+
+        if name == "converge":
+            report = experiments.ConvergenceReport(
+                [10, 1000, 100000], _seeded(16, 3, positive=True).tolist(), [], *[0.0] * 7, True)
+            report.save_csv(tmp_path / "converge.csv")
+            return tmp_path / "converge.csv"
+        if name == "bench_lines2d":
+            assert run_cli("--out", str(out), "--seed", "1", "bench", "--kind", "lines2d",
+                           "--n-samples", "6", "--n-train", "2") == 0
+            return out / "bench_lines2d.csv"
+        args = {
+            "ctf": ("ctf", "--input", data, "--sigma", "0.5", "--grid", data),
+            "frechet": ("frechet", "--input", data, "--sigma", "0.5", "--grid", data),
+            "flow": ("flow", "--input", data, "--sigma", "0.5", "--starts", data),
+            "curvature": ("curvature", "--input", data, "--point", "[1.0, 0.0]",
+                          "--ladder", "0.05,0.04,0.03"),
+            "curvature_surface": ("curvature", "--input", data, "--point", "[0.0, 0.0, 1.0]",
+                                  "--ladder", "0.05,0.04,0.03", "--surface"),
+            "merges": ("cluster", "--input", data, "--sigma", "0.5", "--cut", "k:2"),
+        }[name]
+        assert run_cli("--out", str(out), *args) == 0
+        return out / {"curvature_surface": "curvature.csv", "merges": "merges.csv"}.get(
+            name, f"{name}.csv")
+
+    @pytest.mark.parametrize("name", list(FROZEN_DIGESTS))
+    def test_digest(self, tmp_path, monkeypatch, name):
+        path = self._write(name, tmp_path, monkeypatch)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FROZEN_DIGESTS[name]
