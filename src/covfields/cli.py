@@ -24,17 +24,19 @@ from .kernels import kernel_by_name, load_profile_csv
 from .measures import (
     LabeledDataset,
     gen_line_arrangement,
+    json_dumps,
     load_measure,
     quadrature_circle,
     quadrature_segment,
     quadrature_sphere,
     save_measure,
+    write_csv,
 )
 from .transport import check_stability_smooth, check_stability_trunc
 
 
 def _fail(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
+    sys.stderr.write(json_dumps({"error": kind, "message": message}) + "\n")
     return code
 
 
@@ -47,9 +49,7 @@ def _resolve_kernel(name: str):
 def _parse_grid(spec: str) -> np.ndarray:
     """Grid spec lo:hi:n (2-D square grid) or a CSV/JSON file of points."""
     if os.path.exists(spec):
-        m = load_measure(spec)
-        measure = m.measure if isinstance(m, LabeledDataset) else m
-        return measure.atoms
+        return _load_plain_measure(spec).atoms
     try:
         lo, hi, n = spec.split(":")
         return experiments.square_grid(float(lo), float(hi), int(n))
@@ -107,12 +107,8 @@ def _cmd_frechet(args) -> int:
     grid = _parse_grid(args.grid)
     fg = ctf_grid(measure, kernel, grid, args.sigma)
     path = _outpath(args, args.output)
-    d = grid.shape[1]
-    lines = [",".join([f"x_{i + 1}" for i in range(d)] + ["sigma", "V"])]
-    for x, v in zip(fg.query_points, fg.frechet_values):
-        lines.append(",".join([repr(float(c)) for c in x] + [repr(float(args.sigma)), repr(float(v))]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [f"x_{i + 1}" for i in range(grid.shape[1])] + ["sigma", "V"]
+    write_csv(path, header, [*fg.query_points.T, np.full(len(grid), args.sigma), fg.frechet_values])
     if args.heatmap:
         n = int(round(len(grid) ** 0.5))
         if n * n == len(grid):
@@ -133,13 +129,13 @@ def _cmd_flow(args) -> int:
     labels, attractors, results = basin_labels(measure, kernel, starts, args.sigma)
     path = _outpath(args, args.output)
     d = starts.shape[1]
-    head = [f"x_{i + 1}" for i in range(d)] + [f"attractor_{i + 1}" for i in range(d)]
-    lines = [",".join(head + ["basin", "converged"])]
-    for res, lab in zip(results, labels):
-        cells = [repr(float(v)) for v in res.start] + [repr(float(v)) for v in res.attractor]
-        lines.append(",".join(cells + [str(int(lab)), str(int(res.converged))]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [f"x_{i + 1}" for i in range(d)] + [f"attractor_{i + 1}" for i in range(d)]
+    write_csv(path, header + ["basin", "converged"], [
+        *np.reshape([res.start for res in results], (-1, d)).T,
+        *np.reshape([res.attractor for res in results], (-1, d)).T,
+        labels,
+        [int(res.converged) for res in results],
+    ])
     print(path)
     return 0
 
@@ -151,18 +147,16 @@ def _cmd_curvature(args) -> int:
     path = _outpath(args, args.output)
     if args.surface:
         est = surface_curvatures(measure, point, ladder)
-        header = "point,sigma_ladder,kappa1,kappa2,residual_trace,residual_det,sign_ambiguity"
-        row = ";".join(repr(float(v)) for v in est.point)
-        lad = ";".join(repr(float(v)) for v in est.sigma_ladder)
-        line = f"{row},{lad},{est.kappa1!r},{est.kappa2!r},{est.residual_trace!r},{est.residual_det!r},{int(est.sign_ambiguity)}"
+        names = ["kappa1", "kappa2", "residual_trace", "residual_det", "sign_ambiguity"]
+        values = [est.kappa1, est.kappa2, est.residual_trace, est.residual_det, int(est.sign_ambiguity)]
     else:
         est = curve_curvature(measure, point, ladder)
-        header = "point,sigma_ladder,kappa_abs,residual,clamped"
-        row = ";".join(repr(float(v)) for v in est.point)
-        lad = ";".join(repr(float(v)) for v in est.sigma_ladder)
-        line = f"{row},{lad},{est.kappa_abs!r},{est.residual!r},{int(est.clamped)}"
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + line + "\n")
+        names = ["kappa_abs", "residual", "clamped"]
+        values = [est.kappa_abs, est.residual, int(est.clamped)]
+    # the point and the ladder are one cell each, their entries joined by ';'
+    joined = [";".join(map(str, np.asarray(v, dtype=float).tolist()))
+              for v in (est.point, est.sigma_ladder)]
+    write_csv(path, ["point", "sigma_ladder", *names], [[v] for v in joined + values])
     print(path)
     return 0
 
@@ -187,18 +181,15 @@ def _cmd_cluster(args) -> int:
     out_points = _outpath(args, args.output)
     save_measure(labeled, out_points)
     merges_path = _outpath(args, args.merges)
-    lines = ["a,b,height"] + [
-        f"{int(a)},{int(b)},{repr(float(h))}" for a, b, h in dend.merges
-    ]
-    with open(merges_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ids = dend.merges[:, :2].astype(np.int64)
+    write_csv(merges_path, ["a", "b", "height"], [ids[:, 0], ids[:, 1], dend.merges[:, 2]])
     if args.svg:
         plots.emit_plot("dendrogram", {"dendrogram": dend}, _outpath(args, args.svg))
     if isinstance(ds, LabeledDataset):
         err = cl.score(assignment.labels, ds.labels)
-        print(json.dumps({"labeled_csv": out_points, "merges_csv": merges_path, "error_rate": err}))
+        print(json_dumps({"labeled_csv": out_points, "merges_csv": merges_path, "error_rate": err}))
     else:
-        print(json.dumps({"labeled_csv": out_points, "merges_csv": merges_path}))
+        print(json_dumps({"labeled_csv": out_points, "merges_csv": merges_path}))
     return 0
 
 
@@ -213,11 +204,11 @@ def _cmd_stability(args) -> int:
     else:
         kernel = _resolve_kernel(args.kernel)
         report = check_stability_smooth(alpha, beta, kernel, args.sigma, grid)
-    path = _outpath(args, args.output)
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(report.to_dict()))
+    doc = report.to_dict()
+    text = json_dumps(doc, indent=2)
+    with open(_outpath(args, args.output), "w") as fh:
+        fh.write(text + "\n")
+    print(json_dumps(doc))
     return 0
 
 

@@ -154,13 +154,17 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
 
     Merge heights are the sorted MST edge weights.  The union sweep joins
     the two components' leaf lists end to end and records the merge height
-    as the gap at the junction.  NaN or infinite entries are rejected.
+    as the gap at the junction.  NaN or infinite entries, a negative entry
+    and a matrix that differs from its transpose are rejected (dense Prim
+    reads only the rows it visits).
     """
     d = np.asarray(metric, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("metric must be a square matrix")
     if not np.isfinite(d).all():  # an infinite entry would make Prim add a self-loop
         raise ValueError("metric matrix contains NaN or infinite entries")
+    if not np.array_equal(d, d.T) or (d < 0).any():
+        raise ValueError("metric matrix must be symmetric with no negative entry")
     n = d.shape[0]
     edges = sorted(_mst_prim(d), key=lambda e: e[2])
     # union-find with scipy-style cluster ids; each component keeps its

@@ -8,7 +8,6 @@ config produce identical outputs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,7 @@ from . import clustering as cl
 from .fields import ctf_grid
 from .geometry import circle_tensor
 from .kernels import builtin_truncation, kernel_by_name
-from .measures import _philox, empirical_measure, gen_arrangement_suite
+from .measures import _philox, empirical_measure, gen_arrangement_suite, json_dumps, write_csv
 from .plots import emit_plot
 
 
@@ -65,7 +64,8 @@ class ConvergenceReport:
     Frobenius deviation between the empirical field and the closed form of
     the uniform circle law.  Fits are least squares in log-log scale for the
     models C ln(n)^{3/4} n^{-1/2} and C n^{-1/2} (constants only) and
-    C n^p (free exponent).
+    C n^p (free exponent); a one-value ladder cannot determine the last, and
+    its three fields are then None (JSON null).
     """
 
     n_values: list
@@ -75,20 +75,16 @@ class ConvergenceReport:
     fit_lograte_residual: float
     fit_sqrt_constant: float
     fit_sqrt_residual: float
-    fit_power_constant: float
-    fit_power_exponent: float
-    fit_power_residual: float
+    fit_power_constant: float | None
+    fit_power_exponent: float | None
+    fit_power_residual: float | None
     monotone_decreasing: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json_dumps(asdict(self), indent=2)
 
     def save_csv(self, path) -> None:
-        lines = ["n,mean_error"] + [
-            f"{n},{repr(float(e))}" for n, e in zip(self.n_values, self.mean_errors)
-        ]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ["n", "mean_error"], [self.n_values, self.mean_errors])
 
 
 def _exact_circle_field(cfg: ConvergeConfig, grid: np.ndarray) -> np.ndarray:
@@ -105,6 +101,8 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
     if not cfg.n_values:
         raise ValueError("empty n ladder")
     n_values = sorted(int(n) for n in cfg.n_values)
+    if n_values[0] < 2:  # the log-rate model takes ln ln n
+        raise ValueError(f"every n in the ladder must be at least 2, got {n_values[0]}")
     grid = square_grid(cfg.grid_lo, cfg.grid_hi, cfg.grid_n)
     exact = _exact_circle_field(cfg, grid)
     kernel = builtin_truncation()
@@ -131,11 +129,11 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
     res_r2 = float(np.sqrt(np.mean((le - (math.log(c_r2) + log_r2)) ** 2)))
     c_sq = float(np.exp(np.mean(le + 0.5 * ln)))
     res_sq = float(np.sqrt(np.mean((le - (math.log(c_sq) - 0.5 * ln)) ** 2)))
+    fit_power = (None, None, None)
     if len(n_values) >= 2:
         p, logc = np.polyfit(ln, le, 1)
-        res_pow = float(np.sqrt(np.mean((le - (logc + p * ln)) ** 2)))
-    else:
-        p, logc, res_pow = math.nan, math.nan, math.nan
+        fit_power = (float(np.exp(logc)), float(p),
+                     float(np.sqrt(np.mean((le - (logc + p * ln)) ** 2))))
 
     report = ConvergenceReport(
         n_values=n_values,
@@ -145,16 +143,17 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         fit_lograte_residual=res_r2,
         fit_sqrt_constant=c_sq,
         fit_sqrt_residual=res_sq,
-        fit_power_constant=float(np.exp(logc)),
-        fit_power_exponent=float(p),
-        fit_power_residual=res_pow,
+        fit_power_constant=fit_power[0],
+        fit_power_exponent=fit_power[1],
+        fit_power_residual=fit_power[2],
         monotone_decreasing=bool(np.all(np.diff(eps) < 0)),
     )
     if cfg.out_dir:
+        text = report.to_json()  # a non-finite fit fails here, before any file is written
         os.makedirs(cfg.out_dir, exist_ok=True)
         report.save_csv(os.path.join(cfg.out_dir, "converge.csv"))
         with open(os.path.join(cfg.out_dir, "converge.json"), "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(text + "\n")
         nv = np.asarray(n_values, dtype=float)
         emit_plot(
             "loglog",
@@ -226,7 +225,7 @@ class BenchmarkResult:
     test_errors: list
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json_dumps(asdict(self), indent=2)
 
 
 def _sample_errors(dataset, params, offsets, k_true):
@@ -311,9 +310,6 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, f"bench_{cfg.kind}.json"), "w") as fh:
             fh.write(result.to_json() + "\n")
-        lines = ["sample,error"] + [
-            f"{i},{repr(float(e))}" for i, e in enumerate(result.test_errors)
-        ]
-        with open(os.path.join(cfg.out_dir, f"bench_{cfg.kind}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(os.path.join(cfg.out_dir, f"bench_{cfg.kind}.csv"), ["sample", "error"],
+                  [np.arange(len(result.test_errors)), result.test_errors])
     return result

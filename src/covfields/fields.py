@@ -21,15 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel
-from .measures import WeightedMeasure
+from .measures import NumericalError, WeightedMeasure, write_csv
 
 SYM_TOL = 1e-12
 # (queries x atoms) pairs evaluated per block of ctf_grid
 _PAIR_BUDGET = 1 << 16
-
-
-class NumericalError(RuntimeError):
-    """A computation produced an inconsistent or non-convergent result."""
 
 
 @dataclass(frozen=True)
@@ -155,19 +151,14 @@ class FieldGrid:
             + ["V"]
             + [f"lambda_{i + 1}" for i in range(d)]
         )
-        rows = [",".join(header)]
-        for i in range(m):
-            lam = np.linalg.eigvalsh(self.tensors[i])
-            cells = (
-                [repr(float(v)) for v in self.query_points[i]]
-                + [repr(float(self.sigma))]
-                + [repr(float(self.tensors[i][a, b])) for a, b in zip(*iu)]
-                + [repr(float(self.frechet_values[i]))]
-                + [repr(float(v)) for v in lam]
-            )
-            rows.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        columns = [
+            *self.query_points.T,
+            np.full(m, self.sigma, dtype=float),
+            *self.tensors[:, iu[0], iu[1]].T,
+            self.frechet_values,
+            *np.linalg.eigvalsh(self.tensors).T,
+        ]
+        write_csv(path, header, columns)
 
 
 def ctf_grid(

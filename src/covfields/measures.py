@@ -23,6 +23,10 @@ class MeasureFormatError(ValueError):
     """Raised when a measure/dataset file cannot be parsed."""
 
 
+class NumericalError(RuntimeError):
+    """A computation produced an inconsistent or non-convergent result."""
+
+
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG (Philox4x64-10); streams derived as seed XOR stream."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream)))
@@ -478,105 +482,114 @@ def gen_arrangement_suite(
 
 
 # ---------------------------------------------------------------------------
-# I/O: CSV (one row per atom) and JSON mirror
+# I/O: one CSV writer, strict JSON, measure files (CSV or a JSON mirror)
 # ---------------------------------------------------------------------------
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def write_csv(path, header, columns) -> None:
+    """Write the ``header`` line, then one line per row of ``columns`` (one
+    equal-length sequence per name).  Each cell is ``str`` of the value from
+    ``column.tolist()``: a float's shortest round-tripping decimal (its
+    ``repr``, which ``float`` and ``np.loadtxt`` read back bit for bit), an
+    int as an int, and a string (such as a ``;``-joined cell) unchanged."""
+    cells = [list(map(str, np.asarray(column).tolist())) for column in columns]
+    rows = map(",".join, zip(*cells, strict=True))
+    with open(path, "w") as fh:
+        fh.write("\n".join([",".join(header), *rows]) + "\n")
+
+
+def json_dumps(obj, **kwargs) -> str:
+    """``json.dumps`` that keeps to RFC 8259: NaN and infinities raise
+    :class:`NumericalError` instead of being written as bare tokens."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in JSON output ({exc})") from None
 
 
 def save_measure(obj, path) -> None:
     """Write a WeightedMeasure or LabeledDataset to CSV or JSON (by suffix).
 
-    CSV columns: x_1,..,x_d,weight[,label] with a mandatory header row.
-    Floats are serialized with shortest round-tripping decimal repr, so a
-    save/load cycle is bit-exact.
+    CSV columns: x_1,..,x_d,weight[,label] with a mandatory header row,
+    written by :func:`write_csv`: floats as shortest round-tripping
+    decimals, so a save/load cycle is bit-exact, and labels as integers.
     """
     path = str(path)
-    labels = None
-    if isinstance(obj, LabeledDataset):
-        measure, labels = obj.measure, obj.labels
-    else:
-        measure = obj
+    measure, labels = (obj.measure, obj.labels) if isinstance(obj, LabeledDataset) else (obj, None)
     if path.endswith(".json"):
-        doc = {
-            "dim": measure.dim,
-            "atoms": [[float(v) for v in row] for row in measure.atoms],
-            "weights": [float(w) for w in measure.weights],
-        }
+        doc = {"dim": measure.dim, "atoms": measure.atoms.tolist(), "weights": measure.weights.tolist()}
         if labels is not None:
-            doc["labels"] = [int(v) for v in labels]
+            doc["labels"] = labels.tolist()
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(json_dumps(doc) + "\n")
         return
-    d = measure.dim
-    header = [f"x_{i + 1}" for i in range(d)] + ["weight"]
+    header = [f"x_{i + 1}" for i in range(measure.dim)] + ["weight"]
+    columns = [*measure.atoms.T, measure.weights]
     if labels is not None:
         header.append("label")
-    lines = [",".join(header)]
-    for i in range(measure.size):
-        row = _format_row(measure.atoms[i]) + "," + repr(float(measure.weights[i]))
-        if labels is not None:
-            row += f",{int(labels[i])}"
-        lines.append(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        columns.append(labels)
+    write_csv(path, header, columns)
+
+
+def _first_bad_row(rows, d: int, has_label: bool) -> MeasureFormatError | None:
+    """The error for the first data row (line 2 on) with the wrong column
+    count, a cell ``float``/``int`` rejects or a weight that is not > 0."""
+    ncol = d + 2 if has_label else d + 1
+    for lineno, ln in enumerate(rows, start=2):
+        cells = ln.split(",")
+        try:
+            if len(cells) != ncol:
+                raise ValueError(f"expected {ncol} columns, found {len(cells)}")
+            values = [float(c) for c in cells[: d + 1]]
+            if not values[d] > 0:
+                raise ValueError("weights must be positive")
+            if has_label:
+                int(cells[-1])
+        except ValueError as exc:
+            return MeasureFormatError(f"line {lineno}: {exc}")
+    return None
 
 
 def load_measure(path):
     """Load a WeightedMeasure or LabeledDataset written by :func:`save_measure`.
 
-    Returns a LabeledDataset when a label column is present, otherwise a
-    WeightedMeasure.  Malformed rows raise :class:`MeasureFormatError`
-    naming the offending line.
+    Returns a LabeledDataset when the last CSV header name is ``label``.
+    One ``np.loadtxt`` call parses the CSV rows (int64 labels, so ``1.5`` or
+    ``3.0`` is no label).  A file with no data row, a malformed row or a
+    weight that is not positive (NaN included) raises
+    :class:`MeasureFormatError` naming the line; blank lines are skipped and
+    not counted (the header is line 1).
     """
     path = str(path)
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
-        atoms = np.asarray(doc["atoms"], dtype=float)
         weights = np.asarray(doc["weights"], dtype=float)
         if np.any(weights <= 0):
             raise MeasureFormatError("weights must be positive")
-        m = WeightedMeasure(atoms, weights)
-        if "labels" in doc:
-            return LabeledDataset(m, np.asarray(doc["labels"], dtype=np.int64))
-        return m
+        m = WeightedMeasure(doc["atoms"], weights)
+        return LabeledDataset(m, doc["labels"]) if "labels" in doc else m
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise MeasureFormatError("empty file")
     header = [c.strip() for c in lines[0].split(",")]
     if "weight" not in header:
         raise MeasureFormatError("line 1: header must contain a 'weight' column")
     has_label = header[-1] == "label"
-    d = len(header) - 1 - (1 if has_label else 0)
+    d = len(header) - 1 - has_label
     if d < 1:
         raise MeasureFormatError("line 1: no coordinate columns")
-    ncol = len(header)
-    atoms, weights, labels = [], [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != ncol:
-            raise MeasureFormatError(
-                f"line {lineno}: expected {ncol} columns, found {len(cells)}"
-            )
-        try:
-            vals = [float(c) for c in cells[: d + 1]]
-        except ValueError as exc:
-            raise MeasureFormatError(f"line {lineno}: {exc}") from None
-        atoms.append(vals[:d])
-        if vals[d] <= 0:
-            raise MeasureFormatError(f"line {lineno}: weights must be positive")
-        weights.append(vals[d])
-        if has_label:
-            try:
-                labels.append(int(cells[-1]))
-            except ValueError as exc:
-                raise MeasureFormatError(f"line {lineno}: {exc}") from None
-    m = WeightedMeasure(np.asarray(atoms), np.asarray(weights))
-    if has_label:
-        return LabeledDataset(m, np.asarray(labels, dtype=np.int64))
-    return m
+    rows = lines[1:]
+    if not rows:
+        raise MeasureFormatError("no data rows after the header")
+    fields = [("values", float, (d + 1,))] + ([("label", np.int64)] if has_label else [])
+    try:
+        table = np.loadtxt(rows, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise _first_bad_row(rows, d, has_label) or MeasureFormatError(str(exc)) from None
+    values = table["values"]
+    bad = np.flatnonzero(~(values[:, d] > 0))
+    if bad.size:
+        raise MeasureFormatError(f"line {bad[0] + 2}: weights must be positive")
+    m = WeightedMeasure(values[:, :d], values[:, d])
+    return LabeledDataset(m, table["label"]) if has_label else m

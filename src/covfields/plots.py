@@ -75,11 +75,12 @@ def loglog_svg(x, series, path, xlabel="n", ylabel="error") -> None:
     ymax = max(y.max() for y in ys)
     if ymax == ymin:
         ymax = ymin + 1.0
+    xspan = (lx[-1] - lx[0]) or 1.0  # one x value sits at the left axis
     x0, x1 = _MARGIN, _W - _MARGIN
     y0, y1 = _MARGIN, _H - _MARGIN
 
     def sx(v):
-        return x0 + (v - lx[0]) / (lx[-1] - lx[0]) * (x1 - x0)
+        return x0 + (v - lx[0]) / xspan * (x1 - x0)
 
     def sy(v):
         return y1 - (v - ymin) / (ymax - ymin) * (y1 - y0)

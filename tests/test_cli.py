@@ -194,6 +194,23 @@ class TestStabilityCommand:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc == {"error": "numerical", "message": "transport LP failed: infeasible"}
 
+    def test_non_finite_report_exit_3(self, tmp_path, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        from covfields import cli, empirical_measure
+
+        report = SimpleNamespace(to_dict=lambda: {"lhs": math.nan, "rhs": 1.0})
+        monkeypatch.setattr(cli, "check_stability_smooth", lambda *args: report)
+        a = tmp_path / "a.csv"
+        save_measure(empirical_measure([[0.0, 0.0]]), a)
+        code = run_cli("--out", str(tmp_path), "stability", "--alpha", str(a),
+                       "--beta", str(a), "--sigma", "1.0", "--grid=-1:1:3")
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "NaN" not in err
+        assert json.loads(err)["error"] == "numerical"
+        assert not (tmp_path / "stability.json").exists()
+
     def test_truncation_needs_lam(self, tmp_path):
         from covfields import empirical_measure
 
@@ -217,6 +234,25 @@ class TestExperimentsCommands:
             assert run_cli("--out", str(d), "--seed", "3", "converge",
                            "--n-values", "10,100", "--replicates", "2") == 0
         assert (d1 / "converge.csv").read_bytes() == (d2 / "converge.csv").read_bytes()
+
+    def test_converge_one_value_ladder_is_strict_json(self, tmp_path, capsys):
+        assert run_cli("--out", str(tmp_path), "converge", "--n-values", "100",
+                       "--replicates", "1") == 0
+        strict = {"parse_constant": lambda token: pytest.fail(f"non-JSON token {token}")}
+        printed = json.loads(capsys.readouterr().out, **strict)
+        written = json.loads((tmp_path / "converge.json").read_text(), **strict)
+        assert printed == written
+        assert printed["fit_power_constant"] is None
+
+    def test_converge_n_below_two_exit_2(self, tmp_path, capsys):
+        # ln ln 1 = -inf made the log-rate fit constant infinite
+        code = run_cli("--out", str(tmp_path), "converge", "--n-values", "1,100",
+                       "--replicates", "1")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Infinity" not in err
+        doc = json.loads(err)
+        assert doc["error"] == "config" and "ladder" in doc["message"]
 
     def test_bench_small(self, tmp_path):
         assert run_cli("--out", str(tmp_path), "--seed", "1", "bench",

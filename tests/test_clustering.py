@@ -119,6 +119,14 @@ class TestSingleLinkage:
         with pytest.raises(ValueError, match="infinite"):
             single_linkage(d)
 
+    @pytest.mark.parametrize("d", [
+        [[0.0, 1.0, 4.0], [9.0, 0.0, 2.0], [4.0, 7.0, 0.0]],  # gave heights [1, 2]
+        [[0.0, -1.0], [-1.0, 0.0]],  # gave a merge at -1
+    ])
+    def test_asymmetric_or_negative_rejected(self, d):
+        with pytest.raises(ValueError, match="symmetric with no negative entry"):
+            single_linkage(np.array(d))
+
 
 class TestCut:
     def test_extremes(self):

@@ -45,6 +45,14 @@ class TestConverge:
         with pytest.raises(ValueError, match="ladder"):
             run_converge(ConvergeConfig(n_values=()))
 
+    def test_one_value_ladder_leaves_power_fit_null(self, tmp_path):
+        cfg = ConvergeConfig(n_values=(100,), replicates=2, seed=0, out_dir=str(tmp_path))
+        rep = run_converge(cfg)
+        assert rep.fit_power_constant is rep.fit_power_exponent is rep.fit_power_residual is None
+        doc = json.loads((tmp_path / "converge.json").read_text())
+        assert doc["fit_power_exponent"] is None and doc["fit_lograte_residual"] == 0.0
+        assert "nan" not in (tmp_path / "converge.svg").read_text()
+
     def test_outputs_written(self, tmp_path):
         cfg = ConvergeConfig(n_values=(10, 100), replicates=2, seed=0, out_dir=str(tmp_path))
         rep = run_converge(cfg)

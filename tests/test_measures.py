@@ -18,6 +18,7 @@ from covfields import (
     quadrature_sphere,
     save_measure,
 )
+from covfields.measures import write_csv
 
 
 class TestWeightedMeasure:
@@ -250,3 +251,81 @@ class TestIO:
         back = load_measure(p)
         assert isinstance(back, WeightedMeasure)
         np.testing.assert_array_equal(back.atoms, m.atoms)
+
+    def test_roundtrip_large_noisy_circle_bitexact(self, tmp_path):
+        rng = np.random.default_rng(7)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 100_000)
+        atoms = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0, 0.01, (100_000, 2))
+        m = WeightedMeasure(atoms, rng.uniform(0.5, 1.5, 100_000))
+        p = tmp_path / "circle.csv"
+        save_measure(m, p)
+        back = load_measure(p)
+        assert back.atoms.tobytes() == m.atoms.tobytes()
+        assert back.weights.tobytes() == m.weights.tobytes()
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "head.csv"
+        p.write_text("x_1,x_2,weight\n\n")
+        with pytest.raises(MeasureFormatError, match="no data rows"):
+            load_measure(p)
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        p = tmp_path / "blanks.csv"
+        p.write_text("\nx_1,weight,label\n\n0.5,1.0,2\n   \n1.5,2.0,0\n\n")
+        ds = load_measure(p)
+        np.testing.assert_array_equal(ds.measure.atoms, [[0.5], [1.5]])
+        np.testing.assert_array_equal(ds.labels, [2, 0])
+        p.write_text("\nx_1,weight\n\n0.5,1.0\n\nxyz,1.0\n")
+        with pytest.raises(MeasureFormatError, match="line 3: could not convert"):
+            load_measure(p)
+
+    @pytest.mark.parametrize("label", ["1.5", "3.0", "1e3"])
+    def test_non_integer_label_names_line(self, tmp_path, label):
+        p = tmp_path / "lab.csv"
+        p.write_text(f"x_1,weight,label\n0.0,1.0,0\n1.0,1.0,{label}\n")
+        with pytest.raises(MeasureFormatError, match=f"line 3: .*'{label}'"):
+            load_measure(p)
+
+    @pytest.mark.parametrize("weight", ["nan", "0.0", "-inf"])
+    def test_non_positive_weight_names_line(self, tmp_path, weight):
+        p = tmp_path / "w.csv"
+        p.write_text(f"x_1,weight\n0.0,1.0\n1.0,1.0\n2.0,{weight}\n")
+        with pytest.raises(MeasureFormatError, match="line 4: weights must be positive"):
+            load_measure(p)
+
+    @pytest.mark.parametrize("weight", ["-1.0", "0.0", "nan"])
+    def test_first_bad_line_wins(self, tmp_path, weight):
+        # a bad weight on line 2 is reported before an unparsable line 3
+        p = tmp_path / "two.csv"
+        p.write_text(f"x_1,weight\n0.0,{weight}\nxyz,1.0\n")
+        with pytest.raises(MeasureFormatError, match="line 2: weights must be positive"):
+            load_measure(p)
+
+    def test_cell_python_accepts_numpy_rejects(self, tmp_path):
+        # float("1_0") is 10.0, but the file parser takes no digit separators
+        p = tmp_path / "sep.csv"
+        p.write_text("x_1,weight\n1_0,1.0\n")
+        with pytest.raises(MeasureFormatError, match="1_0"):
+            load_measure(p)
+
+
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["i", "x", "s"], [np.arange(3), [0.1, -0.0, 1e300], ["a;b", "c", ""]])
+        assert p.read_text() == "i,x,s\n0,0.1,a;b\n1,-0.0,c\n2,1e+300,\n"
+
+    def test_float_cells_are_repr(self, tmp_path):
+        x = np.random.default_rng(1).random(50) * 10.0 ** np.arange(-25, 25)
+        p = tmp_path / "r.csv"
+        write_csv(p, ["x"], [x])
+        assert p.read_text().split("\n")[1:-1] == [repr(float(v)) for v in x]
+
+    def test_no_rows(self, tmp_path):
+        p = tmp_path / "e.csv"
+        write_csv(p, ["a", "b"], [[], np.empty(0)])
+        assert p.read_text() == "a,b\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "u.csv", ["a", "b"], [[1, 2], [1]])
