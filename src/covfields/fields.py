@@ -8,9 +8,12 @@ kernel-weighted covariance about x,
 a symmetric positive semi-definite d x d tensor.  The Fréchet value
 V(x, sigma) = sum_i w_i ||y_i - x||^2 K(x, y_i, sigma) equals the trace of
 the tensor.  Every tensor comes from one blocked accumulator in
-:func:`ctf_grid`: atoms sorted by their first coordinate, each query
-scanning only the slab that can reach its kernel support; measures and
-kernels are immutable during evaluation and every query is independent.
+:func:`ctf_grid`.  Under a compactly supported kernel the atoms are binned
+into a cell list: a query skips the cells outside its kernel ball, tests
+the atoms of the cells on the ball's boundary one by one, and, when the
+profile is constant on its support, adds each cell inside the ball from
+the cell's moments in one step.  Measures and kernels are immutable during
+evaluation and every query is independent.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .measures import NumericalError, WeightedMeasure, write_csv
 SYM_TOL = 1e-12
 # (queries x atoms) pairs evaluated per block of ctf_grid
 _PAIR_BUDGET = 1 << 16
+# cells per support radius along each axis of ctf_grid's cell list, at most
+_CELLS_PER_RADIUS = 8
+# atoms in the mean atom's cell below which ctf_grid coarsens its cells
+_MIN_OCCUPANCY = 32
 
 
 @dataclass(frozen=True)
@@ -170,13 +177,20 @@ def ctf_grid(
 ) -> FieldGrid:
     """Evaluate the covariance field at many query points.
 
-    Atoms sorted by their first coordinate put the atoms a query can reach
-    (|y_1 - x_1| <= sigma sqrt(css), css the kernel's support radius
-    squared; all atoms for full support) in one contiguous slab.  Queries
-    sorted the same way go in blocks of one query or of at most
-    ``_PAIR_BUDGET`` (query, slab atom) pairs, each one batched product; an
-    atom counts iff ||y - x||^2 <= css sigma^2.  ``acceleration`` selects
-    no code, and ``"indexed"`` requires a compactly supported kernel.
+    An atom counts iff ||y - x||^2 <= css sigma^2, css the kernel's support
+    radius squared.  Under full support (or css sigma^2 beyond the float
+    range), or for a single query, every atom is a candidate.  Otherwise the atoms are binned into cells of side
+    sigma sqrt(css) / ``_CELLS_PER_RADIUS``, coarsened up to sigma sqrt(css)
+    while an atom's cell holds fewer than ``_MIN_OCCUPANCY`` atoms on
+    average.  Each query classifies the cells of its x_1-slab by the
+    bounding box of their atoms, with a 1e-9 relative margin: a cell wholly
+    outside the ball is skipped; a cell wholly inside it, under a profile
+    equal to 1 on its support (``"flat"`` in ``kernel.analytic``), adds its
+    weight M0, centroid g and scatter S as S + M0 (g - x)(g - x)^T; every
+    other cell tests its atoms one by one.  Candidates go in blocks of at
+    most ``_PAIR_BUDGET`` (query, candidate) pairs (or one query), each one
+    batched product.  ``acceleration`` selects no code, and ``"indexed"``
+    requires a compactly supported kernel.
     """
     d = measure.dim
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
@@ -191,35 +205,101 @@ def ctf_grid(
         raise ValueError("indexed acceleration requires a compactly supported kernel")
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
-    c_d = kernel.normalizer(sigma, d)
+    weights = measure.weights / kernel.normalizer(sigma, d)
     r2cap = math.inf if css is None else css * sigma * sigma
-    if css is not None and len(pts) > 1:
-        order = np.argsort(measure.atoms[:, 0], kind="stable")
-        reach = math.sqrt(r2cap) * (1.0 + 1e-9)
-    else:  # the sort cannot narrow anything: every slab is all atoms
-        order, reach = slice(None), math.inf
-    atoms = measure.atoms[order]
-    weights = measure.weights[order] / c_d
-    q_order = np.argsort(pts[:, 0], kind="stable")
-    q = pts[q_order]
-    # bounds of +-inf give 0 and n whether or not the atoms are sorted
-    lo = np.searchsorted(atoms[:, 0], q[:, 0] - reach, side="left")
-    hi = np.searchsorted(atoms[:, 0], q[:, 0] + reach, side="right")
-    tensors = np.empty((len(q), d, d))
-    start = 0
-    while start < len(q):
-        stop = start + 1
-        while stop < len(q) and (stop + 1 - start) * (hi[stop] - lo[start]) <= _PAIR_BUDGET:
-            stop += 1
-        a, b = lo[start], hi[stop - 1]
-        diff = atoms[None, a:b, :] - q[start:stop, None, :]
-        r2 = np.einsum("bkd,bkd->bk", diff, diff)
-        w = weights[a:b] * kernel.profile(r2 / (sigma * sigma)) * (r2 <= r2cap)
-        tensors[q_order[start:stop]] = np.matmul(np.swapaxes(diff * w[..., None], 1, 2), diff)
-        start = stop
+    if math.isfinite(r2cap) and len(pts) > 1:
+        tensors = _cell_sum(measure.atoms, weights, pts, kernel, sigma, r2cap)
+    else:
+        tensors = np.empty((len(pts), d, d))
+        per = max(1, _PAIR_BUDGET // measure.size)
+        for s in range(0, len(pts), per):
+            diff = measure.atoms[None, :, :] - pts[s : s + per, None, :]
+            tensors[s : s + per] = _accumulate(diff, weights, kernel.profile, sigma, r2cap)
     tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
     traces = np.trace(tensors, axis1=1, axis2=2)
     return FieldGrid(pts, sigma, tensors, traces)
+
+
+def _accumulate(diff, w, profile, sigma: float, r2cap: float) -> np.ndarray:
+    """sum_k w_k f(r_k^2 / sigma^2) [r_k^2 <= r2cap] diff_k diff_k^T per row of (b, k, d) diff."""
+    r2 = np.einsum("bkd,bkd->bk", diff, diff)
+    w = w * profile(r2 / (sigma * sigma)) * (r2 <= r2cap)
+    return np.matmul(np.swapaxes(diff * w[..., None], 1, 2), diff)
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: float) -> np.ndarray:
+    """Unsymmetrized tensors at ``pts`` from a cell list of the atoms (see :func:`ctf_grid`)."""
+    n, d = atoms.shape
+    radius = math.sqrt(r2cap)
+    reach, side = radius * (1.0 + 1e-9), radius / _CELLS_PER_RADIUS
+    origin = np.array([col.min() for col in atoms.T])
+    while True:  # coarser cells while an atom's cell holds too few atoms to pay for its test
+        key = np.floor((atoms - origin) / side)  # floats: no lattice index to overflow
+        order = np.lexsort(key.T[::-1])  # cells in lexicographic key order, so by x_1 first
+        key = np.take(key, order, axis=0)
+        first = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
+        size = np.diff(np.r_[first, n])
+        occupancy = float(size @ size) / n
+        if occupancy >= _MIN_OCCUPANCY or side >= radius:
+            break
+        # an atom's cell holds 1 + lambda atoms, lambda ~ side^d when the atoms fill d dimensions;
+        # aim at twice the bound, so that few passes reach it when they fill fewer
+        side = min(radius, side * (2.0 * _MIN_OCCUPANCY / max(occupancy - 1.0, 1e-3)) ** (1.0 / d))
+    atoms, weights = np.take(atoms, order, axis=0), weights[order]
+    lo, hi = np.minimum.reduceat(atoms, first), np.maximum.reduceat(atoms, first)
+    m0 = np.add.reduceat(weights, first)
+    local = atoms - np.repeat(lo, size, axis=0)  # moments about lo: exact for far-off cells
+    mu = np.add.reduceat(weights[:, None] * local, first) / m0[:, None]
+    dev = local - np.repeat(mu, size, axis=0)
+    scatter = np.add.reduceat(weights[:, None, None] * dev[:, :, None] * dev[:, None, :], first)
+    flat = bool(kernel.analytic.get("flat", False))
+    # candidate sources: the atoms by cell, a pseudo-atom lo + mu of weight M0 per cell, a null row
+    pos = np.vstack([atoms, lo, np.zeros((1, d))])
+    off = np.vstack([np.zeros_like(atoms), mu, np.zeros((1, d))])
+    wts = np.concatenate([weights, m0, [0.0]])
+    # cells whose x_1 key can meet each query's ball, by the atoms' own key rule
+    bound = np.floor((pts[:, :1] + np.array([-reach, reach]) - origin[0]) / side)
+    clo = np.searchsorted(key[first, 0], bound[:, 0], "left")
+    npair = np.searchsorted(key[first, 0], bound[:, 1], "right") - clo
+    cum = np.cumsum(npair)
+    out = np.zeros((len(pts), d, d))
+    a = 0
+    while a < len(pts):  # chunks of queries with at most _PAIR_BUDGET (query, cell) pairs
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] - npair[a] + _PAIR_BUDGET, "right")))
+        pq = np.repeat(np.arange(a, b), npair[a:b])
+        pc = _ranges(clo[a:b], npair[a:b])
+        x, blo, bhi = (np.take(v, i, axis=0) for v, i in ((pts, pq), (lo, pc), (hi, pc)))
+        near = np.maximum(np.maximum(blo - x, x - bhi), 0.0)
+        far = np.maximum(x - blo, bhi - x)
+        keep = np.einsum("pd,pd->p", near, near) <= r2cap * (1.0 + 1e-9)
+        whole = keep & (np.einsum("pd,pd->p", far, far) < r2cap * (1.0 - 1e-9)) & flat
+        np.add.at(out, pq[whole], scatter[pc[whole]])
+        pq, pc, whole = pq[keep] - a, pc[keep], whole[keep]
+        src0 = np.where(whole, n + pc, first[pc])
+        cnt = np.where(whole, 1, size[pc])
+        kq = np.bincount(pq, weights=cnt, minlength=b - a).astype(np.int64)
+        nk = np.bincount(pq, minlength=b - a)
+        pfirst = np.cumsum(nk) - nk
+        rank = np.argsort(-kq, kind="stable")
+        s = 0
+        while s < len(rank) and kq[rank[s]] > 0:  # blocks padded to their first query's count
+            qq = rank[s : s + max(1, _PAIR_BUDGET // kq[rank[s]])]
+            k = kq[qq]
+            pp = _ranges(pfirst[qq], nk[qq])
+            col = np.arange(k[0])
+            idx = np.where(col < k[:, None], (np.cumsum(k) - k)[:, None] + col, -1)
+            src = np.append(_ranges(src0[pp], cnt[pp]), len(wts) - 1)[idx]
+            diff = (np.take(pos, src, axis=0) - pts[a + qq, None, :]) + np.take(off, src, axis=0)
+            out[a + qq] += _accumulate(diff, np.take(wts, src), kernel.profile, sigma, r2cap)
+            s += len(qq)
+        a = b
+    return out
 
 
 def frechet_gradient(

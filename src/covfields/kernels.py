@@ -49,7 +49,8 @@ class RadialKernel:
     squared distance ratio r = ||y-x||^2 / sigma^2.
     ``compact_support_radius_sq`` is the r beyond which f vanishes (None for
     full support).  ``analytic`` may carry exact values for "M_d" (callable
-    of d), "C", "A1", "A2" so derived constants avoid numerical search.
+    of d), "C", "A1", "A2" so derived constants avoid numerical search, and
+    "flat": True when f = 1 on all of [0, compact_support_radius_sq].
     Kernels are immutable; evaluation is pure and reentrant.
     """
 
@@ -130,7 +131,7 @@ def builtin_truncation() -> RadialKernel:
         profile=chi,
         derivative=None,
         compact_support_radius_sq=1.0,
-        analytic={"M_d": lambda d: 2.0 / d, "C": 1.0, "A2": 1.0},
+        analytic={"M_d": lambda d: 2.0 / d, "C": 1.0, "A2": 1.0, "flat": True},
     )
 
 

@@ -557,14 +557,19 @@ def load_measure(path):
     ``3.0`` is no label).  A file with no data row, a malformed row or a
     weight that is not positive (NaN included) raises
     :class:`MeasureFormatError` naming the line; blank lines are skipped and
-    not counted (the header is line 1).
+    not counted (the header is line 1).  A JSON file with no ``"atoms"`` or
+    ``"weights"`` key, or with a weight that is not positive, raises
+    :class:`MeasureFormatError` too.
     """
     path = str(path)
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
+        for key in ("atoms", "weights"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise MeasureFormatError(f"missing key {key!r}")
         weights = np.asarray(doc["weights"], dtype=float)
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # NaN included
             raise MeasureFormatError("weights must be positive")
         m = WeightedMeasure(doc["atoms"], weights)
         return LabeledDataset(m, doc["labels"]) if "labels" in doc else m

@@ -241,6 +241,190 @@ class TestCtfGrid:
         assert len(lines) == 5
 
 
+PROPERTY_KERNELS = {
+    "gaussian": builtin_gaussian(),
+    "truncation": builtin_truncation(),
+    "tabulated": tabulated_kernel([0.0, 0.5, 2.0], [1.0, 0.8, 0.1]),
+}
+
+
+def assert_tensors_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def counting_kernel(kernel, box):
+    """The kernel with a profile that adds the number of values it is asked for to box[0]."""
+    def profile(r):
+        box[0] += np.size(r)
+        return kernel.profile(r)
+
+    return RadialKernel(kernel.name, profile, kernel.derivative,
+                        kernel.compact_support_radius_sq, dict(kernel.analytic))
+
+
+class TestCtfGridProperties:
+    """Invariants of the field, on 1/8-grid atoms so that no ball boundary moves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=grid_problems(),
+        kernel_name=st.sampled_from(sorted(PROPERTY_KERNELS)),
+        sigma=st.sampled_from([0.125, 0.5, 1.0, 1.5]),
+        perm_seed=st.integers(0, 2**32 - 1),
+        shift=st.lists(st.integers(-16, 16), min_size=3, max_size=3),
+    )
+    def test_signed_permutation_and_dyadic_shift(self, problem, kernel_name, sigma, perm_seed, shift):
+        # Sigma_{R alpha + t}(R x + t) = R Sigma_alpha(x) R^T, exact in the atoms' positions
+        atoms, w, queries = problem
+        d = atoms.shape[1]
+        rng = np.random.default_rng(perm_seed)
+        rot = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)[:, None]
+        t = np.asarray(shift[:d], dtype=float) / 4.0
+        kernel = PROPERTY_KERNELS[kernel_name]
+        base = ctf_grid(WeightedMeasure(atoms, w), kernel, queries, sigma).tensors
+        moved = ctf_grid(WeightedMeasure(atoms, w).transform(rot, t), kernel,
+                         queries @ rot.T + t, sigma).tensors
+        assert_tensors_close(moved, rot @ base @ rot.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=grid_problems(),
+        kernel_name=st.sampled_from(sorted(PROPERTY_KERNELS)),
+        sigma=st.sampled_from([0.125, 0.5, 1.0, 1.5]),
+        perm_seed=st.integers(0, 2**32 - 1),
+        factor=st.floats(0.01, 100.0),
+    )
+    def test_atom_order_and_weight_homogeneity(self, problem, kernel_name, sigma, perm_seed, factor):
+        atoms, w, queries = problem
+        kernel = PROPERTY_KERNELS[kernel_name]
+        m = WeightedMeasure(atoms, w)
+        base = ctf_grid(m, kernel, queries, sigma).tensors
+        perm = np.random.default_rng(perm_seed).permutation(len(atoms))
+        assert_tensors_close(ctf_grid(WeightedMeasure(atoms[perm], w[perm]), kernel, queries, sigma).tensors,
+                             base)
+        assert_tensors_close(ctf_grid(m.scale_weights(factor), kernel, queries, sigma).tensors,
+                             factor * base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=grid_problems(),
+        kernel_name=st.sampled_from(sorted(PROPERTY_KERNELS)),
+        sigma=st.sampled_from([0.125, 0.5, 1.0, 1.5]),
+    )
+    def test_trace_is_direct_frechet_value(self, problem, kernel_name, sigma):
+        atoms, w, queries = problem
+        kernel = PROPERTY_KERNELS[kernel_name]
+        m = WeightedMeasure(atoms, w)
+        fg = ctf_grid(m, kernel, queries, sigma)
+        direct = np.array([frechet_value(m, kernel, x, sigma) for x in queries])
+        np.testing.assert_allclose(fg.frechet_values, direct, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(direct).max()))
+
+
+class TestCellList:
+    """The cell list of ctf_grid under compactly supported kernels."""
+
+    def test_tiny_sigma_over_wide_extent(self):
+        # cells at most sigma wide over an extent of 1e6: a dense lattice index
+        # of the keys would need over (1e12)^2 values, far past int64
+        rng = np.random.default_rng(21)
+        sigma = 1e-6
+        centres = rng.uniform(0.0, 1e6, size=(40, 2))
+        atoms = np.repeat(centres, 25, axis=0) + rng.normal(0.0, 0.4 * sigma, size=(1000, 2))
+        atoms = np.vstack([atoms, [[0.0, 0.0], [1e6, 1e6]]])
+        w = rng.uniform(0.2, 1.0, size=len(atoms))
+        queries = np.vstack([centres, centres[:10] + 0.7 * sigma])
+        got = ctf_grid(WeightedMeasure(atoms, w), builtin_truncation(), queries, sigma).tensors
+        want = closed_ball_sum(atoms, w, queries, sigma)
+        assert np.count_nonzero(want[:, 0, 0]) >= 40
+        assert_tensors_close(got, want)
+
+    def test_support_beyond_float_range(self):
+        # sigma^2 overflows to inf while the 1-D normalizer 2 sigma stays finite
+        rng = np.random.default_rng(25)
+        atoms = rng.normal(0.0, 1.0, size=(50, 1))
+        queries = rng.normal(0.0, 1.0, size=(5, 1))
+        got = ctf_grid(empirical_measure(atoms), builtin_truncation(), queries, 1e200).tensors
+        want = closed_ball_sum(atoms, np.full(50, 1 / 50), queries, 1e200)
+        assert np.all(want > 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_dense_cloud_matches_brute_force_with_fewer_tests(self, d):
+        rng = np.random.default_rng(30 + d)
+        atoms = rng.uniform(-1.0, 1.0, size=(4000, d))
+        w = rng.uniform(0.2, 1.0, size=4000)
+        queries = rng.uniform(-1.2, 1.2, size=(50, d))
+        box = [0]
+        kernel = counting_kernel(builtin_truncation(), box)
+        for sigma in (0.1, 0.4):
+            got = ctf_grid(WeightedMeasure(atoms, w), kernel, queries, sigma).tensors
+            assert_tensors_close(got, closed_ball_sum(atoms, w, queries, sigma))
+        # whole cells add their moments; the atoms of only a few cells are tested
+        assert box[0] < 0.5 * 2 * len(atoms) * len(queries)
+
+    def test_queries_outside_the_atoms_box(self):
+        rng = np.random.default_rng(22)
+        atoms = rng.uniform(0.0, 1.0, size=(500, 2))
+        m = empirical_measure(atoms)
+        far = [[5.0, 5.0], [-3.0, 0.5], [0.5, 1.4], [1.3, -0.3]]  # beyond sqrt(2) sigma
+        near = [[0.5, 1.2], [-0.2, 0.5]]
+        for kernel in PROPERTY_KERNELS.values():
+            if kernel.compact_support_radius_sq is None:
+                continue
+            fg = ctf_grid(m, kernel, far + near, 0.25)
+            np.testing.assert_array_equal(fg.tensors[:4], 0.0)
+            assert np.all(fg.frechet_values[4:] > 0)
+        assert_tensors_close(ctf_grid(m, builtin_truncation(), near, 0.25).tensors,
+                             closed_ball_sum(atoms, m.weights, np.array(near), 0.25))
+
+    def test_one_cell_and_duplicate_atoms(self):
+        rng = np.random.default_rng(23)
+        spot = rng.normal(0.0, 1e-3, size=(200, 2))
+        dup = np.repeat([[0.3, -0.2], [0.3, -0.2 + 1e-9]], 150, axis=0)
+        queries = rng.uniform(-2.0, 2.0, size=(40, 2))
+        for atoms, sigma in ((spot, 10.0), (spot, 0.8), (dup, 0.5), (np.vstack([spot, dup]), 0.4)):
+            w = rng.uniform(0.2, 1.0, size=len(atoms))
+            got = ctf_grid(WeightedMeasure(atoms, w), builtin_truncation(), queries, sigma).tensors
+            assert_tensors_close(got, closed_ball_sum(atoms, w, queries, sigma))
+
+    def test_atoms_on_cell_edges_and_the_ball_boundary(self):
+        # sigma = 1 and 40 copies of each 1/8-grid atom, enough to keep cells of
+        # side 1/8 from the lowest atom: every grid atom sits on a cell edge; the
+        # four axis atoms sit on the sphere and the rim atoms 1.2e-7 (relative,
+        # in r^2) outside and inside it
+        ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        grid = np.stack(np.meshgrid(*[np.arange(-12, 13) / 8.0] * 2), -1).reshape(-1, 2)
+        grid = np.repeat(grid, 40, axis=0)
+        rim = np.array([[1.0 + 2.0**-24, 0.0], [0.0, 1.0 - 2.0**-24], [-0.5, 0.625 + 1.0 + 2.0**-24]])
+        for atoms in (ring, np.vstack([ring, grid]), np.vstack([ring, rim]), np.vstack([grid, rim])):
+            w = np.linspace(0.5, 1.5, len(atoms))
+            queries = np.array([[0.0, 0.0], [0.125, 0.0], [1.0, 1.0], [-0.5, 0.625]])
+            got = ctf_grid(WeightedMeasure(atoms, w), builtin_truncation(), queries, 1.0).tensors
+            assert_tensors_close(got, closed_ball_sum(atoms, w, queries, 1.0))
+        ring_only = ctf_grid(WeightedMeasure(ring, np.ones(4)), builtin_truncation(), queries, 1.0)
+        np.testing.assert_allclose(ring_only.tensors[0], 2.0 * np.eye(2) / math.pi, rtol=1e-15)
+
+    def test_one_query_takes_the_all_atoms_path(self, monkeypatch):
+        import time
+
+        rng = np.random.default_rng(24)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 100_000)
+        m = empirical_measure(np.column_stack([np.cos(theta), np.sin(theta)]))
+
+        def no_cells(*args):
+            raise AssertionError("a single query built a cell list")
+
+        monkeypatch.setattr(fields, "_cell_sum", no_cells)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            t = ctf_at(m, builtin_truncation(), [1.0, 0.0], 0.3)
+            times.append(time.perf_counter() - start)
+        assert t.trace > 0
+        assert min(times) < 0.05  # about 4 ms on a 2-core VM
+
+
 class TestSpectrum:
     def test_diag(self):
         from covfields import CovTensor

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -225,6 +226,29 @@ class TestIO:
         back = load_measure(p)
         np.testing.assert_array_equal(back.atoms, m.atoms)
         np.testing.assert_array_equal(back.weights, m.weights)
+
+    @pytest.mark.parametrize("weight", ["NaN", "0.0", "-1.0", "-Infinity"])
+    def test_json_non_positive_weight_rejected(self, tmp_path, weight):
+        p = tmp_path / "w.json"
+        p.write_text(f'{{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [1.0, {weight}]}}')
+        with pytest.raises(MeasureFormatError, match="weights must be positive"):
+            load_measure(p)
+
+    @pytest.mark.parametrize("key", ["atoms", "weights"])
+    def test_json_missing_key_named(self, tmp_path, key):
+        doc = {"dim": 1, "atoms": [[0.0]], "weights": [1.0]}
+        del doc[key]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MeasureFormatError, match=f"missing key '{key}'"):
+            load_measure(p)
+
+    @pytest.mark.parametrize("text", ["3", "[[0.0], [1.0]]", '"atoms"', "null"])
+    def test_json_not_an_object(self, tmp_path, text):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(MeasureFormatError, match="missing key 'atoms'"):
+            load_measure(p)
 
     def test_negative_weight_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
