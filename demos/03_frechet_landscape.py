@@ -5,7 +5,8 @@ the covariance tensor).  At small scales each cluster carves out its own
 local minimum; as sigma grows the minima merge — the bifurcation is visible
 in a sequence of heat maps.  The negative gradient flow labels each start
 point with the attractor (local minimum) it falls into, giving scale-space
-clusters.
+clusters; a flow that ends with no atom within 3 sigma has escaped the data
+and gets basin -1.
 
 Run:  python3 demos/03_frechet_landscape.py
 Writes demos/output/frechet_sigma_*.svg
@@ -44,3 +45,7 @@ for k, a in enumerate(attractors):
     members = starts[labels == k][:, 0]
     print(f"  attractor at ({a[0]:+.2f}, {a[1]:+.2f}) collects starts x in "
           f"[{members.min():+.1f}, {members.max():+.1f}]")
+escaped = starts[labels == -1][:, 0]
+print(f"  {len(escaped)} starts escaped (basin -1: no atom within 3 sigma of where the flow "
+      f"stopped, since V decays to 0 away from the data)"
+      + (f": x in {np.round(escaped, 1).tolist()}" if len(escaped) else ""))

@@ -12,8 +12,10 @@ the tensor.  Every tensor comes from one blocked accumulator in
 into a cell list: a query skips the cells outside its kernel ball, tests
 the atoms of the cells on the ball's boundary one by one, and, when the
 profile is constant on its support, adds each cell inside the ball from
-the cell's moments in one step.  Measures and kernels are immutable during
-evaluation and every query is independent.
+the cell's moments in one step.  The gradient flow of V moves all its
+starts together, one blocked pass over the atoms giving V and grad V per
+step.  Measures and kernels are immutable during evaluation and every query
+is independent.
 """
 
 from __future__ import annotations
@@ -302,6 +304,39 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
     return out
 
 
+def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: float, grad=False):
+    """V at each row of ``pts``; with ``grad``, also grad V and the squared nearest-atom distance.
+
+    V multiplies as :func:`frechet_value` does.  The gradient is the
+    Gaussian one (see :func:`frechet_gradient`).  The points go in
+    blocks of at most ``_PAIR_BUDGET`` (point, atom) pairs (or one point),
+    with one (b, n) difference array per coordinate.  Only elementwise
+    operations and row reductions touch them, so each row's bits do not
+    depend on the other rows of its block.  No |y|^2 - 2 y.x + |x|^2
+    expansion: the flow's stopping rule needs the digits it would cancel.
+    """
+    cols = np.ascontiguousarray(measure.atoms.T)
+    c_d = kernel.normalizer(sigma, measure.dim)
+    d, n = cols.shape
+    v, g, near = np.empty(len(pts)), np.empty((len(pts), d)), np.empty(len(pts))
+    per = max(1, _PAIR_BUDGET // n)
+    for s in range(0, len(pts), per):
+        diff = [cols[k] - pts[s : s + per, k, None] for k in range(d)]  # y - x
+        r2 = diff[0] * diff[0]
+        for dk in diff[1:]:
+            r2 += dk * dk
+        u = r2 / (sigma * sigma)
+        f = kernel.profile(u) / c_d
+        v[s : s + per] = np.sum(measure.weights * r2 * f, axis=1)
+        if grad:
+            near[s : s + per] = np.min(r2, axis=1)
+            f *= measure.weights
+            f *= u - 2.0
+            for k, dk in enumerate(diff):
+                g[s : s + per, k] = np.sum(dk * f, axis=1)
+    return v, g, near
+
+
 def frechet_gradient(
     measure: WeightedMeasure,
     kernel: RadialKernel,
@@ -314,9 +349,9 @@ def frechet_gradient(
 
     ``analytic_gaussian`` differentiates the Gaussian convolution form
     termwise: grad V = sum_i w_i G(x, y_i, sigma) (y_i - x)(r_i^2/sigma^2 - 2)
-    with r_i = ||y_i - x||.  ``central_difference`` uses symmetric
-    differences with the given step and works for any kernel; the two agree
-    to O(step^2) for the Gaussian.
+    with r_i = ||y_i - x||, a one-point pass of the flow's evaluator.
+    ``central_difference`` uses symmetric differences with the given step
+    and works for any kernel; the two agree to O(step^2) for the Gaussian.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != measure.dim:
@@ -324,12 +359,7 @@ def frechet_gradient(
     if mode == "analytic_gaussian":
         if kernel.name != "gaussian":
             raise ValueError("analytic gradient is only available for the gaussian kernel")
-        c_d = kernel.normalizer(sigma, measure.dim)
-        diff = measure.atoms - x
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        g = kernel.profile(r2 / (sigma * sigma)) / c_d
-        coeff = measure.weights * g * (r2 / (sigma * sigma) - 2.0)
-        return diff.T @ coeff
+        return _frechet_pass(measure, kernel, x[None, :], sigma, grad=True)[1][0]
     if mode == "central_difference":
         grad = np.zeros_like(x)
         for k in range(x.size):
@@ -364,6 +394,64 @@ class FlowResult:
     basin_id: int = -1
 
 
+# a flow whose attractor has no atom within this many sigma has escaped the data
+_ESCAPE_SIGMAS = 3.0
+
+
+def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float, params):
+    """Descend V from every row of ``starts`` together (see :func:`flow_to_attractor`).
+
+    Each iteration makes one V and grad V pass over the active starts, then
+    V-only passes over the starts whose line search is still trying a step.
+    Returns the attractors, the paths, the converged flags (False for an
+    escaped flow) and the escaped mask.
+    """
+    if kernel.name != "gaussian":
+        raise ValueError("gradient flow requires the gaussian kernel")
+    d = measure.dim
+    x = np.array(starts, dtype=float)
+    if x.shape[1] != d:
+        raise ValueError(f"dimension mismatch: measure dim {d}, start dim {x.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("starts must be finite")
+    p = params or FlowParams()
+    step0 = p.initial_step if p.initial_step is not None else sigma / 10.0
+    paths = [[row.copy()] for row in x]
+    steps = np.zeros(len(x), dtype=np.int64)
+    converged = np.zeros(len(x), dtype=bool)
+    near = np.empty(len(x))
+    active = np.arange(len(x))
+    while active.size:
+        v, g, near[active] = _frechet_pass(measure, kernel, x[active], sigma, grad=True)
+        gn = np.sqrt(np.sum(g * g, axis=1))
+        stop = steps[active] >= p.max_iter
+        small = ~stop & (gn < p.grad_tol * np.maximum(1.0, v))
+        converged[active[small]] = True
+        keep = ~(stop | small)
+        active, v, gn = active[keep], v[keep], gn[keep]
+        direction = -g[keep] / gn[:, None]
+        t = np.full(len(active), float(step0))
+        moved = np.zeros(len(active), dtype=bool)
+        trial = np.flatnonzero(t > 1e-15 * step0)
+        while trial.size:  # backtracking (Armijo) line search, one step size per start
+            cand = x[active[trial]] + t[trial, None] * direction[trial]
+            vc = _frechet_pass(measure, kernel, cand, sigma)[0]
+            ok = vc <= v[trial] - p.armijo * t[trial] * gn[trial]
+            x[active[trial[ok]]] = cand[ok]
+            moved[trial[ok]] = True
+            trial = trial[~ok]
+            t[trial] *= p.shrink
+            trial = trial[t[trial] > 1e-15 * step0]
+        # no descent direction at line-search resolution: treat as converged
+        converged[active[~moved]] = True
+        active = active[moved]
+        steps[active] += 1
+        for i in active:
+            paths[i].append(x[i].copy())
+    escaped = near > (_ESCAPE_SIGMAS * sigma) ** 2
+    return x, [np.asarray(path) for path in paths], converged & ~escaped, escaped
+
+
 def flow_to_attractor(
     measure: WeightedMeasure,
     kernel: RadialKernel,
@@ -373,40 +461,16 @@ def flow_to_attractor(
 ) -> FlowResult:
     """Descend the Fréchet function from ``start`` by backtracking line search.
 
-    Terminates when ||grad V|| < tol * max(1, V) or after max_iter steps;
-    non-convergence is reported in the result flag, never raised.  Requires
-    the Gaussian kernel (a smooth V).
+    Terminates when ||grad V|| < tol * max(1, V), when no step of at least
+    1e-15 times the initial step descends (both count as converged), or
+    after max_iter steps; non-convergence is reported in the result flag,
+    never raised.  A flow whose attractor has no atom within 3 sigma has
+    escaped the data and is not converged.  A one-start
+    :func:`basin_labels`, bit for bit.  Requires the Gaussian kernel (a
+    smooth V) and a finite start.
     """
-    if kernel.name != "gaussian":
-        raise ValueError("gradient flow requires the gaussian kernel")
-    p = params or FlowParams()
-    step0 = p.initial_step if p.initial_step is not None else sigma / 10.0
-    x = np.asarray(start, dtype=float).ravel().copy()
-    path = [x.copy()]
-    converged = False
-    for _ in range(p.max_iter):
-        v = frechet_value(measure, kernel, x, sigma)
-        g = frechet_gradient(measure, kernel, x, sigma)
-        gn = float(np.linalg.norm(g))
-        if gn < p.grad_tol * max(1.0, v):
-            converged = True
-            break
-        direction = -g / gn
-        t = step0
-        moved = False
-        while t > 1e-15 * step0:
-            cand = x + t * direction
-            if frechet_value(measure, kernel, cand, sigma) <= v - p.armijo * t * gn:
-                x = cand
-                path.append(x.copy())
-                moved = True
-                break
-            t *= p.shrink
-        if not moved:
-            # no descent direction at line-search resolution: treat as converged
-            converged = True
-            break
-    return FlowResult(np.asarray(start, dtype=float), x, np.asarray(path), converged)
+    x, paths, converged, _ = _flow(measure, kernel, np.reshape(start, (1, -1)), sigma, params)
+    return FlowResult(np.asarray(start, dtype=float), x[0], paths[0], bool(converged[0]))
 
 
 def basin_labels(
@@ -418,23 +482,31 @@ def basin_labels(
 ) -> tuple[np.ndarray, np.ndarray, list[FlowResult]]:
     """Flow every start to its attractor and group attractors into basins.
 
-    Attractors closer than the merge radius (default sigma/100) are
-    identified.  Returns (labels, attractor positions, flow results) with
-    results ordered as the inputs.
+    All starts descend together, each as :func:`flow_to_attractor` would
+    take it.  A flow whose attractor has no atom within 3 sigma has escaped
+    (far from the data V decays to 0, so such flows run outward): it gets
+    basin -1 and ``converged`` False, and its attractor is not returned.
+    The other attractors closer than the merge radius (default sigma/100)
+    are identified.  Returns (labels, attractor positions (k, d), flow
+    results) with results ordered as the inputs.
     """
     p = params or FlowParams()
     merge_r = p.merge_radius if p.merge_radius is not None else sigma / 100.0
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    results = [flow_to_attractor(measure, kernel, s, sigma, params) for s in starts]
+    if starts.shape[1] == 0:  # [] names no starts and no dimension
+        starts = starts.reshape(0, measure.dim)
+    x, paths, converged, escaped = _flow(measure, kernel, starts, sigma, p)
+    results = [FlowResult(*row) for row in zip(starts, x, paths, converged.tolist())]
     reps: list[np.ndarray] = []
-    labels = np.empty(len(results), dtype=np.int64)
-    for i, res in enumerate(results):
+    labels = np.full(len(results), -1, dtype=np.int64)
+    for i in np.flatnonzero(~escaped):
         for j, r in enumerate(reps):
-            if np.linalg.norm(res.attractor - r) <= merge_r:
+            if np.linalg.norm(x[i] - r) <= merge_r:
                 labels[i] = j
                 break
         else:
-            reps.append(res.attractor)
+            reps.append(x[i])
             labels[i] = len(reps) - 1
-        res.basin_id = int(labels[i])
-    return labels, np.asarray(reps), results
+    for res, label in zip(results, labels.tolist()):
+        res.basin_id = label
+    return labels, np.reshape(reps, (-1, measure.dim)), results

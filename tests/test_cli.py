@@ -92,6 +92,20 @@ class TestFieldCommands:
         assert lines[0] == "x_1,x_2,attractor_1,attractor_2,basin,converged"
         assert len(lines) == 3
 
+    def test_flow_escaped_start(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "pts.csv"
+        from covfields import empirical_measure
+
+        save_measure(empirical_measure(rng.normal(0, 0.4, (60, 2))), data)
+        starts = tmp_path / "starts.csv"
+        save_measure(empirical_measure([[0.5, 0.5], [20.0, 0.0]]), starts)
+        assert run_cli("--out", str(tmp_path), "flow", "--input", str(data),
+                       "--sigma", "0.8", "--starts", str(starts)) == 0
+        lines = (tmp_path / "flow.csv").read_text().strip().split("\n")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[4:] for r in rows] == [["0", "1"], ["-1", "0"]]
+
     def test_curvature_command(self, tmp_path):
         from covfields import quadrature_arc
 

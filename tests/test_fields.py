@@ -1,4 +1,5 @@
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -536,6 +537,17 @@ class TestFrechetGradient:
         with pytest.raises(ValueError, match="gaussian"):
             frechet_gradient(m, builtin_truncation(), [1.0, 0.0], 1.0)
 
+    def test_analytic_vs_direct_sum(self):
+        rng = np.random.default_rng(11)
+        m = random_measure(rng, 300, 3)
+        g, sigma = builtin_gaussian(), 0.7
+        for x in rng.normal(size=(5, 3)):
+            diff = m.atoms - x
+            r2 = (diff * diff).sum(axis=1)
+            kern = np.exp(-0.5 * r2 / sigma**2) / (2 * math.pi * sigma**2) ** 1.5
+            want = diff.T @ (m.weights * kern * (r2 / sigma**2 - 2.0))
+            np.testing.assert_allclose(frechet_gradient(m, g, x, sigma), want, rtol=1e-12, atol=1e-15)
+
 
 class TestFlow:
     def test_single_cluster_converges_to_grid_argmin(self):
@@ -593,3 +605,144 @@ class TestFlow:
         params = FlowParams(max_iter=2, grad_tol=1e-300)
         res = flow_to_attractor(m, builtin_gaussian(), [5.0, 5.0], 0.5, params)
         assert not res.converged
+
+
+def reference_flow(measure, kernel, start, sigma, p=FlowParams()):
+    """One start at a time, as flow_to_attractor ran before the batched flow."""
+    step0 = p.initial_step if p.initial_step is not None else sigma / 10.0
+    x = np.asarray(start, dtype=float).ravel().copy()
+    path = [x.copy()]
+    converged = False
+    for _ in range(p.max_iter):
+        v = frechet_value(measure, kernel, x, sigma)
+        g = frechet_gradient(measure, kernel, x, sigma)
+        gn = float(np.linalg.norm(g))
+        if gn < p.grad_tol * max(1.0, v):
+            converged = True
+            break
+        direction = -g / gn
+        t = step0
+        moved = False
+        while t > 1e-15 * step0:
+            cand = x + t * direction
+            if frechet_value(measure, kernel, cand, sigma) <= v - p.armijo * t * gn:
+                x = cand
+                path.append(x.copy())
+                moved = True
+                break
+            t *= p.shrink
+        if not moved:
+            converged = True
+            break
+    return x, np.asarray(path), converged
+
+
+def two_cluster_sample(seed, per_cluster=200):
+    """The benchmark's flow sample: clusters at (-2, 0) and (2, 0.5), sd 0.6."""
+    rng = np.random.default_rng(seed)
+    return empirical_measure(np.concatenate([
+        rng.normal([-2.0, 0.0], 0.6, size=(per_cluster, 2)),
+        rng.normal([2.0, 0.5], 0.6, size=(per_cluster, 2)),
+    ]))
+
+
+def start_grid(lo, hi, k):
+    ax = np.linspace(lo, hi, k)
+    return np.column_stack([g.ravel() for g in np.meshgrid(ax, ax, indexing="ij")])
+
+
+def nearest_atom(measure, x):
+    return float(np.sqrt(((measure.atoms - x) ** 2).sum(axis=1).min()))
+
+
+class TestBatchedFlow:
+    SIGMA = 1.2
+
+    def test_matches_per_start_reference(self):
+        m, g = two_cluster_sample(21, 100), builtin_gaussian()
+        starts = start_grid(-4.0, 4.0, 7)
+        labels, _, results = basin_labels(m, g, starts, self.SIGMA)
+        for start, label, res in zip(starts, labels, results):
+            x, path, converged = reference_flow(m, g, start, self.SIGMA)
+            np.testing.assert_allclose(res.attractor, x, rtol=0, atol=1e-9)
+            escaped = nearest_atom(m, x) > 3.0 * self.SIGMA
+            assert (label == -1) == escaped
+            if not escaped:
+                assert res.converged == converged
+                assert len(res.path) == len(path)
+                np.testing.assert_allclose(res.path, path, rtol=0, atol=1e-9)
+        assert 0 < np.sum(labels == -1) < len(starts)
+
+    def test_max_iter_matches_reference(self):
+        m, g = two_cluster_sample(22, 40), builtin_gaussian()
+        params = FlowParams(max_iter=3)
+        starts = start_grid(-3.0, 3.0, 4)
+        _, _, results = basin_labels(m, g, starts, self.SIGMA, params)
+        for start, res in zip(starts, results):
+            x, path, converged = reference_flow(m, g, start, self.SIGMA, params)
+            np.testing.assert_allclose(res.attractor, x, rtol=0, atol=1e-9)
+            assert len(res.path) == len(path) <= 4
+            assert res.converged == (converged and nearest_atom(m, x) <= 3.0 * self.SIGMA)
+
+    def test_bench_sample_has_two_basins(self):
+        m = two_cluster_sample(0)
+        labels, attractors, results = basin_labels(m, builtin_gaussian(), start_grid(-4.0, 4.0, 20),
+                                                   self.SIGMA)
+        assert attractors.shape == (2, 2)
+        assert set(labels.tolist()) == {-1, 0, 1}
+        for label, res in zip(labels, results):
+            assert res.basin_id == label
+            assert res.converged == (label >= 0)
+            assert (nearest_atom(m, res.attractor) <= 3.0 * self.SIGMA) == (label >= 0)
+        # one attractor per cluster
+        assert sorted(np.round(attractors[:, 0])) == [-2.0, 2.0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        starts=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(2)),
+                          elements=st.floats(-4.0, 4.0)),
+        budget=st.sampled_from([1, 130, 1 << 16]),
+        data=st.data(),
+    )
+    def test_rows_independent_of_batch(self, starts, budget, data):
+        m, g = two_cluster_sample(23, 30), builtin_gaussian()
+        _, _, full = basin_labels(m, g, starts, self.SIGMA)
+        order = data.draw(st.permutations(range(len(starts))))
+        keep = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+        with unittest.mock.patch.object(fields, "_PAIR_BUDGET", budget):
+            _, _, shuffled = basin_labels(m, g, starts[order], self.SIGMA)
+            _, _, subset = basin_labels(m, g, starts[keep], self.SIGMA)
+            alone = [flow_to_attractor(m, g, starts[i], self.SIGMA) for i in keep]
+        for rows, results in ((order, shuffled), (keep, subset), (keep, alone)):
+            for i, res in zip(rows, results):
+                assert np.array_equal(res.attractor, full[i].attractor)
+                assert np.array_equal(res.path, full[i].path)
+                assert res.converged == full[i].converged
+
+    def test_escaped_start_alone(self):
+        m = two_cluster_sample(24, 50)
+        res = flow_to_attractor(m, builtin_gaussian(), [30.0, 0.0], self.SIGMA)
+        assert not res.converged
+        labels, attractors, results = basin_labels(m, builtin_gaussian(), [[30.0, 0.0]], self.SIGMA)
+        assert labels.tolist() == [-1] and attractors.shape == (0, 2)
+        assert results[0].basin_id == -1 and not results[0].converged
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_raises(self, bad):
+        m, g = two_cluster_sample(25, 10), builtin_gaussian()
+        with pytest.raises(ValueError, match="finite"):
+            flow_to_attractor(m, g, [bad, 0.0], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            basin_labels(m, g, [[0.0, 0.0], [0.0, bad]], 1.0)
+
+    @pytest.mark.parametrize("starts", [[], np.empty((0, 2))])
+    def test_empty_starts(self, starts):
+        labels, attractors, results = basin_labels(two_cluster_sample(26, 10), builtin_gaussian(),
+                                                   starts, 1.0)
+        assert labels.shape == (0,) and attractors.shape == (0, 2) and results == []
+
+    def test_dimension_mismatch_raises(self):
+        m = two_cluster_sample(27, 10)
+        for start in ([0.0], [0.0, 0.0, 0.0], []):
+            with pytest.raises(ValueError, match="dimension"):
+                flow_to_attractor(m, builtin_gaussian(), start, 1.0)
