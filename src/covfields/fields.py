@@ -7,15 +7,17 @@ kernel-weighted covariance about x,
 
 a symmetric positive semi-definite d x d tensor.  The Fréchet value
 V(x, sigma) = sum_i w_i ||y_i - x||^2 K(x, y_i, sigma) equals the trace of
-the tensor.  Every tensor comes from one blocked accumulator in
-:func:`ctf_grid`.  Under a compactly supported kernel the atoms are binned
-into a cell list: a query skips the cells outside its kernel ball, tests
-the atoms of the cells on the ball's boundary one by one, and, when the
-profile is constant on its support, adds each cell inside the ball from
-the cell's moments in one step.  The gradient flow of V moves all its
-starts together, one blocked pass over the atoms giving V and grad V per
-step.  Measures and kernels are immutable during evaluation and every query
-is independent.
+the tensor.  Every tensor comes from one accumulator over blocks of
+(query, atom) pairs, one contiguous difference array per coordinate: each
+tensor entry is one row reduction, so a query's bits do not depend on the
+other queries of its block.  Under a compactly supported kernel the atoms
+are binned into a cell list: a query skips the cells outside its kernel
+ball, tests the atoms of the cells on the ball's boundary one by one, and,
+when the profile is constant on its support, adds each cell inside the ball
+from the cell's moments in one step.  The gradient flow of V moves all its
+starts together, one pass over the same blocks and kernel weights giving V
+and grad V per step.  Measures and kernels are immutable during evaluation
+and every query is independent.
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: floa
         raise ValueError(f"dimension mismatch: measure dim {measure.dim}, point dim {x.size}")
     c_d = kernel.normalizer(sigma, measure.dim)
     diff = measure.atoms - x
-    r2 = np.einsum("ij,ij->i", diff, diff)
-    vals = measure.weights * r2 * (kernel.profile(r2 / (sigma * sigma)) / c_d)
-    return float(vals.sum())
+    u = np.einsum("ij,ij->i", diff, diff) * (1.0 / (sigma * sigma))
+    f = kernel.profile(u) * (measure.weights / c_d)
+    return float(sigma * sigma * np.einsum("i,i->", f, u))
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,8 @@ def ctf_grid(
 
     An atom counts iff ||y - x||^2 <= css sigma^2, css the kernel's support
     radius squared.  Under full support (or css sigma^2 beyond the float
-    range), or for a single query, every atom is a candidate.  Otherwise the atoms are binned into cells of side
+    range), or for a single query, every atom is a candidate.  Otherwise
+    the atoms are binned into cells of side
     sigma sqrt(css) / ``_CELLS_PER_RADIUS``, coarsened up to sigma sqrt(css)
     while an atom's cell holds fewer than ``_MIN_OCCUPANCY`` atoms on
     average.  Each query classifies the cells of its x_1-slab by the
@@ -190,9 +193,12 @@ def ctf_grid(
     equal to 1 on its support (``"flat"`` in ``kernel.analytic``), adds its
     weight M0, centroid g and scatter S as S + M0 (g - x)(g - x)^T; every
     other cell tests its atoms one by one.  Candidates go in blocks of at
-    most ``_PAIR_BUDGET`` (query, candidate) pairs (or one query), each one
-    batched product.  ``acceleration`` selects no code, and ``"indexed"``
-    requires a compactly supported kernel.
+    most ``_PAIR_BUDGET`` (query, candidate) pairs (or one query), one
+    (queries, candidates) difference array per coordinate; each of the
+    d(d+1)/2 tensor entries is one row reduction over them, so a row's bits
+    do not depend on the queries that share its block (under full support
+    every row is bitwise the :func:`ctf_at` of its query).  ``acceleration``
+    selects no code, and ``"indexed"`` requires a compactly supported kernel.
     """
     d = measure.dim
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
@@ -213,20 +219,57 @@ def ctf_grid(
         tensors = _cell_sum(measure.atoms, weights, pts, kernel, sigma, r2cap)
     else:
         tensors = np.empty((len(pts), d, d))
-        per = max(1, _PAIR_BUDGET // measure.size)
-        for s in range(0, len(pts), per):
-            diff = measure.atoms[None, :, :] - pts[s : s + per, None, :]
-            tensors[s : s + per] = _accumulate(diff, weights, kernel.profile, sigma, r2cap)
+        for rows, diff in _blocks(measure.atoms, pts):
+            tensors[rows] = _accumulate(diff, weights, kernel.profile, sigma, r2cap)
     tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
     traces = np.trace(tensors, axis1=1, axis2=2)
     return FieldGrid(pts, sigma, tensors, traces)
 
 
+def _blocks(atoms, pts):
+    """(rows, [contiguous (rows, atoms) array y_k - x_k per coordinate k]) per block of
+    at most ``_PAIR_BUDGET`` (point, atom) pairs, or of one point."""
+    cols = np.ascontiguousarray(atoms.T)
+    per = max(1, _PAIR_BUDGET // len(atoms))
+    for s in range(0, len(pts), per):
+        rows = slice(s, s + per)
+        yield rows, [col - pts[rows, k, None] for k, col in enumerate(cols)]
+
+
+def _kernel_weights(diff, w, profile, sigma: float, r2cap: float):
+    """u = r^2 / sigma^2 and w f(u) [r^2 <= r2cap] from the per-coordinate differences ``diff``.
+
+    Only elementwise operations, in place where they can be, so each row's
+    bits do not depend on the other rows of its block.
+    """
+    u = diff[0] * diff[0]
+    for dk in diff[1:]:
+        u += dk * dk
+    inside = u <= r2cap if math.isfinite(r2cap) else None
+    u *= 1.0 / (sigma * sigma)
+    f = profile(u)
+    f *= w
+    if inside is not None:
+        f *= inside
+    return u, f
+
+
 def _accumulate(diff, w, profile, sigma: float, r2cap: float) -> np.ndarray:
-    """sum_k w_k f(r_k^2 / sigma^2) [r_k^2 <= r2cap] diff_k diff_k^T per row of (b, k, d) diff."""
-    r2 = np.einsum("bkd,bkd->bk", diff, diff)
-    w = w * profile(r2 / (sigma * sigma)) * (r2 <= r2cap)
-    return np.matmul(np.swapaxes(diff * w[..., None], 1, 2), diff)
+    """sum_k w_k f(r_k^2 / sigma^2) [r_k^2 <= r2cap] (y_k - x)(y_k - x)^T per row of ``diff``.
+
+    ``diff`` holds one (b, k) difference array per coordinate.  Each entry
+    of the upper triangle is one row reduction, mirrored below: no matrix
+    product, so each row's bits do not depend on the other rows.
+    """
+    _, f = _kernel_weights(diff, w, profile, sigma, r2cap)
+    d = len(diff)
+    out = np.empty((len(f), d, d))
+    fj = np.empty_like(f)
+    for j in range(d):
+        np.multiply(f, diff[j], out=fj)
+        for k in range(j, d):
+            out[:, j, k] = out[:, k, j] = np.einsum("bk,bk->b", fj, diff[k])
+    return out
 
 
 def _ranges(starts, counts) -> np.ndarray:
@@ -262,8 +305,8 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
     scatter = np.add.reduceat(weights[:, None, None] * dev[:, :, None] * dev[:, None, :], first)
     flat = bool(kernel.analytic.get("flat", False))
     # candidate sources: the atoms by cell, a pseudo-atom lo + mu of weight M0 per cell, a null row
-    pos = np.vstack([atoms, lo, np.zeros((1, d))])
-    off = np.vstack([np.zeros_like(atoms), mu, np.zeros((1, d))])
+    pos = np.hstack([atoms.T, lo.T, np.zeros((d, 1))])
+    off = np.hstack([np.zeros((d, n)), mu.T, np.zeros((d, 1))])
     wts = np.concatenate([weights, m0, [0.0]])
     # cells whose x_1 key can meet each query's ball, by the atoms' own key rule
     bound = np.floor((pts[:, :1] + np.array([-reach, reach]) - origin[0]) / side)
@@ -297,7 +340,7 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
             col = np.arange(k[0])
             idx = np.where(col < k[:, None], (np.cumsum(k) - k)[:, None] + col, -1)
             src = np.append(_ranges(src0[pp], cnt[pp]), len(wts) - 1)[idx]
-            diff = (np.take(pos, src, axis=0) - pts[a + qq, None, :]) + np.take(off, src, axis=0)
+            diff = [(np.take(pos[c], src) - pts[a + qq, c, None]) + np.take(off[c], src) for c in range(d)]
             out[a + qq] += _accumulate(diff, np.take(wts, src), kernel.profile, sigma, r2cap)
             s += len(qq)
         a = b
@@ -305,35 +348,27 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
 
 
 def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: float, grad=False):
-    """V at each row of ``pts``; with ``grad``, also grad V and the squared nearest-atom distance.
+    """V at each row of ``pts``; with ``grad``, also grad V and min_i ||y_i - x||^2 / sigma^2.
 
     V multiplies as :func:`frechet_value` does.  The gradient is the
-    Gaussian one (see :func:`frechet_gradient`).  The points go in
-    blocks of at most ``_PAIR_BUDGET`` (point, atom) pairs (or one point),
-    with one (b, n) difference array per coordinate.  Only elementwise
-    operations and row reductions touch them, so each row's bits do not
-    depend on the other rows of its block.  No |y|^2 - 2 y.x + |x|^2
-    expansion: the flow's stopping rule needs the digits it would cancel.
+    Gaussian one (see :func:`frechet_gradient`).  The points go in the
+    blocks of :func:`_blocks`, and only elementwise operations and row
+    reductions touch them, so each row's bits do not depend on the other
+    rows of its block.  No |y|^2 - 2 y.x + |x|^2 expansion: the flow's
+    stopping rule needs the digits it would cancel.
     """
-    cols = np.ascontiguousarray(measure.atoms.T)
-    c_d = kernel.normalizer(sigma, measure.dim)
-    d, n = cols.shape
+    w = measure.weights / kernel.normalizer(sigma, measure.dim)
+    d = measure.dim
     v, g, near = np.empty(len(pts)), np.empty((len(pts), d)), np.empty(len(pts))
-    per = max(1, _PAIR_BUDGET // n)
-    for s in range(0, len(pts), per):
-        diff = [cols[k] - pts[s : s + per, k, None] for k in range(d)]  # y - x
-        r2 = diff[0] * diff[0]
-        for dk in diff[1:]:
-            r2 += dk * dk
-        u = r2 / (sigma * sigma)
-        f = kernel.profile(u) / c_d
-        v[s : s + per] = np.sum(measure.weights * r2 * f, axis=1)
+    for rows, diff in _blocks(measure.atoms, pts):
+        u, f = _kernel_weights(diff, w, kernel.profile, sigma, math.inf)
+        v[rows] = sigma * sigma * np.einsum("bk,bk->b", f, u)
         if grad:
-            near[s : s + per] = np.min(r2, axis=1)
-            f *= measure.weights
-            f *= u - 2.0
+            near[rows] = np.min(u, axis=1)
+            u -= 2.0
+            f *= u
             for k, dk in enumerate(diff):
-                g[s : s + per, k] = np.sum(dk * f, axis=1)
+                g[rows, k] = np.einsum("bk,bk->b", dk, f)
     return v, g, near
 
 
@@ -448,7 +483,7 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float, 
         steps[active] += 1
         for i in active:
             paths[i].append(x[i].copy())
-    escaped = near > (_ESCAPE_SIGMAS * sigma) ** 2
+    escaped = near > _ESCAPE_SIGMAS**2
     return x, [np.asarray(path) for path in paths], converged & ~escaped, escaped
 
 

@@ -19,6 +19,7 @@ eligible for the smooth-kernel stability certificates in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,8 +28,24 @@ from scipy import integrate, optimize
 
 
 def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0):
+    """Require sigma > 0 with sigma^2 a finite, normal float (kernels divide by sigma^2)."""
+    s = float(sigma)
+    if not (math.isfinite(s) and s > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    if not sys.float_info.min <= s * s <= sys.float_info.max:
+        raise ValueError(f"sigma^2 must be a finite, normal float, got sigma={sigma!r}")
+
+
+def _normalizer(sigma: float, d: int, m_d: float) -> float:
+    """C_d(sigma) = (1/2) sigma^d M_d omega_{d-1}, required finite and non-zero with its inverse."""
+    _check_sigma(sigma)
+    try:
+        c = 0.5 * float(sigma) ** d * m_d * unit_sphere_area(d)
+    except OverflowError:
+        c = math.inf
+    if not (0.0 < c < math.inf and 1.0 / c < math.inf):
+        raise ValueError(f"sigma={sigma!r} puts C_{d}(sigma) = {c!r} or its inverse outside the float range")
+    return c
 
 
 def unit_ball_volume(d: int) -> float:
@@ -89,9 +106,12 @@ class RadialKernel:
         return float(val)
 
     def normalizer(self, sigma: float, d: int) -> float:
-        """C_d(sigma) = (1/2) sigma^d M_d omega_{d-1} (sigma finite and > 0)."""
-        _check_sigma(sigma)
-        return 0.5 * sigma**d * self.moment(d) * unit_sphere_area(d)
+        """C_d(sigma) = (1/2) sigma^d M_d omega_{d-1}.
+
+        Raises ValueError unless sigma > 0, sigma^2 is a finite normal float
+        and C_d(sigma) and 1 / C_d(sigma) are finite and non-zero.
+        """
+        return _normalizer(sigma, d, self.moment(d))
 
 
 def builtin_gaussian() -> RadialKernel:
@@ -250,8 +270,7 @@ class KernelConstants:
         return 2.0 * (self.a1 + self.a2)
 
     def c_d(self, sigma: float) -> float:
-        _check_sigma(sigma)
-        return 0.5 * sigma**self.dim * self.m_d * self.omega_dm1
+        return _normalizer(sigma, self.dim, self.m_d)
 
 
 def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:

@@ -316,6 +316,22 @@ class TestErrorPaths:
         assert code == 2
         assert "compact" in json.loads(capsys.readouterr().err.strip())["message"]
 
+    @pytest.mark.parametrize("command", ["ctf", "frechet"])
+    @pytest.mark.parametrize("kernel", ["gaussian", "truncation"])
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-170"])
+    def test_sigma_out_of_float_range_exit_2(self, tmp_path, capsys, command, kernel, sigma):
+        from covfields import empirical_measure
+
+        data = tmp_path / "m.csv"
+        save_measure(empirical_measure(np.random.default_rng(3).normal(size=(50, 2))), data)
+        code = run_cli("--out", str(tmp_path), command, "--input", str(data),
+                       "--kernel", kernel, "--sigma", sigma, "--grid=-1:1:3")
+        assert code == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+        assert "sigma" in json.loads(lines[0])["message"]
+        assert not (tmp_path / f"{command}.csv").exists()
+
     def test_unknown_kernel_exit_2(self, tmp_path):
         from covfields import empirical_measure
 

@@ -198,6 +198,48 @@ class TestCtfGrid:
             got = ctf_grid(WeightedMeasure(atoms, w), kernel, queries, sigma).tensors
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * max(1.0, np.abs(want).max()))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(1, 90),
+        m=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(0.05, 3.0),
+        budget=st.sampled_from([1, 7, fields._PAIR_BUDGET]),
+        data=st.data(),
+    )
+    def test_gaussian_rows_bitwise_independent_of_block(self, d, n, m, seed, sigma, budget, data):
+        rng = np.random.default_rng(seed)
+        measure = WeightedMeasure(rng.normal(size=(n, d)), rng.uniform(0.1, 2.0, size=n))
+        queries = rng.normal(size=(m, d))
+        kernel = builtin_gaussian()
+        order = data.draw(st.permutations(range(m)))
+        keep = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_PAIR_BUDGET", budget)
+            full = ctf_grid(measure, kernel, queries, sigma).tensors
+            shuffled = ctf_grid(measure, kernel, queries[order], sigma).tensors
+            subset = ctf_grid(measure, kernel, queries[keep], sigma).tensors
+            alone = [ctf_at(measure, kernel, x, sigma).entries for x in queries]
+        assert np.array_equal(full, np.array(alone))
+        assert np.array_equal(shuffled, full[order])
+        assert np.array_equal(subset, full[keep])
+
+    def test_large_gaussian_field_matches_fsum(self):
+        rng = np.random.default_rng(40)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 100_000)
+        atoms = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (100_000, 2))
+        m = WeightedMeasure(atoms, rng.uniform(0.2, 1.0, 100_000))
+        queries = np.array([[1.0, 0.0], [0.0, 0.0], [0.3, -0.7], [-0.9, 0.4], [0.5, 0.5]])
+        kernel, sigma = builtin_gaussian(), 0.3
+        got = ctf_grid(m, kernel, queries, sigma).tensors
+        for x, t in zip(queries, got):
+            diff = atoms - x
+            kw = m.weights * np.exp(-0.5 * np.einsum("ij,ij->i", diff, diff) / sigma**2)
+            kw /= kernel.normalizer(sigma, 2)
+            want = np.array([[math.fsum(kw * diff[:, i] * diff[:, j]) for j in range(2)] for i in range(2)])
+            assert np.abs(t - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_indexed_requires_compact(self):
         m = empirical_measure([[0.0, 0.0]])
         with pytest.raises(ValueError, match="compact"):
@@ -213,6 +255,31 @@ class TestCtfGrid:
                 ctf_at(m, kernel, [0.0, 0.0], bad)
             with pytest.raises(ValueError, match="sigma"):
                 frechet_value(m, kernel, [0.0, 0.0], bad)
+
+    @pytest.mark.parametrize(
+        "d, sigma",
+        # sigma^2 overflows, is subnormal or is 0; in 3-D, C_d(sigma) ~ sigma^3 or its inverse overflows
+        [(d, s) for d in (1, 2, 3) for s in (1e200, 1e155, 1e-155, 1e-170)] + [(3, 1e150), (3, 1e-105)],
+    )
+    def test_rejects_sigma_out_of_float_range(self, d, sigma):
+        m = empirical_measure(np.random.default_rng(d).normal(size=(50, d)))
+        x = np.zeros((2, d))
+        for kernel in (builtin_gaussian(), builtin_truncation()):
+            with pytest.raises(ValueError, match="sigma"):
+                ctf_grid(m, kernel, x, sigma)
+            with pytest.raises(ValueError, match="sigma"):
+                frechet_value(m, kernel, x[0], sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            basin_labels(m, builtin_gaussian(), x, sigma)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tiny_sigma_gives_finite_tensors(self, d):
+        sigma = 1e-100
+        atoms = sigma * np.random.default_rng(d).normal(size=(50, d))
+        queries = atoms[:5] + 0.5 * sigma * np.eye(d)[0]
+        for kernel in (builtin_gaussian(), builtin_truncation()):
+            fg = ctf_grid(empirical_measure(atoms), kernel, queries, sigma)
+            assert np.all(np.isfinite(fg.tensors)) and np.all(fg.frechet_values > 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_queries(self, bad):
@@ -341,12 +408,13 @@ class TestCellList:
         assert_tensors_close(got, want)
 
     def test_support_beyond_float_range(self):
-        # sigma^2 overflows to inf while the 1-D normalizer 2 sigma stays finite
+        # css sigma^2 overflows to inf while sigma^2 and the 1-D normalizer stay finite
         rng = np.random.default_rng(25)
         atoms = rng.normal(0.0, 1.0, size=(50, 1))
         queries = rng.normal(0.0, 1.0, size=(5, 1))
-        got = ctf_grid(empirical_measure(atoms), builtin_truncation(), queries, 1e200).tensors
-        want = closed_ball_sum(atoms, np.full(50, 1 / 50), queries, 1e200)
+        wide = tabulated_kernel([0.0, 1e10], [1.0, 1.0])  # a truncation kernel of radius 1e5 sigma
+        got = ctf_grid(empirical_measure(atoms), wide, queries, 1e150).tensors
+        want = closed_ball_sum(atoms, np.full(50, 1 / 50), queries, 1e155)
         assert np.all(want > 0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

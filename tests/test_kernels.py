@@ -128,7 +128,7 @@ class TestEvalKernel:
         with pytest.raises(ValueError, match="sigma"):
             eval_kernel(builtin_gaussian(), [0.0], [1.0], 0.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e200, 1e-170])
     def test_normalizer_and_c_d_reject_bad_sigma(self, bad):
         for kernel in (builtin_gaussian(), builtin_truncation()):
             with pytest.raises(ValueError, match="sigma"):
@@ -137,6 +137,15 @@ class TestEvalKernel:
                 derive_constants(kernel, 2).c_d(bad)
             with pytest.raises(ValueError, match="sigma"):
                 eval_kernel(kernel, [0.0], [1.0], bad)
+
+    @pytest.mark.parametrize("d, sigma", [(3, 1e150), (3, 1e-105), (4, 1e100), (4, 1e-80)])
+    def test_normalizer_and_c_d_reject_sigma_d_out_of_range(self, d, sigma):
+        # sigma^2 is a normal float, but C_d(sigma) ~ sigma^d (or its inverse) overflows
+        for kernel in (builtin_gaussian(), builtin_truncation()):
+            with pytest.raises(ValueError, match="sigma"):
+                kernel.normalizer(sigma, d)
+            with pytest.raises(ValueError, match="sigma"):
+                derive_constants(kernel, d).c_d(sigma)
 
 
 class TestNormalization:
