@@ -34,7 +34,7 @@ for sigma, tag in ((0.1, "small"), (2.0, "large")):
     print(f"  eigenvalue ratios along the band: {np.round(ratios, 3)}")
     print(f"  estimated dimension at each probe: {dims}")
     path = os.path.join(OUT, f"band_glyphs_{tag}.svg")
-    cf.emit_plot("tensor_glyphs", {"points": probes, "tensors": grid.tensors}, path)
+    cf.tensor_glyphs_svg(probes, grid.tensors, path)
     print(f"  tensor glyphs -> {path}")
 
 print("\nAt the small scale the window sees the band's full thickness, so the")

@@ -35,7 +35,7 @@ for sigma in (1.0, 2.0, 4.0):
     field = cf.ctf_grid(measure, kernel, grid, sigma)
     values = field.frechet_values.reshape(40, 40).T
     path = os.path.join(OUT, f"frechet_sigma_{sigma}.svg")
-    cf.emit_plot("field_heatmap", {"x": axis, "y": axis, "values": values}, path)
+    cf.heatmap_svg(axis, axis, values, path)
     print(f"sigma={sigma}: Fréchet heat map -> {path}")
 
 starts = np.column_stack([np.linspace(-4, 4, 17), np.zeros(17)])

@@ -41,7 +41,7 @@ acc = 1.0 - cf.score(assignment.labels, ds.labels)
 sizes = np.bincount(assignment.labels)
 print(f"clean 3 lines, 6-cluster cut: accuracy {acc:.1%}, cluster sizes {sizes}")
 print(f"mean cophenetic height h0 = {cf.mean_cophenetic(dend):.4e}")
-cf.emit_plot("dendrogram", {"dendrogram": dend}, os.path.join(OUT, "lines_dendrogram.svg"))
+cf.dendrogram_svg(dend, os.path.join(OUT, "lines_dendrogram.svg"))
 cf.save_measure(cf.LabeledDataset(ds.measure, assignment.labels),
                 os.path.join(OUT, "lines_clustered.csv"))
 

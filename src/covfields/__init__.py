@@ -102,6 +102,6 @@ from .experiments import (
     run_converge,
     square_grid,
 )
-from .plots import emit_plot
+from .plots import dendrogram_svg, heatmap_svg, loglog_svg, tensor_glyphs_svg
 
 __version__ = "0.1.0"

@@ -113,11 +113,7 @@ def _cmd_frechet(args) -> int:
         n = int(round(len(grid) ** 0.5))
         if n * n == len(grid):
             axis = np.unique(grid[:, 0])
-            plots.emit_plot(
-                "field_heatmap",
-                {"x": axis, "y": axis, "values": fg.frechet_values.reshape(n, n).T},
-                _outpath(args, args.heatmap),
-            )
+            plots.heatmap_svg(axis, axis, fg.frechet_values.reshape(n, n).T, _outpath(args, args.heatmap))
     print(path)
     return 0
 
@@ -184,7 +180,7 @@ def _cmd_cluster(args) -> int:
     ids = dend.merges[:, :2].astype(np.int64)
     write_csv(merges_path, ["a", "b", "height"], [ids[:, 0], ids[:, 1], dend.merges[:, 2]])
     if args.svg:
-        plots.emit_plot("dendrogram", {"dendrogram": dend}, _outpath(args, args.svg))
+        plots.dendrogram_svg(dend, _outpath(args, args.svg))
     if isinstance(ds, LabeledDataset):
         err = cl.score(assignment.labels, ds.labels)
         print(json_dumps({"labeled_csv": out_points, "merges_csv": merges_path, "error_rate": err}))

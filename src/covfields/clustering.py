@@ -6,15 +6,15 @@ pairwise distances combine both parts:
 
     d_ij = ( ||Sigma_i - Sigma_j||_F^2 + gamma^2 ||x_i - x_j||^2 )^{1/2}.
 
-Single linkage on this (pseudo-)metric is computed through the minimum
-spanning tree; the cophenetic distance u(i, j) — the dendrogram level at
-which i and j first merge — equals the minimax path value, i.e. the largest
-edge on the unique MST path.  u satisfies the strong triangle inequality
-u(x, x') <= max(u(x, x''), u(x'', x')).
+Single linkage on this (pseudo-)metric is the sorted minimum spanning tree
+(Gower & Ross 1969), taken from scipy's ``linkage``; the cophenetic distance
+u(i, j) — the dendrogram level at which i and j first merge — equals the
+minimax path value, i.e. the largest edge on the unique MST path.  u
+satisfies the strong triangle inequality u(x, x') <= max(u(x, x''), u(x'', x')).
 
-The merge sweep records the leaf order and the merge height between
-adjacent leaves (the gaps): u(order[p], order[q]) = max(gaps[p:q]), so a cut
-splits the leaf order at the gaps above its level.  Cuts and the cophenetic
+The dendrogram keeps the leaf order and the merge height between adjacent
+leaves (the gaps): u(order[p], order[q]) = max(gaps[p:q]), so a cut splits
+the leaf order at the gaps above its level.  Cuts and the cophenetic
 mean and std need no n x n matrix; ``Dendrogram.cophenetic`` builds it on
 demand.
 """
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.cluster.hierarchy import leaves_list, linkage
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 from .fields import ctf_grid
 from .kernels import RadialKernel, _check_sigma
@@ -99,8 +100,9 @@ def lifted_distances(features: np.ndarray, points: np.ndarray, gamma: float) -> 
 class Dendrogram:
     """Single-linkage merge tree with its leaf order and adjacent-leaf gaps.
 
-    ``merges`` rows are (cluster_a, cluster_b, height) with leaves 0..n-1
-    and the k-th merge creating cluster n + k; heights are non-decreasing.
+    ``merges`` rows are (cluster_a, cluster_b, height), cluster_a < cluster_b,
+    with leaves 0..n-1 and the k-th merge creating cluster n + k; heights are
+    non-decreasing.
     ``order`` lists the leaves as the tree is drawn (cluster_a's before
     cluster_b's) and ``gaps[p]`` is the height at which order[p] and
     order[p + 1] first share a cluster.  ``cophenetic[i, j]``, that height
@@ -128,66 +130,36 @@ class Dendrogram:
         return (u + u.T)[np.ix_(position, position)]
 
 
-def _mst_prim(d: np.ndarray) -> list[tuple[int, int, float]]:
-    """Dense Prim: returns the n-1 MST edges of a full distance matrix."""
-    n = d.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = d[0].copy()
-    best[0] = np.inf
-    parent = np.zeros(n, dtype=np.int64)
-    edges = []
-    for _ in range(n - 1):
-        j = int(np.argmin(best))
-        edges.append((int(parent[j]), j, float(best[j])))
-        in_tree[j] = True
-        best[j] = np.inf
-        closer = d[j] < best
-        closer &= ~in_tree
-        best[closer] = d[j][closer]
-        parent[closer] = j
-    return edges
-
-
 def single_linkage(metric: np.ndarray) -> Dendrogram:
-    """Single-linkage dendrogram of a (pseudo-)metric matrix via the MST.
+    """Single-linkage dendrogram of a (pseudo-)metric matrix.
 
-    Merge heights are the sorted MST edge weights.  The union sweep joins
-    the two components' leaf lists end to end and records the merge height
-    as the gap at the junction.  NaN or infinite entries, a negative entry
-    and a matrix that differs from its transpose are rejected (dense Prim
-    reads only the rows it visits).
+    The merges are the rows of scipy's ``linkage(..., method="single")``
+    (the sorted MST, smaller cluster id first in each row).  The leaf
+    order is scipy's ``leaves_list``: cluster_a's leaves before cluster_b's,
+    so each merge height is the gap after cluster_a's last leaf.  NaN or
+    infinite entries, a negative entry and a matrix that differs from its
+    transpose are rejected.
     """
     d = np.asarray(metric, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("metric must be a square matrix")
-    if not np.isfinite(d).all():  # an infinite entry would make Prim add a self-loop
+    if not np.isfinite(d).all():
         raise ValueError("metric matrix contains NaN or infinite entries")
     if not np.array_equal(d, d.T) or (d < 0).any():
         raise ValueError("metric matrix must be symmetric with no negative entry")
     n = d.shape[0]
-    edges = sorted(_mst_prim(d), key=lambda e: e[2])
-    # union-find with scipy-style cluster ids; each component keeps its
-    # leaves in drawing order, and the smaller side is relabelled
-    comp_id = np.arange(n)
-    leaves = {i: [i] for i in range(n)}
-    cluster_of = list(range(n))
+    if n < 2:
+        return Dendrogram(np.zeros((0, 3)), n, np.zeros(0), np.arange(n), np.zeros(0))
+    z = linkage(squareform(d, checks=False), method="single")
+    ids = z[:, :2].astype(np.int64)
+    sizes = np.concatenate([np.ones(n), z[:, 3]])
+    order = leaves_list(z)
+    last = np.arange(2 * n - 1)  # the last leaf of each cluster, set as it forms
     gap_after = np.zeros(n)
-    merges = np.zeros((n - 1, 3))
-    pair_counts = np.zeros(n - 1)
-    for k, (i, j, h) in enumerate(edges):
-        ci, cj = int(comp_id[i]), int(comp_id[j])
-        a, b = leaves.pop(ci), leaves.pop(cj)
-        merges[k] = (cluster_of[ci], cluster_of[cj], h)
-        pair_counts[k] = len(a) * len(b)
-        gap_after[a[-1]] = h
-        keep, moved = (ci, b) if len(a) >= len(b) else (cj, a)
-        comp_id[moved] = keep
-        leaves[keep] = a + b
-        cluster_of[keep] = n + k
-    order = np.array(leaves.popitem()[1], dtype=np.int64)
-    gaps = gap_after[order[:-1]]
-    return Dendrogram(merges, n, pair_counts, order, gaps)
+    for k, (a, b) in enumerate(ids.tolist()):
+        gap_after[last[a]] = z[k, 2]
+        last[n + k] = last[b]
+    return Dendrogram(z[:, :3], n, sizes[ids[:, 0]] * sizes[ids[:, 1]], order, gap_after[order[:-1]])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .fields import ctf_grid
 from .geometry import circle_tensor
 from .kernels import builtin_truncation, kernel_by_name
 from .measures import _philox, empirical_measure, gen_arrangement_suite, json_dumps, write_csv
-from .plots import emit_plot
+from .plots import loglog_svg
 
 
 def square_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -155,18 +155,12 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         with open(os.path.join(cfg.out_dir, "converge.json"), "w") as fh:
             fh.write(text + "\n")
         nv = np.asarray(n_values, dtype=float)
-        emit_plot(
-            "loglog",
-            {
-                "x": nv,
-                "series": [
-                    ("observed", eps),
-                    ("C*ln(n)^0.75/sqrt(n)", c_r2 * np.log(nv) ** 0.75 / np.sqrt(nv)),
-                    ("C/sqrt(n)", c_sq / np.sqrt(nv)),
-                ],
-            },
-            os.path.join(cfg.out_dir, "converge.svg"),
-        )
+        series = [
+            ("observed", eps),
+            ("C*ln(n)^0.75/sqrt(n)", c_r2 * np.log(nv) ** 0.75 / np.sqrt(nv)),
+            ("C/sqrt(n)", c_sq / np.sqrt(nv)),
+        ]
+        loglog_svg(nv, series, os.path.join(cfg.out_dir, "converge.svg"))
     return report
 
 

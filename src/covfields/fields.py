@@ -130,14 +130,19 @@ def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: floa
     """Multiscale Fréchet value: sum_i w_i ||y_i - x||^2 K(x, y_i, sigma).
 
     Computed as a direct weighted sum (not via the tensor trace), so the
-    trace identity V = tr Sigma is a genuine cross-check.
+    trace identity V = tr Sigma is a genuine cross-check.  r^2 adds the
+    coordinates' squares in order, as the flow's pass does, so the two give
+    the same bits.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != measure.dim:
         raise ValueError(f"dimension mismatch: measure dim {measure.dim}, point dim {x.size}")
     c_d = kernel.normalizer(sigma, measure.dim)
-    diff = measure.atoms - x
-    u = np.einsum("ij,ij->i", diff, diff) * (1.0 / (sigma * sigma))
+    diff = (measure.atoms - x).T
+    r2 = diff[0] * diff[0]
+    for dk in diff[1:]:
+        r2 += dk * dk
+    u = r2 * (1.0 / (sigma * sigma))
     f = kernel.profile(u) * (measure.weights / c_d)
     return float(sigma * sigma * np.einsum("i,i->", f, u))
 

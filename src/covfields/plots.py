@@ -202,16 +202,3 @@ def heatmap_svg(x_axis, y_axis, values, path) -> None:
     with open(path, "w") as fh:
         fh.write(_svg(body))
 
-
-def emit_plot(kind: str, data: dict, path) -> None:
-    """Dispatch on the figure kind; see the individual writers."""
-    if kind == "loglog":
-        loglog_svg(data["x"], data["series"], path, data.get("xlabel", "n"), data.get("ylabel", "error"))
-    elif kind == "dendrogram":
-        dendrogram_svg(data["dendrogram"], path)
-    elif kind == "tensor_glyphs":
-        tensor_glyphs_svg(data["points"], data["tensors"], path, data.get("glyph_scale"))
-    elif kind == "field_heatmap":
-        heatmap_svg(data["x"], data["y"], data["values"], path)
-    else:
-        raise ValueError(f"unknown plot kind: {kind!r}")

@@ -358,10 +358,13 @@ class TestCsvBytesFrozen:
     """Every CSV the package writes, from small seeded inputs, pinned by SHA-256.
 
     The numerical layers behind the CLI commands are replaced by seeded
-    stand-ins, so the digests pin the writers' bytes and nothing else.
+    stand-ins, so the digests pin the writers' bytes, with one exception:
+    the ``merges`` case replaces only the distances and runs the real
+    ``single_linkage``, so its digest also pins the merge rows.
     """
 
-    # recorded with the per-command row loops, before one writer served all
+    # recorded with the per-command row loops, before one writer served all;
+    # ``merges`` re-recorded when the rows became scipy's (smaller id first)
     FROZEN_DIGESTS = {
         "measure": "d73195567428887a6532edade76eba3c338aac88156f0457d5d2c8ffe5939b71",
         "labeled_measure": "439c43ccab71c38f1dc6c400111c7d2dbac957226209a224539cb816fc056e5b",
@@ -370,7 +373,7 @@ class TestCsvBytesFrozen:
         "flow": "50d0e984abc1bbd810de6688882d52d2ac11576264a4d39a9b594f0688504d94",
         "curvature": "137fa66fe9e2351e7b7037e8adaf35c94cd64829aa737cbba21b8ab95f082362",
         "curvature_surface": "d6fb8b13a72de452fe09f64e666d7ca46064363882f1e44cc667361e18d27bcd",
-        "merges": "9289999c9724456f21b9ffb20262fea4a5221b04674f01c5dcf973b5290d2ca6",
+        "merges": "397c197aa4aad2f7346178f55e7249eceabd4d16d62ed02c567808ec5b29178d",
         "converge": "766b89a822df356feec4736f85740a94286a08294ac201a17499a81bf78ae481",
         "bench_lines2d": "5035a86d059de75659823a679c68080485aded7d44bb98ee15450e36b2af17cb",
     }

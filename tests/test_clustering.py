@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.cluster.hierarchy import cophenet, fcluster, linkage
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist, squareform
 
 from covfields import (
@@ -19,8 +20,8 @@ from covfields import (
     builtin_truncation,
     cut,
     dendrogram_distortion_check,
+    dendrogram_svg,
     derive_constants,
-    emit_plot,
     empirical_measure,
     mean_cophenetic,
     quadrature_disk,
@@ -114,7 +115,7 @@ class TestSingleLinkage:
             single_linkage(d)
 
     def test_infinite_entry_rejected(self):
-        # leaf 2 is unreachable; Prim would join it by a self-loop at inf
+        # leaf 2 is unreachable: no spanning tree has a finite height
         d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
         with pytest.raises(ValueError, match="infinite"):
             single_linkage(d)
@@ -376,6 +377,11 @@ def reference_metrics():
     return cases
 
 
+# csgraph reads a zero entry as a missing edge, so its MST oracle takes only
+# the reference metrics with no zero off-diagonal entry
+POSITIVE_CASES = [i for i, d in enumerate(reference_metrics()) if (d + np.eye(len(d)) > 0).all()]
+
+
 def threshold_labels(u, keep):
     """Connected components of ``keep``, numbered by lowest leaf index
     (the dense labelling the gap cut replaced)."""
@@ -430,6 +436,22 @@ def loop_score(labels, truth):
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("case", range(10))
+    def test_merges_are_scipy_rows(self, case):
+        d = reference_metrics()[case]
+        dend = single_linkage(d)
+        z = linkage(squareform(d, checks=False), method="single")
+        np.testing.assert_array_equal(dend.merges, z[:, :3])
+        assert (dend.merges[:, 0] < dend.merges[:, 1]).all()
+
+    @pytest.mark.parametrize("case", POSITIVE_CASES)
+    def test_heights_are_sorted_mst_weights(self, case):
+        # an MST from another algorithm (Kruskal in csgraph), not linkage
+        d = reference_metrics()[case]
+        mst = minimum_spanning_tree(d)
+        assert mst.nnz == len(d) - 1
+        np.testing.assert_array_equal(single_linkage(d).heights, np.sort(mst.data))
+
+    @pytest.mark.parametrize("case", range(10))
     def test_heights_cophenetic_and_height_cuts(self, case):
         d = reference_metrics()[case]
         dend = single_linkage(d)
@@ -461,6 +483,24 @@ class TestAgainstScipy:
             else:
                 stack.extend(reversed(children[node]))
         np.testing.assert_array_equal(dend.order, walk)
+
+
+class TestTinyInputs:
+    def test_one_leaf(self):
+        dend = single_linkage(np.zeros((1, 1)))
+        assert dend.n_leaves == 1 and dend.merges.shape == (0, 3)
+        np.testing.assert_array_equal(dend.order, [0])
+        assert dend.gaps.size == 0 and dend.pair_counts.size == 0
+        np.testing.assert_array_equal(dend.cophenetic, [[0.0]])
+        np.testing.assert_array_equal(cut(dend, k=1).labels, [0])
+
+    def test_two_leaves(self):
+        dend = single_linkage(np.array([[0.0, 0.4], [0.4, 0.0]]))
+        np.testing.assert_array_equal(dend.merges, [[0.0, 1.0, 0.4]])
+        np.testing.assert_array_equal(dend.order, [0, 1])
+        np.testing.assert_array_equal(dend.gaps, [0.4])
+        np.testing.assert_array_equal(dend.pair_counts, [1.0])
+        np.testing.assert_array_equal(cut(dend, k=2).labels, [0, 1])
 
 
 class TestCutRules:
@@ -572,7 +612,7 @@ class TestParameterChecks:
 def test_chain_dendrogram_svg(tmp_path):
     # 1200 leaves merged one at a time: deeper than Python's recursion limit
     x = np.cumsum(np.linspace(1.0, 2.0, 1200))[:, None]
-    emit_plot("dendrogram", {"dendrogram": single_linkage(cdist(x, x))}, str(tmp_path / "d.svg"))
+    dendrogram_svg(single_linkage(cdist(x, x)), str(tmp_path / "d.svg"))
     assert (tmp_path / "d.svg").stat().st_size > 0
 
 

@@ -7,12 +7,15 @@ from covfields import (
     BenchmarkConfig,
     ConvergeConfig,
     builtin_gaussian,
-    emit_plot,
+    dendrogram_svg,
+    heatmap_svg,
+    loglog_svg,
     quadrature_circle,
     run_cluster_benchmark,
     run_converge,
     single_linkage,
     square_grid,
+    tensor_glyphs_svg,
 )
 
 
@@ -100,17 +103,17 @@ class TestBenchmark:
 class TestPlots:
     def test_deterministic_bytes(self, tmp_path):
         x = np.array([10.0, 100.0, 1000.0])
-        data = {"x": x, "series": [("a", np.array([0.3, 0.1, 0.03]))]}
+        series = [("a", np.array([0.3, 0.1, 0.03]))]
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_plot("loglog", data, p1)
-        emit_plot("loglog", data, p2)
+        loglog_svg(x, series, p1)
+        loglog_svg(x, series, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_tensor_glyph_axis_ratio(self, tmp_path):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         tensors = np.array([np.diag([1.0, 4.0]), np.eye(2)])
         path = tmp_path / "glyphs.svg"
-        emit_plot("tensor_glyphs", {"points": pts, "tensors": tensors}, path)
+        tensor_glyphs_svg(pts, tensors, path)
         text = path.read_text()
         ellipses = [ln for ln in text.split("\n") if "ellipse" in ln]
         assert len(ellipses) == 2
@@ -129,21 +132,13 @@ class TestPlots:
         d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
         dend = single_linkage(d)
         path = tmp_path / "dend.svg"
-        emit_plot("dendrogram", {"dendrogram": dend}, path)
+        dendrogram_svg(dend, path)
         assert path.read_text().startswith("<svg")
 
     def test_heatmap(self, tmp_path):
         path = tmp_path / "hm.svg"
-        emit_plot(
-            "field_heatmap",
-            {"x": np.arange(4.0), "y": np.arange(3.0), "values": np.arange(12.0).reshape(3, 4)},
-            path,
-        )
+        heatmap_svg(np.arange(4.0), np.arange(3.0), np.arange(12.0).reshape(3, 4), path)
         assert path.read_text().count("<rect") == 13  # 12 cells + background
-
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown plot"):
-            emit_plot("pie", {}, tmp_path / "x.svg")
 
 
 def test_square_grid():

@@ -575,6 +575,15 @@ class TestFrechet:
             t = ctf_at(m, kernel, x, sigma).trace
             assert abs(v - t) <= 1e-10 * max(1.0, abs(v))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_flow_pass(self, d):
+        # 3-D differed at 10 of 50 points while r^2 was summed by einsum
+        rng = np.random.default_rng(40 + d)
+        m, kernel = empirical_measure(rng.normal(size=(300, d))), builtin_gaussian()
+        pts = rng.normal(size=(50, d))
+        v = fields._frechet_pass(m, kernel, pts, 0.7)[0]
+        np.testing.assert_array_equal([frechet_value(m, kernel, p, 0.7) for p in pts], v)
+
 
 class TestFrechetGradient:
     def test_symmetric_zero(self):
