@@ -11,9 +11,7 @@ through a tensorized metric and single linkage.
 from .fields import (
     CovTensor,
     FieldGrid,
-    FlowParams,
     FlowResult,
-    NumericalError,
     SpectrumSummary,
     basin_labels,
     ctf_at,
@@ -53,6 +51,7 @@ from .kernels import (
 from .measures import (
     LabeledDataset,
     MeasureFormatError,
+    NumericalError,
     WeightedMeasure,
     empirical_measure,
     gen_arrangement_suite,
@@ -62,7 +61,6 @@ from .measures import (
     quadrature_cap,
     quadrature_circle,
     quadrature_disk,
-    quadrature_rectangle,
     quadrature_segment,
     quadrature_sphere,
     save_measure,

@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands: gen, ctf, spectrum, frechet, flow, curvature, cluster,
-stability, converge, bench.  Global flags: --config (JSON file of
-per-command defaults, overridden by explicit flags), --seed, --out,
---threads.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure; errors print a single-line JSON object on stderr.
+Subcommands: gen, ctf, frechet, flow, curvature, cluster, stability,
+converge, bench.  Global flags: --config (JSON object whose "converge" and
+"bench" sections set those commands' settings, overridden by explicit
+flags; any other section or setting is a configuration error), --seed,
+--out, --threads.  Exit codes: 0 success, 2 configuration error,
+3 numerical failure; errors print a single-line JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,6 +37,10 @@ from .measures import (
 from .transport import check_stability_smooth, check_stability_trunc
 
 
+# the commands that read a --config section, with the settings each takes
+_CONFIG_SECTIONS = {"converge": experiments.ConvergeConfig, "bench": experiments.BenchmarkConfig}
+
+
 def _fail(code: int, kind: str, message: str) -> int:
     sys.stderr.write(json_dumps({"error": kind, "message": message}) + "\n")
     return code
@@ -44,6 +50,23 @@ def _resolve_kernel(name: str):
     if name.endswith(".csv"):
         return load_profile_csv(name)
     return kernel_by_name(name)
+
+
+def _load_config(path: str) -> dict:
+    """The sections of a --config file, each checked against its command's settings."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("--config must hold a JSON object of per-command sections")
+    for name, section in doc.items():
+        if name not in _CONFIG_SECTIONS:
+            raise ValueError(f"--config section {name!r}: only converge and bench read a section")
+        if not isinstance(section, dict):
+            raise ValueError(f"--config section {name!r} must be a JSON object")
+        unknown = set(section) - {f.name for f in dataclasses.fields(_CONFIG_SECTIONS[name])}
+        if unknown:
+            raise ValueError(f"--config section {name!r}: unknown settings {sorted(unknown)}")
+    return doc
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -79,7 +102,7 @@ def _cmd_gen(args) -> int:
         box = json.loads(args.box) if args.box else None
         obj = gen_line_arrangement(
             segments, noise_sd=args.noise_sd, n_outliers=args.outliers,
-            bounding_box=box, seed=args.seed,
+            bounding_box=box, seed=0 if args.seed is None else args.seed,
         )
     else:
         raise ValueError(f"unknown gen kind {args.kind!r}")
@@ -208,35 +231,32 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_converge(args, cfg_file: dict) -> int:
-    cfg = experiments.ConvergeConfig(**cfg_file)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.threads = args.threads
-    cfg.out_dir = args.out
-    if args.n_values:
-        cfg.n_values = tuple(int(v) for v in args.n_values.split(","))
-    if args.replicates:
-        cfg.replicates = args.replicates
-    report = experiments.run_converge(cfg)
-    print(report.to_json())
+def _settings(cls, section: dict, args, **flags):
+    """``cls`` from a --config section, overridden by --out and by each flag given."""
+    flags.update(seed=args.seed, threads=args.threads, out_dir=args.out)
+    return cls(**{**section, **{k: v for k, v in flags.items() if v is not None}})
+
+
+def _cmd_converge(args, section: dict) -> int:
+    n_values = args.n_values
+    if n_values is not None:  # "" is the empty ladder
+        n_values = tuple(int(v) for v in n_values.split(",")) if n_values else ()
+    cfg = _settings(experiments.ConvergeConfig, section, args, n_values=n_values,
+                    replicates=args.replicates)
+    print(experiments.run_converge(cfg).to_json())
     return 0
 
 
-def _cmd_bench(args, cfg_file: dict) -> int:
-    cfg = experiments.BenchmarkConfig(**cfg_file)
-    cfg.kind = args.kind
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n_samples:
-        cfg.n_samples = args.n_samples
-    if args.n_train:
-        cfg.n_train = args.n_train
-    cfg.threads = args.threads
-    cfg.out_dir = args.out
-    result = experiments.run_cluster_benchmark(cfg)
-    print(result.to_json())
+def _cmd_bench(args, section: dict) -> int:
+    cfg = _settings(experiments.BenchmarkConfig, section, args, kind=args.kind,
+                    n_samples=args.n_samples, n_train=args.n_train)
+    print(experiments.run_cluster_benchmark(cfg).to_json())
     return 0
+
+
+_COMMANDS = {"gen": _cmd_gen, "ctf": _cmd_ctf, "frechet": _cmd_frechet, "flow": _cmd_flow,
+             "curvature": _cmd_curvature, "cluster": _cmd_cluster, "stability": _cmd_stability,
+             "converge": _cmd_converge, "bench": _cmd_bench}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,10 +268,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="covfields")
-    p.add_argument("--config", help="JSON file with per-command default parameters")
+    p.add_argument("--config", help="JSON file with converge and bench settings")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate measures and datasets")
@@ -268,14 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--box", default=None, help="JSON [[lo...],[hi...]]")
     g.add_argument("--output", default="measure.csv")
 
-    for name in ("ctf", "spectrum"):
-        c = sub.add_parser(name, help="evaluate the covariance field on a grid")
-        c.add_argument("--input", required=True)
-        c.add_argument("--kernel", default="truncation")
-        c.add_argument("--sigma", type=float, required=True)
-        c.add_argument("--grid", required=True, help="lo:hi:n or points file")
-        c.add_argument("--indexed", action="store_true")
-        c.add_argument("--output", default=f"{name}.csv")
+    c = sub.add_parser("ctf", help="evaluate the covariance field on a grid")
+    c.add_argument("--input", required=True)
+    c.add_argument("--kernel", default="truncation")
+    c.add_argument("--sigma", type=float, required=True)
+    c.add_argument("--grid", required=True, help="lo:hi:n or points file")
+    c.add_argument("--indexed", action="store_true")
+    c.add_argument("--output", default="ctf.csv")
 
     f = sub.add_parser("frechet", help="evaluate the Fréchet function on a grid")
     f.add_argument("--input", required=True)
@@ -325,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     cvg.add_argument("--replicates", type=int, default=None)
 
     b = sub.add_parser("bench", help="clustering benchmark on arrangement suites")
-    b.add_argument("--kind", default="lines2d", choices=list(experiments._TRUE_K))
+    b.add_argument("--kind", default=None, choices=list(experiments._TRUE_K))
     b.add_argument("--n-samples", type=int, default=None)
     b.add_argument("--n-train", type=int, default=None)
     return p
@@ -339,33 +358,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     except ValueError as exc:
         return _fail(2, "config", str(exc))
-    cfg_file: dict = {}
     try:
-        if args.config:
-            with open(args.config) as fh:
-                all_cfg = json.load(fh)
-            cfg_file = all_cfg.get(args.command, {})
-        if args.command == "gen":
-            if args.seed is None:
-                args.seed = 0
-            return _cmd_gen(args)
-        if args.command in ("ctf", "spectrum"):
-            return _cmd_ctf(args)
-        if args.command == "frechet":
-            return _cmd_frechet(args)
-        if args.command == "flow":
-            return _cmd_flow(args)
-        if args.command == "curvature":
-            return _cmd_curvature(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "stability":
-            return _cmd_stability(args)
-        if args.command == "converge":
-            return _cmd_converge(args, cfg_file)
-        if args.command == "bench":
-            return _cmd_bench(args, cfg_file)
-        return _fail(2, "config", f"unknown command {args.command!r}")
+        sections = _load_config(args.config) if args.config else {}
+        if args.command in _CONFIG_SECTIONS:
+            return _COMMANDS[args.command](args, sections.get(args.command, {}))
+        return _COMMANDS[args.command](args)
     except RuntimeError as exc:  # NumericalError, failed transport solves
         return _fail(3, "numerical", str(exc))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

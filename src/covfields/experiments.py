@@ -99,7 +99,9 @@ def _exact_circle_field(cfg: ConvergeConfig, grid: np.ndarray) -> np.ndarray:
 def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
     """Sample i.i.d. points from the uniform circle law and tabulate errors."""
     if not cfg.n_values:
-        raise ValueError("empty n ladder")
+        raise ValueError("n_values: empty n ladder")
+    if cfg.replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {cfg.replicates}")
     n_values = sorted(int(n) for n in cfg.n_values)
     if n_values[0] < 2:  # the log-rate model takes ln ln n
         raise ValueError(f"every n in the ladder must be at least 2, got {n_values[0]}")
@@ -263,6 +265,11 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     cfg = cfg.resolved()
     if cfg.n_samples < 2 or not (1 <= cfg.n_train < cfg.n_samples):
         raise ValueError("need n_samples >= 2 and 1 <= n_train < n_samples")
+    for name in ("sigma_grid", "gamma_grid"):
+        if len(getattr(cfg, name)) == 0:
+            raise ValueError(f"{name} is empty")
+    if cfg.cutoff_steps < 1:
+        raise ValueError(f"cutoff_steps must be at least 1, got {cfg.cutoff_steps}")
     suite = gen_arrangement_suite(
         cfg.kind,
         cfg.n_samples,

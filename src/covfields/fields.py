@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel
-from .measures import NumericalError, WeightedMeasure, write_csv
+from .measures import WeightedMeasure, write_csv
 
 SYM_TOL = 1e-12
 # (queries x atoms) pairs evaluated per block of ctf_grid
@@ -413,16 +413,14 @@ def frechet_gradient(
     raise ValueError("mode must be 'analytic_gaussian' or 'central_difference'")
 
 
-@dataclass
-class FlowParams:
-    """Defaults for the negative-gradient flow of the Fréchet function."""
-
-    initial_step: float | None = None  # defaults to sigma / 10
-    shrink: float = 0.5
-    grad_tol: float = 1e-8  # on ||grad V|| relative to max(1, V)
-    max_iter: int = 10000
-    merge_radius: float | None = None  # defaults to sigma / 100
-    armijo: float = 1e-4
+# the gradient flow (see flow_to_attractor and basin_labels); the step and
+# the merge radius divide sigma, since sigma * 0.1 and sigma / 10 differ in bits
+_FLOW_STEP_DIV = 10.0
+_FLOW_SHRINK = 0.5
+_FLOW_ARMIJO = 1e-4
+_FLOW_GRAD_TOL = 1e-8
+_FLOW_MAX_STEPS = 10000
+_FLOW_MERGE_DIV = 100.0
 
 
 @dataclass
@@ -438,7 +436,7 @@ class FlowResult:
 _ESCAPE_SIGMAS = 3.0
 
 
-def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float, params):
+def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float):
     """Descend V from every row of ``starts`` together (see :func:`flow_to_attractor`).
 
     Each iteration makes one V and grad V pass over the active starts, then
@@ -454,8 +452,7 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float, 
         raise ValueError(f"dimension mismatch: measure dim {d}, start dim {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("starts must be finite")
-    p = params or FlowParams()
-    step0 = p.initial_step if p.initial_step is not None else sigma / 10.0
+    step0 = sigma / _FLOW_STEP_DIV
     paths = [[row.copy()] for row in x]
     steps = np.zeros(len(x), dtype=np.int64)
     converged = np.zeros(len(x), dtype=bool)
@@ -464,8 +461,8 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float, 
     while active.size:
         v, g, near[active] = _frechet_pass(measure, kernel, x[active], sigma, grad=True)
         gn = np.sqrt(np.sum(g * g, axis=1))
-        stop = steps[active] >= p.max_iter
-        small = ~stop & (gn < p.grad_tol * np.maximum(1.0, v))
+        stop = steps[active] >= _FLOW_MAX_STEPS
+        small = ~stop & (gn < _FLOW_GRAD_TOL * np.maximum(1.0, v))
         converged[active[small]] = True
         keep = ~(stop | small)
         active, v, gn = active[keep], v[keep], gn[keep]
@@ -476,11 +473,11 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float, 
         while trial.size:  # backtracking (Armijo) line search, one step size per start
             cand = x[active[trial]] + t[trial, None] * direction[trial]
             vc = _frechet_pass(measure, kernel, cand, sigma)[0]
-            ok = vc <= v[trial] - p.armijo * t[trial] * gn[trial]
+            ok = vc <= v[trial] - _FLOW_ARMIJO * t[trial] * gn[trial]
             x[active[trial[ok]]] = cand[ok]
             moved[trial[ok]] = True
             trial = trial[~ok]
-            t[trial] *= p.shrink
+            t[trial] *= _FLOW_SHRINK
             trial = trial[t[trial] > 1e-15 * step0]
         # no descent direction at line-search resolution: treat as converged
         converged[active[~moved]] = True
@@ -497,19 +494,20 @@ def flow_to_attractor(
     kernel: RadialKernel,
     start,
     sigma: float,
-    params: FlowParams | None = None,
 ) -> FlowResult:
     """Descend the Fréchet function from ``start`` by backtracking line search.
 
-    Terminates when ||grad V|| < tol * max(1, V), when no step of at least
-    1e-15 times the initial step descends (both count as converged), or
-    after max_iter steps; non-convergence is reported in the result flag,
-    never raised.  A flow whose attractor has no atom within 3 sigma has
-    escaped the data and is not converged.  A one-start
+    Each line search tries a step of sigma/10 first and halves it until V
+    falls by at least 1e-4 * step * ||grad V|| (Armijo).  Terminates when
+    ||grad V|| < 1e-8 max(1, V), when no step of at least 1e-15 times the
+    initial step descends (both count as converged), or after 10000 steps;
+    non-convergence is reported in the result flag, never raised.  A flow
+    whose attractor has no atom within 3 sigma has escaped the data and is
+    not converged.  A one-start
     :func:`basin_labels`, bit for bit.  Requires the Gaussian kernel (a
     smooth V) and a finite start.
     """
-    x, paths, converged, _ = _flow(measure, kernel, np.reshape(start, (1, -1)), sigma, params)
+    x, paths, converged, _ = _flow(measure, kernel, np.reshape(start, (1, -1)), sigma)
     return FlowResult(np.asarray(start, dtype=float), x[0], paths[0], bool(converged[0]))
 
 
@@ -518,7 +516,6 @@ def basin_labels(
     kernel: RadialKernel,
     starts,
     sigma: float,
-    params: FlowParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[FlowResult]]:
     """Flow every start to its attractor and group attractors into basins.
 
@@ -526,16 +523,15 @@ def basin_labels(
     take it.  A flow whose attractor has no atom within 3 sigma has escaped
     (far from the data V decays to 0, so such flows run outward): it gets
     basin -1 and ``converged`` False, and its attractor is not returned.
-    The other attractors closer than the merge radius (default sigma/100)
-    are identified.  Returns (labels, attractor positions (k, d), flow
-    results) with results ordered as the inputs.
+    The other attractors closer than sigma/100 are identified.  Returns
+    (labels, attractor positions (k, d), flow results) with results ordered
+    as the inputs.
     """
-    p = params or FlowParams()
-    merge_r = p.merge_radius if p.merge_radius is not None else sigma / 100.0
+    merge_r = sigma / _FLOW_MERGE_DIV
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[1] == 0:  # [] names no starts and no dimension
         starts = starts.reshape(0, measure.dim)
-    x, paths, converged, escaped = _flow(measure, kernel, starts, sigma, p)
+    x, paths, converged, escaped = _flow(measure, kernel, starts, sigma)
     results = [FlowResult(*row) for row in zip(starts, x, paths, converged.tolist())]
     reps: list[np.ndarray] = []
     labels = np.full(len(results), -1, dtype=np.int64)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CovTensor, NumericalError, ctf_at
-from .kernels import RadialKernel, builtin_truncation, unit_ball_volume
-from .measures import WeightedMeasure
+from .fields import CovTensor, ctf_at
+from .kernels import builtin_truncation, unit_ball_volume
+from .measures import NumericalError, WeightedMeasure
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -198,36 +198,26 @@ class SurfaceCurvatureEstimate:
     residual_det: float
 
 
-def _require_truncation(kernel: RadialKernel | None) -> RadialKernel:
-    if kernel is None:
-        return builtin_truncation()
-    if kernel.compact_support_radius_sq is None or kernel.name != "truncation":
-        raise ValueError("curvature recovery requires the truncation kernel")
-    return kernel
-
-
 def curve_curvature(
     measure: WeightedMeasure,
     x_on_curve,
     sigma_ladder,
-    kernel: RadialKernel | None = None,
 ) -> CurveCurvatureEstimate:
     """Estimate |kappa| of a plane curve at a point from its arc-length measure.
 
-    Computes tr Sigma(x, sigma) for each ladder scale and fits
-    tr - 2 sigma/(3 pi) = kappa^2 sigma^3/(20 pi) by least squares in the
-    single unknown kappa^2; the ladder (>= 3 descending scales) suppresses
-    the O(sigma^4) remainder.  A negative fit is clamped to zero and
-    flagged.
+    Computes tr Sigma(x, sigma) under the truncation kernel for each ladder
+    scale and fits tr - 2 sigma/(3 pi) = kappa^2 sigma^3/(20 pi) by least
+    squares in the single unknown kappa^2; the ladder (>= 3 descending
+    scales) suppresses the O(sigma^4) remainder.  A negative fit is clamped
+    to zero and flagged.
     """
-    kernel = _require_truncation(kernel)
     ladder = np.sort(np.asarray(sigma_ladder, dtype=float))[::-1]
     if ladder.size < 3:
         raise ValueError("sigma ladder needs at least 3 scales")
     if measure.dim != 2:
         raise ValueError("plane-curve curvature requires dim 2")
     x = np.asarray(x_on_curve, dtype=float).ravel()
-    traces = np.array([ctf_at(measure, kernel, x, s).trace for s in ladder])
+    traces = np.array([ctf_at(measure, builtin_truncation(), x, s).trace for s in ladder])
     yv = traces - 2.0 * ladder / (3.0 * math.pi)
     xv = ladder**3 / (20.0 * math.pi)
     k2 = float(xv @ yv / (xv @ xv))
@@ -241,21 +231,18 @@ def surface_curvatures(
     measure: WeightedMeasure,
     p_on_surface,
     sigma_ladder,
-    kernel: RadialKernel | None = None,
-    consistency_tol: float = 0.05,
 ) -> SurfaceCurvatureEstimate:
     """Estimate principal curvatures of a surface in R^3 at a point.
 
-    Fits s = (kappa1 - kappa2)^2 from the trace expansion and
-    q = 3 kappa1^2 + 2 kappa1 kappa2 + 3 kappa2^2 from the determinant
-    expansion over the ladder, then solves kappa1 kappa2 = (q - 3 s)/8 and
-    (kappa1 + kappa2)^2 = s + 4 kappa1 kappa2, returning the branch with
-    kappa1 + kappa2 >= 0.  Umbilic points (s ~ 0) resolve smoothly to
-    kappa1 = kappa2 = sqrt(q/8).  Raises :class:`NumericalError` when the
-    two fits are inconsistent ((kappa1+kappa2)^2 fitted significantly
-    negative).
+    Under the truncation kernel, fits s = (kappa1 - kappa2)^2 from the
+    trace expansion and q = 3 kappa1^2 + 2 kappa1 kappa2 + 3 kappa2^2 from
+    the determinant expansion over the ladder, then solves
+    kappa1 kappa2 = (q - 3 s)/8 and (kappa1 + kappa2)^2 = s + 4 kappa1 kappa2,
+    returning the branch with kappa1 + kappa2 >= 0.  Umbilic points (s ~ 0)
+    resolve smoothly to kappa1 = kappa2 = sqrt(q/8).  Raises
+    :class:`NumericalError` when the two fits are inconsistent
+    ((kappa1+kappa2)^2 fitted below -5% of its scale).
     """
-    kernel = _require_truncation(kernel)
     ladder = np.sort(np.asarray(sigma_ladder, dtype=float))[::-1]
     if ladder.size < 3:
         raise ValueError("sigma ladder needs at least 3 scales")
@@ -265,7 +252,7 @@ def surface_curvatures(
     traces = np.empty(ladder.size)
     dets = np.empty(ladder.size)
     for i, s in enumerate(ladder):
-        t = ctf_at(measure, kernel, p, s)
+        t = ctf_at(measure, builtin_truncation(), p, s)
         traces[i] = t.trace
         dets[i] = float(np.linalg.det(t.entries))
     yt = traces - 3.0 * ladder / 8.0
@@ -281,7 +268,7 @@ def surface_curvatures(
     # flat or near-flat data legitimately fits to ~0 with sign noise, so the
     # inconsistency threshold carries an absolute floor of one curvature unit
     scale = max(1.0, abs(s_clamped) + abs(4.0 * prod))
-    if sum_sq < -consistency_tol * scale:
+    if sum_sq < -0.05 * scale:
         raise NumericalError(
             f"inconsistent curvature fit: (kappa1+kappa2)^2 = {sum_sq:.3e} < 0"
         )

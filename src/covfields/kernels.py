@@ -218,13 +218,13 @@ def kernel_by_name(name: str) -> RadialKernel:
     raise ValueError(f"unknown kernel: {name!r} (expected 'gaussian' or 'truncation')")
 
 
-def eval_kernel(kernel: RadialKernel, x, y, sigma: float, d: int | None = None) -> float:
+def eval_kernel(kernel: RadialKernel, x, y, sigma: float) -> float:
     """K(x, y, sigma) = f(||y-x||^2 / sigma^2) / C_d(sigma)."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
-    c_d = kernel.normalizer(sigma, x.size if d is None else d)
+    c_d = kernel.normalizer(sigma, x.size)
     r = float(np.sum((y - x) ** 2)) / (sigma * sigma)
     return float(kernel.profile(np.asarray(r))) / c_d
 

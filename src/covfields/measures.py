@@ -123,10 +123,6 @@ class LabeledDataset:
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def n_labels(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 # ---------------------------------------------------------------------------
 # quadrature generators for singular measures
@@ -254,9 +250,9 @@ def quadrature_cap(
 
 
 def quadrature_disk(
-    radius: float, n_r: int, n_phi: int, center=None, align_radii=None, dim: int = 2
+    radius: float, n_r: int, n_phi: int, align_radii=None, dim: int = 2
 ) -> WeightedMeasure:
-    """Area measure on a disk via polar cells with exact masses.
+    """Area measure on the disk centered at 0 via polar cells with exact masses.
 
     ``align_radii`` inserts extra radial cell edges (same purpose as in
     :func:`quadrature_cap`).  With ``dim=3`` the disk is embedded in the
@@ -277,29 +273,8 @@ def quadrature_disk(
         pts = np.column_stack([pts, np.zeros(pts.shape[0])])
     elif dim != 2:
         raise ValueError("dim must be 2 or 3")
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)[None, :]
     w = np.repeat(ring_mass * dp, n_phi)
     return WeightedMeasure(pts, w)
-
-
-def quadrature_rectangle(lo, hi, spacing: float) -> WeightedMeasure:
-    """Midpoint-rule discretization of Lebesgue measure on an axis box."""
-    lo = np.asarray(lo, dtype=float).ravel()
-    hi = np.asarray(hi, dtype=float).ravel()
-    if lo.shape != hi.shape or np.any(hi <= lo):
-        raise ValueError("invalid box")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    axes = []
-    cell = 1.0
-    for l, h in zip(lo, hi):
-        n = max(1, int(round((h - l) / spacing)))
-        axes.append(l + (np.arange(n) + 0.5) * (h - l) / n)
-        cell *= (h - l) / n
-    grids = np.meshgrid(*axes, indexing="ij")
-    atoms = np.column_stack([g.ravel() for g in grids])
-    return WeightedMeasure(atoms, np.full(atoms.shape[0], cell))
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ def _axes(x0, x1, y0, y1, xlabel, ylabel) -> list[str]:
     return body
 
 
-def loglog_svg(x, series, path, xlabel="n", ylabel="error") -> None:
-    """Log-log line plot; ``series`` is a list of (label, y-array) pairs."""
+def loglog_svg(x, series, path) -> None:
+    """Log-log plot of error against n; ``series`` is a list of (label, y-array) pairs."""
     x = np.asarray(x, dtype=float)
     lx = np.log10(x)
     ys = [np.log10(np.asarray(y, dtype=float)) for _, y in series]
@@ -85,7 +85,7 @@ def loglog_svg(x, series, path, xlabel="n", ylabel="error") -> None:
     def sy(v):
         return y1 - (v - ymin) / (ymax - ymin) * (y1 - y0)
 
-    body = _axes(x0, x1, y0, y1, xlabel, f"log10 {ylabel}")
+    body = _axes(x0, x1, y0, y1, "n", "log10 error")
     for k, v in enumerate(lx):
         body.append(
             f'<text x="{_fmt(sx(v))}" y="{_fmt(y1 + 18)}" font-size="11" text-anchor="middle">1e{_fmt(v)}</text>'
@@ -135,11 +135,12 @@ def dendrogram_svg(dendrogram, path) -> None:
         fh.write(_svg(body))
 
 
-def tensor_glyphs_svg(points, tensors, path, glyph_scale: float | None = None) -> None:
+def tensor_glyphs_svg(points, tensors, path) -> None:
     """Draw each 2x2 tensor as an ellipse at its point.
 
     Principal axes follow the eigenvectors, principal radii are
-    proportional to sqrt(eigenvalue), so an isotropic tensor is a circle.
+    proportional to sqrt(eigenvalue), so an isotropic tensor is a circle;
+    the largest radius is 6% of the canvas.
     """
     points = np.asarray(points, dtype=float)
     tensors = np.asarray(tensors, dtype=float)
@@ -160,8 +161,7 @@ def tensor_glyphs_svg(points, tensors, path, glyph_scale: float | None = None) -
 
     lams = np.linalg.eigvalsh(tensors)
     rmax = math.sqrt(max(lams.max(), 1e-300))
-    if glyph_scale is None:
-        glyph_scale = 0.06 * min(_W, _H) / rmax
+    glyph_scale = 0.06 * min(_W, _H) / rmax
     body = []
     for p, t in zip(points, tensors):
         lam, vec = np.linalg.eigh(t)

@@ -41,7 +41,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial.distance import cdist
 
 from .fields import ctf_grid
-from .kernels import RadialKernel, derive_constants, unit_sphere_area
+from .kernels import RadialKernel, builtin_truncation, derive_constants, unit_sphere_area
 from .measures import WeightedMeasure
 
 DEFAULT_MAX_ATOMS = 2000
@@ -320,15 +320,15 @@ def distortion(corr: Correspondence, d_x: np.ndarray, d_y: np.ndarray) -> float:
     return float(np.abs(d_x[np.ix_(i, i)] - d_y[np.ix_(j, j)]).max())
 
 
-def correspondence_from_plan(plan: TransportPlan, support_tol: float = 1e-9) -> Correspondence:
+def correspondence_from_plan(plan: TransportPlan) -> Correspondence:
     """Correspondence given by the (thresholded) support of a coupling.
 
-    Pairs with pi_ij > support_tol * max(pi) are kept; rows or columns that
+    Pairs with pi_ij > 1e-9 * max(pi) are kept; rows or columns that
     end up uncovered are supplemented with their largest-mass pair so the
     result is always a correspondence.
     """
     pi = plan.coupling
-    cut = support_tol * pi.max()
+    cut = 1e-9 * pi.max()
     ii, jj = np.nonzero(pi > cut)
     covered_i = np.zeros(pi.shape[0], dtype=bool)
     covered_j = np.zeros(pi.shape[1], dtype=bool)
@@ -427,7 +427,6 @@ def check_stability_trunc(
     c: float,
     lam: float,
     grid,
-    kernel: RadialKernel | None = None,
 ) -> StabilityReport:
     """Certify the truncation-kernel bound lambda A(sigma, d, c) Winf(a, b).
 
@@ -438,11 +437,8 @@ def check_stability_trunc(
     """
     if lam is None or lam <= 0:
         raise ValueError("a positive density bound lam is required")
-    from .kernels import builtin_truncation
-
-    kernel = kernel or builtin_truncation()
     winf, _ = winf_exact(alpha, beta)
-    lhs = _grid_sup_diff(alpha, beta, kernel, sigma, grid)
+    lhs = _grid_sup_diff(alpha, beta, builtin_truncation(), sigma, grid)
     a_const = truncation_stability_constant(sigma, alpha.dim, c)
     rhs = lam * a_const * winf
     return StabilityReport(

@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +11,27 @@ import pytest
 from covfields import (
     LabeledDataset,
     WeightedMeasure,
+    cli,
+    experiments,
     load_measure,
     quadrature_circle,
     save_measure,
 )
-from covfields.cli import main
+from covfields.cli import build_parser, main
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def config_error(capsys, code) -> str:
+    """The message of the one-line JSON configuration error a command exited 2 with."""
+    assert code == 2
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "config"
+    return doc["message"]
 
 
 class TestGen:
@@ -64,12 +79,6 @@ class TestFieldCommands:
         lines = (tmp_path / "f.csv").read_text().strip().split("\n")
         assert len(lines) == 37
         assert lines[0].startswith("x_1,x_2,sigma,S_11")
-
-    def test_spectrum_alias(self, tmp_path, circle_csv):
-        assert run_cli("--out", str(tmp_path), "spectrum", "--input", circle_csv,
-                       "--kernel", "truncation", "--sigma", "0.5",
-                       "--grid=-1:1:4") == 0
-        assert (tmp_path / "spectrum.csv").exists()
 
     def test_frechet_with_heatmap(self, tmp_path, circle_csv):
         assert run_cli("--out", str(tmp_path), "frechet", "--input", circle_csv,
@@ -281,6 +290,88 @@ class TestExperimentsCommands:
                        "converge") == 0
         doc = json.loads((tmp_path / "converge.json").read_text())
         assert doc["n_values"] == [10, 100]
+
+
+class TestConfigFile:
+    @pytest.fixture()
+    def settings(self, monkeypatch):
+        """Capture the settings converge and bench run with, without running them."""
+        seen = {}
+
+        class Report:
+            def to_json(self):
+                return "{}"
+
+        def record(cfg):
+            seen["cfg"] = cfg
+            return Report()
+
+        monkeypatch.setattr(experiments, "run_converge", record)
+        monkeypatch.setattr(experiments, "run_cluster_benchmark", record)
+        return seen
+
+    def run_with(self, tmp_path, doc, *argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return run_cli("--config", str(path), "--out", str(tmp_path), *argv)
+
+    def test_top_level_not_an_object_exit_2(self, tmp_path, capsys, settings):
+        message = config_error(capsys, self.run_with(tmp_path, [1, 2], "converge"))
+        assert "object" in message and not settings
+
+    @pytest.mark.parametrize("command", ["converge", "bench"])
+    def test_unknown_setting_exit_2(self, tmp_path, capsys, settings, command):
+        message = config_error(capsys, self.run_with(tmp_path, {command: {"replicats": 2}}, command))
+        assert "replicats" in message and not settings
+
+    @pytest.mark.parametrize("section", [[1], 3, "lines2d", None])
+    def test_section_not_an_object_exit_2(self, tmp_path, capsys, settings, section):
+        message = config_error(capsys, self.run_with(tmp_path, {"bench": section}, "bench"))
+        assert "'bench'" in message and not settings
+
+    def test_section_nothing_reads_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "circ.csv"
+        save_measure(quadrature_circle(1.0, 100), data)
+        code = self.run_with(tmp_path, {"ctf": {"sigma": 0.5}}, "ctf", "--input", str(data),
+                             "--sigma", "0.5", "--grid=-1:1:3")
+        assert "'ctf'" in config_error(capsys, code)
+        assert not (tmp_path / "ctf.csv").exists()
+
+    def test_section_kind_and_threads_kept_unless_given(self, tmp_path, settings):
+        doc = {"bench": {"kind": "planes3d", "threads": 2, "n_samples": 5}}
+        assert self.run_with(tmp_path, doc, "bench") == 0
+        cfg = settings["cfg"]
+        assert (cfg.kind, cfg.threads, cfg.n_samples, cfg.out_dir) == ("planes3d", 2, 5, str(tmp_path))
+        assert self.run_with(tmp_path, doc, "--threads", "1", "bench", "--kind", "lines2d") == 0
+        assert (settings["cfg"].kind, settings["cfg"].threads) == ("lines2d", 1)
+        assert self.run_with(tmp_path, {"converge": {"threads": 3}}, "converge") == 0
+        assert settings["cfg"].threads == 3
+
+    @pytest.mark.parametrize("argv, field", [
+        (["converge", "--replicates", "0"], "replicates"),
+        (["converge", "--n-values", ""], "ladder"),
+        (["bench", "--n-samples", "0"], "n_samples"),
+        (["bench", "--n-train", "0"], "n_train"),
+    ])
+    def test_zero_or_empty_flag_exit_2(self, tmp_path, capsys, argv, field):
+        message = config_error(capsys, run_cli("--out", str(tmp_path), *argv))
+        assert field in message
+
+    @pytest.mark.parametrize("setting", [{"sigma_grid": []}, {"gamma_grid": []}, {"cutoff_steps": 0}])
+    def test_empty_search_exit_2(self, tmp_path, capsys, setting):
+        doc = {"bench": {"n_samples": 3, "n_train": 1, "points_per_component": 20, **setting}}
+        assert next(iter(setting)) in config_error(capsys, self.run_with(tmp_path, doc, "bench"))
+
+
+def test_readme_and_docstring_name_the_parser_subcommands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = list(sub.choices)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    in_readme = re.findall(r"^covfields (?:--\S+ \S+ )*(\w+)", block, re.M)
+    listed = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.S).group(1)
+    assert in_readme == parsed
+    assert [name.strip() for name in listed.split(",")] == parsed
 
 
 class TestErrorPaths:

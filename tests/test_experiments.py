@@ -48,6 +48,11 @@ class TestConverge:
         with pytest.raises(ValueError, match="ladder"):
             run_converge(ConvergeConfig(n_values=()))
 
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_no_replicates(self, replicates):
+        with pytest.raises(ValueError, match="replicates"):
+            run_converge(ConvergeConfig(n_values=(10,), replicates=replicates))
+
     def test_one_value_ladder_leaves_power_fit_null(self, tmp_path):
         cfg = ConvergeConfig(n_values=(100,), replicates=2, seed=0, out_dir=str(tmp_path))
         rep = run_converge(cfg)
@@ -90,6 +95,15 @@ class TestBenchmark:
             run_cluster_benchmark(BenchmarkConfig(kind="nope", n_samples=3, n_train=1))
         with pytest.raises(ValueError):
             run_cluster_benchmark(BenchmarkConfig(kind="lines2d", n_samples=1, n_train=1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_grid", ()), ("gamma_grid", []), ("cutoff_steps", 0), ("cutoff_steps", -3),
+    ])
+    def test_empty_search(self, field, value):
+        cfg = BenchmarkConfig(kind="lines2d", n_samples=3, n_train=1, points_per_component=20)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            run_cluster_benchmark(cfg)
 
     def test_deterministic(self):
         cfg = BenchmarkConfig(kind="lines2d", n_samples=3, n_train=1,

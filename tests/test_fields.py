@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from covfields import (
-    FlowParams,
     RadialKernel,
     WeightedMeasure,
     basin_labels,
@@ -676,25 +675,30 @@ class TestFlow:
         vals = [frechet_value(m, g, p, 1.5) for p in res.path]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_nonconvergence_is_flagged_not_raised(self):
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
         rng = np.random.default_rng(16)
         m = empirical_measure(rng.normal(0, 1, size=(50, 2)))
-        params = FlowParams(max_iter=2, grad_tol=1e-300)
-        res = flow_to_attractor(m, builtin_gaussian(), [5.0, 5.0], 0.5, params)
+        monkeypatch.setattr(fields, "_FLOW_MAX_STEPS", 2)
+        monkeypatch.setattr(fields, "_FLOW_GRAD_TOL", 1e-300)
+        res = flow_to_attractor(m, builtin_gaussian(), [5.0, 5.0], 0.5)
         assert not res.converged
 
 
-def reference_flow(measure, kernel, start, sigma, p=FlowParams()):
-    """One start at a time, as flow_to_attractor ran before the batched flow."""
-    step0 = p.initial_step if p.initial_step is not None else sigma / 10.0
+def reference_flow(measure, kernel, start, sigma):
+    """One start at a time, as flow_to_attractor ran before the batched flow.
+
+    Reads the flow's constants from ``fields`` at call time, so a test that
+    patches them patches the reference too.
+    """
+    step0 = sigma / fields._FLOW_STEP_DIV
     x = np.asarray(start, dtype=float).ravel().copy()
     path = [x.copy()]
     converged = False
-    for _ in range(p.max_iter):
+    for _ in range(fields._FLOW_MAX_STEPS):
         v = frechet_value(measure, kernel, x, sigma)
         g = frechet_gradient(measure, kernel, x, sigma)
         gn = float(np.linalg.norm(g))
-        if gn < p.grad_tol * max(1.0, v):
+        if gn < fields._FLOW_GRAD_TOL * max(1.0, v):
             converged = True
             break
         direction = -g / gn
@@ -702,12 +706,12 @@ def reference_flow(measure, kernel, start, sigma, p=FlowParams()):
         moved = False
         while t > 1e-15 * step0:
             cand = x + t * direction
-            if frechet_value(measure, kernel, cand, sigma) <= v - p.armijo * t * gn:
+            if frechet_value(measure, kernel, cand, sigma) <= v - fields._FLOW_ARMIJO * t * gn:
                 x = cand
                 path.append(x.copy())
                 moved = True
                 break
-            t *= p.shrink
+            t *= fields._FLOW_SHRINK
         if not moved:
             converged = True
             break
@@ -750,13 +754,13 @@ class TestBatchedFlow:
                 np.testing.assert_allclose(res.path, path, rtol=0, atol=1e-9)
         assert 0 < np.sum(labels == -1) < len(starts)
 
-    def test_max_iter_matches_reference(self):
+    def test_max_iter_matches_reference(self, monkeypatch):
         m, g = two_cluster_sample(22, 40), builtin_gaussian()
-        params = FlowParams(max_iter=3)
+        monkeypatch.setattr(fields, "_FLOW_MAX_STEPS", 3)
         starts = start_grid(-3.0, 3.0, 4)
-        _, _, results = basin_labels(m, g, starts, self.SIGMA, params)
+        _, _, results = basin_labels(m, g, starts, self.SIGMA)
         for start, res in zip(starts, results):
-            x, path, converged = reference_flow(m, g, start, self.SIGMA, params)
+            x, path, converged = reference_flow(m, g, start, self.SIGMA)
             np.testing.assert_allclose(res.attractor, x, rtol=0, atol=1e-9)
             assert len(res.path) == len(path) <= 4
             assert res.converged == (converged and nearest_atom(m, x) <= 3.0 * self.SIGMA)

@@ -230,11 +230,6 @@ class TestCurveCurvature:
         with pytest.raises(ValueError, match="3 scales"):
             curve_curvature(seg, [0.5, 0.0], [0.05, 0.04])
 
-    def test_requires_truncation(self):
-        seg = quadrature_segment([0.0, 0.0], [1.0, 0.0], 0.01)
-        with pytest.raises(ValueError, match="truncation"):
-            curve_curvature(seg, [0.5, 0.0], LADDER, kernel=builtin_gaussian())
-
     def test_full_small_scale_tensor_expansion(self):
         # on the curve y = k x^2/2 + ks x^3/6 (curvature k, curvature rate ks
         # at the origin), the tensor in the tangent/normal frame expands as
