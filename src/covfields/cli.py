@@ -3,8 +3,9 @@
 Subcommands: gen, ctf, frechet, flow, curvature, cluster, stability,
 converge, bench.  Global flags: --config (JSON object whose "converge" and
 "bench" sections set those commands' settings, overridden by explicit
-flags; any other section or setting is a configuration error), --seed,
---out, --threads.  Exit codes: 0 success, 2 configuration error,
+flags; any other section or setting, or one of the wrong type, is a
+configuration error), --seed, --out (default: the section's out_dir, else
+"."), --threads.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure; errors print a single-line JSON object on stderr.
 """
 
@@ -15,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -63,10 +65,26 @@ def _load_config(path: str) -> dict:
             raise ValueError(f"--config section {name!r}: only converge and bench read a section")
         if not isinstance(section, dict):
             raise ValueError(f"--config section {name!r} must be a JSON object")
-        unknown = set(section) - {f.name for f in dataclasses.fields(_CONFIG_SECTIONS[name])}
+        fields = {f.name: f for f in dataclasses.fields(_CONFIG_SECTIONS[name])}
+        unknown = set(section) - set(fields)
         if unknown:
             raise ValueError(f"--config section {name!r}: unknown settings {sorted(unknown)}")
+        hints = typing.get_type_hints(_CONFIG_SECTIONS[name])
+        for key, value in section.items():
+            if not _json_fits(value, typing.get_args(hints[key]) or (hints[key],)):
+                raise ValueError(f"--config section {name!r}: setting {key!r} must be "
+                                 f"{fields[key].type}, got {value!r}")
     return doc
+
+
+def _json_fits(value, types: tuple) -> bool:
+    """Whether a JSON value can stand for a setting of one of ``types``: an
+    integer for a float, a list of numbers for a tuple, never a boolean."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, list):
+        return tuple in types and all(_json_fits(v, (float,)) for v in value)
+    return isinstance(value, types) or (isinstance(value, int) and float in types)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -81,8 +99,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _outpath(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    out = args.out if args.out is not None else "."
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def _load_plain_measure(path):
@@ -232,9 +251,10 @@ def _cmd_stability(args) -> int:
 
 
 def _settings(cls, section: dict, args, **flags):
-    """``cls`` from a --config section, overridden by --out and by each flag given."""
+    """``cls`` from a --config section, overridden by each flag given; the
+    output directory is --out, else the section's ``out_dir``, else "."."""
     flags.update(seed=args.seed, threads=args.threads, out_dir=args.out)
-    return cls(**{**section, **{k: v for k, v in flags.items() if v is not None}})
+    return cls(**{"out_dir": ".", **section, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _cmd_converge(args, section: dict) -> int:
@@ -270,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="covfields")
     p.add_argument("--config", help="JSON file with converge and bench settings")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", default=None, help='output directory (default: a section\'s out_dir, else ".")')
     p.add_argument("--threads", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -14,9 +14,10 @@ satisfies the strong triangle inequality u(x, x') <= max(u(x, x''), u(x'', x')).
 
 The dendrogram keeps the leaf order and the merge height between adjacent
 leaves (the gaps): u(order[p], order[q]) = max(gaps[p:q]), so a cut splits
-the leaf order at the gaps above its level.  Cuts and the cophenetic
-mean and std need no n x n matrix; ``Dendrogram.cophenetic`` builds it on
-demand.
+the leaf order at the gaps above its level: its partition is keyed by the
+number of gaps at or below the level.  Cuts and the cophenetic mean and std
+need no n x n matrix; ``Dendrogram.cophenetic`` builds it on demand.  The
+distances are built from the condensed (``pdist``) squared parts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy.cluster.hierarchy import leaves_list, linkage
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .fields import ctf_grid
 from .kernels import RadialKernel, _check_sigma
@@ -66,10 +67,9 @@ def tensorized_distances(
     (useful for denoising: tensors from a clean reference, metric on noisy
     points).
     """
-    is_measure = isinstance(data, WeightedMeasure)
-    points = data.atoms if is_measure else np.atleast_2d(np.asarray(data, dtype=float))
+    points = data.atoms if isinstance(data, WeightedMeasure) else np.atleast_2d(np.asarray(data, dtype=float))
     features = tensor_features(points, params.kernel, params.sigma, reference)
-    return lifted_distances(features, points, params.gamma)
+    return lifted_distances(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), params.gamma)
 
 
 def tensor_features(
@@ -77,8 +77,8 @@ def tensor_features(
 ) -> np.ndarray:
     """The tensors Sigma(x_i, sigma) flattened to rows of length d*d.
 
-    They depend on sigma but not on gamma, so one call serves a whole
-    gamma grid through :func:`lifted_distances`.
+    They depend on sigma but not on gamma, so their squared distances serve
+    a whole gamma grid through :func:`lifted_distances`.
     """
     base = reference if reference is not None else empirical_measure(points)
     if base.dim != points.shape[1]:
@@ -86,14 +86,12 @@ def tensor_features(
     return ctf_grid(base, kernel, points, sigma).tensors.reshape(points.shape[0], -1)
 
 
-def lifted_distances(features: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarray:
-    """Pairwise tensorized distances from :func:`tensor_features` rows."""
-    d2 = cdist(features, features, metric="sqeuclidean")
-    if gamma > 0:
-        d2 = d2 + gamma**2 * cdist(points, points, metric="sqeuclidean")
-    np.fill_diagonal(d2, 0.0)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    return 0.5 * (d + d.T)
+def lifted_distances(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float) -> np.ndarray:
+    """The (n, n) tensorized distances from the condensed squared distances
+    (``pdist(..., "sqeuclidean")``) of the :func:`tensor_features` rows and
+    of the points; exactly symmetric with a zero diagonal."""
+    d2 = feature_d2 + gamma**2 * point_d2 if gamma > 0 else feature_d2
+    return squareform(np.sqrt(np.maximum(d2, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -232,20 +230,27 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
     lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
     """
     labels = assignment.labels
-    ids, counts = np.unique(labels, return_counts=True)
+    if labels.size and 0 <= labels.min() and labels.max() < labels.size:  # as from cut: 0..r-1
+        slot, counts = labels, np.bincount(labels)
+    else:
+        slot, counts = np.unique(labels, return_inverse=True, return_counts=True)[1:]
+    n_ids = np.count_nonzero(counts)  # slots are in id order; a bincount slot may be empty
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if k > ids.size:
-        raise ValueError(f"k={k} exceeds the number of clusters {ids.size}")
-    kept = np.sort(ids[np.lexsort((ids, -counts))[:k]])
-    kept_mask = np.isin(labels, kept)
-    kept_idx = np.nonzero(kept_mask)[0]
+    if k > n_ids:
+        raise ValueError(f"k={k} exceeds the number of clusters {n_ids}")
+    rank = np.full(counts.size, -1)
+    rank[np.sort(np.argsort(-counts, kind="stable")[:k])] = np.arange(k)
+    new_labels = rank[slot]
+    kept_mask = new_labels >= 0
     dropped = np.nonzero(~kept_mask)[0]
-    new_labels = labels.copy()
     if dropped.size:
-        nearest = np.argmin(np.asarray(metric)[np.ix_(dropped, kept_idx)], axis=1)
-        new_labels[dropped] = labels[kept_idx[nearest]]
-    return ClusterAssignment(np.searchsorted(kept, new_labels), k, assignment.cutoff_height)
+        rows = np.asarray(metric, dtype=float)[dropped]
+        rows[:, ~kept_mask] = np.inf
+        nearest = np.argmin(rows, axis=1)
+        nearest[~kept_mask[nearest]] = np.argmax(kept_mask)  # a row of +inf: the first kept point
+        new_labels[dropped] = new_labels[nearest]
+    return ClusterAssignment(new_labels, k, assignment.cutoff_height)
 
 
 def score(labels: np.ndarray, truth: np.ndarray) -> float:

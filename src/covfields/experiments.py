@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import clustering as cl
 from .fields import ctf_grid
@@ -198,15 +199,8 @@ class BenchmarkConfig:
     out_dir: str | None = None
 
     def resolved(self) -> "BenchmarkConfig":
-        ppc, sgrid, ggrid = _SUITE_DEFAULTS[self.kind]
-        out = BenchmarkConfig(**asdict(self))
-        if out.points_per_component is None:
-            out.points_per_component = ppc
-        if out.sigma_grid is None:
-            out.sigma_grid = sgrid
-        if out.gamma_grid is None:
-            out.gamma_grid = ggrid
-        return out
+        defaults = zip(("points_per_component", "sigma_grid", "gamma_grid"), _SUITE_DEFAULTS[self.kind])
+        return replace(self, **{name: v for name, v in defaults if getattr(self, name) is None})
 
 
 @dataclass
@@ -226,30 +220,38 @@ class BenchmarkResult:
 
 def _sample_errors(dataset, params, offsets, k_true):
     """Error rates for each of ``params`` (one kernel) on one sample (rows)
-    at each cutoff offset (columns); the tensors are computed once per sigma."""
+    at each cutoff offset (columns), from condensed squared distances: the
+    points' once, the tensors' once per run of equal sigma (one held at a time)."""
     points = dataset.measure.atoms
-    features = {}
+    point_d2 = pdist(points, "sqeuclidean")
+    sigma = feature_d2 = None
     table = []
     for p in params:
-        if p.sigma not in features:
-            features[p.sigma] = cl.tensor_features(points, p.kernel, p.sigma)
-        d = cl.lifted_distances(features[p.sigma], points, p.gamma)
+        if p.sigma != sigma:
+            sigma = p.sigma
+            feature_d2 = pdist(cl.tensor_features(points, p.kernel, sigma), "sqeuclidean")
+        d = cl.lifted_distances(feature_d2, point_d2, p.gamma)
         table.append(_offset_errors(dataset, d, offsets, k_true))
         del d  # free the n x n matrix before the next one is built
     return table
 
 
 def _offset_errors(dataset, d, offsets, k_true):
-    """Error rate at each cutoff offset (in cophenetic stds) under metric d."""
+    """Error rate at each cutoff offset (in cophenetic stds) under metric d.
+    A height-h cut's partition is keyed by the number of gaps <= h: each
+    distinct key is cut, reassigned and scored once, at its first height."""
     dend = cl.single_linkage(d)
     h0, sd = cl.mean_cophenetic(dend), cl.cophenetic_std(dend)
-    errs = []
-    for u in offsets:
-        assignment = cl.cut(dend, height=max(h0 + u * sd, 0.0))
-        if assignment.k >= k_true:
-            assignment = cl.topk_reassign(assignment, d, k_true)
-        errs.append(cl.score(assignment.labels, dataset.labels))
-    return errs
+    heights = np.maximum(h0 + np.asarray(offsets, dtype=float) * sd, 0.0)
+    keys = np.searchsorted(np.sort(dend.gaps), heights, side="right").tolist()
+    errs = {}
+    for key, h in zip(keys, heights.tolist()):
+        if key not in errs:
+            assignment = cl.cut(dend, height=h)
+            if assignment.k >= k_true:
+                assignment = cl.topk_reassign(assignment, d, k_true)
+            errs[key] = cl.score(assignment.labels, dataset.labels)
+    return [errs[key] for key in keys]
 
 
 def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
@@ -277,8 +279,6 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         points_per_component=cfg.points_per_component,
         noise_sd=cfg.noise_sd,
     )
-    if not suite:
-        raise ValueError("empty suite")
     k_true = _TRUE_K[cfg.kind]
     kernel = kernel_by_name(cfg.kernel)
     train, test = suite[: cfg.n_train], suite[cfg.n_train :]
@@ -287,15 +287,9 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     combos = [cl.TensorizedMetricParams(gamma=g, sigma=s, kernel=kernel)
               for s in cfg.sigma_grid for g in cfg.gamma_grid]
     train_tables = _map(lambda ds: _sample_errors(ds, combos, offsets, k_true), train, cfg.threads)
-    best_err = math.inf
-    best = (combos[0], 0.0)
-    for c, params in enumerate(combos):
-        mean_by_offset = np.array([table[c] for table in train_tables]).mean(axis=0)
-        j = int(np.argmin(mean_by_offset))
-        if mean_by_offset[j] < best_err:
-            best_err = float(mean_by_offset[j])
-            best = (params, float(offsets[j]))
-    params, u = best
+    mean_errs = np.mean(train_tables, axis=0)  # (combo, offset); the first least mean wins
+    c, j = np.unravel_index(np.argmin(mean_errs), mean_errs.shape)
+    params, u = combos[c], float(offsets[j])
     test_errs = _map(lambda ds: _sample_errors(ds, [params], [u], k_true)[0][0], test, cfg.threads)
     result = BenchmarkResult(
         kind=cfg.kind,
@@ -304,7 +298,7 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         best_sigma=float(params.sigma),
         best_gamma=float(params.gamma),
         best_cut_offset=float(u),
-        train_error=best_err,
+        train_error=float(mean_errs[c, j]),
         test_errors=[float(e) for e in test_errs],
     )
     if cfg.out_dir:

@@ -46,6 +46,7 @@ from .measures import WeightedMeasure
 
 DEFAULT_MAX_ATOMS = 2000
 MARGINAL_TOL = 1e-9
+_MAX_CAPACITY = 2**31 - 1  # scipy's maximum_flow holds capacities and flows as int32
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def w1_exact(
     return value, TransportPlan(pi, value, alpha, beta)
 
 
-def _integer_capacities(weights: np.ndarray) -> tuple[np.ndarray, int] | None:
+def _integer_capacities(weights: np.ndarray) -> tuple[list[int], int] | None:
     """Represent weights exactly as integers over a common denominator.
 
     Returns (numerators, denominator) when every weight is within 1e-12 of a
@@ -191,27 +192,26 @@ def _integer_capacities(weights: np.ndarray) -> tuple[np.ndarray, int] | None:
         denom = denom * f.denominator // math.gcd(denom, f.denominator)
         if denom > 2**40:
             return None
-    return np.array([int(f.numerator * (denom // f.denominator)) for f in fracs], dtype=np.int64), denom
+    return [f.numerator * (denom // f.denominator) for f in fracs], denom
 
 
-def _scaled_capacities(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _scaled_capacities(wa: np.ndarray, wb: np.ndarray) -> tuple[list[int], list[int], int]:
     """Integer capacities for both marginals over one common denominator.
 
-    Prefers an exact rational representation; otherwise rounds at scale 1e9
-    (guard: per-weight distortion <= 1e-9 of mass) and repairs the largest
-    entry so both sides carry identical total flow.
+    Prefers an exact rational representation, whatever the size of its
+    denominator; otherwise rounds at scale 1e9 (guard: per-weight distortion
+    <= 1e-9 of mass) and repairs the largest entry so both sides carry
+    identical total flow.
     """
     ra = _integer_capacities(wa)
     rb = _integer_capacities(wb)
     if ra is not None and rb is not None:
-        na, da = ra
-        nb, db = rb
+        (na, da), (nb, db) = ra, rb
         denom = da * db // math.gcd(da, db)
-        if denom <= 2**40:
-            a = na * (denom // da)
-            b = nb * (denom // db)
-            if a.sum() == b.sum():
-                return a, b, denom
+        a = [v * (denom // da) for v in na]
+        b = [v * (denom // db) for v in nb]
+        if sum(a) == sum(b):
+            return a, b, denom
     scale = 10**9
     a = np.round(wa * scale).astype(np.int64)
     b = np.round(wb * scale).astype(np.int64)
@@ -219,7 +219,7 @@ def _scaled_capacities(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.n
     b[np.argmax(b)] += scale - b.sum()
     if a.min() <= 0 or b.min() <= 0:
         raise ValueError("weights too small to scale to integer capacities")
-    return a, b, scale
+    return a.tolist(), b.tolist(), scale
 
 
 def _bottleneck_search(dist: np.ndarray, feasible) -> tuple[float, object]:
@@ -264,9 +264,21 @@ def _matching_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tu
 
 
 def _maxflow_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[float, np.ndarray]:
-    """Bottleneck of any marginals: a max flow on edges <= t that saturates the mass."""
+    """Bottleneck of any marginals: a max flow on edges <= t that saturates the mass.
+
+    ``maximum_flow`` holds capacities and flows as 32-bit integers, so a
+    common denominator above ``_MAX_CAPACITY`` takes :func:`_exact_flow`.
+    """
     n, m = dist.shape
     a, b, denom = _scaled_capacities(wa, wb)
+    if denom > _MAX_CAPACITY:
+        value, flow = _bottleneck_search(dist, lambda edges: _exact_flow(edges, a, b))
+        pi = np.zeros((n, m))
+        for i, row in enumerate(flow):
+            for j, f in row.items():
+                pi[i, j] = f / denom  # an exact quotient of Python integers, correctly rounded
+        return value, pi
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     total = int(a.sum())
     src, snk = 0, n + m + 1
 
@@ -281,6 +293,59 @@ def _maxflow_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tup
 
     value, flow = _bottleneck_search(dist, saturating_flow)
     return value, flow.tocsr()[1 : 1 + n, 1 + n : 1 + n + m].toarray() / denom
+
+
+def _exact_flow(edges: np.ndarray, a: list[int], b: list[int]) -> list[dict] | None:
+    """A flow moving supplies ``a`` to demands ``b`` (equal totals) along the
+    allowed ``edges``, in Python integers, or None when no flow moves it all.
+
+    Shortest augmenting paths (Edmonds-Karp) on the bipartite graph; the
+    edges themselves are uncapacitated.  Returns ``flow[i][j]`` for i's
+    positive flows.
+    """
+    n, m = edges.shape
+    supply, demand = list(a), list(b)
+    flow = [{} for _ in range(n)]
+    senders = [set() for _ in range(m)]  # senders[j]: the sources with flow into j
+    targets = [np.flatnonzero(row).tolist() for row in edges]
+    while True:
+        came_from = {i: None for i in range(n) if supply[i]}  # source -> sink it was reached from
+        reached_by = {}  # sink -> source
+        queue, end = list(came_from), None
+        for i in queue:  # breadth first; the queue grows while it is read
+            for j in targets[i]:
+                if j not in reached_by:
+                    reached_by[j] = i
+                    if demand[j]:
+                        end = j
+                        break
+                    for k in senders[j]:
+                        if k not in came_from:
+                            came_from[k] = j
+                            queue.append(k)
+            if end is not None:
+                break
+        if end is None:
+            return None if any(supply) else flow
+        steps, j = [], end  # (source, sink, +1 forward / -1 cancelled flow), back to the root
+        while j is not None:
+            i = reached_by[j]
+            steps.append((i, j, 1))
+            j = came_from[i]
+            if j is not None:
+                steps.append((i, j, -1))
+        root = steps[-1][0]
+        delta = min([supply[root], demand[end]] + [flow[i][j] for i, j, s in steps if s < 0])
+        for i, j, s in steps:
+            f = flow[i].get(j, 0) + s * delta
+            if f:
+                flow[i][j] = f
+                senders[j].add(i)
+            else:
+                del flow[i][j]
+                senders[j].discard(i)
+        supply[root] -= delta
+        demand[end] -= delta
 
 
 def winf_exact(

@@ -234,6 +234,18 @@ class TestStabilityCommand:
         assert json.loads(err)["error"] == "numerical"
         assert not (tmp_path / "stability.json").exists()
 
+    def test_truncation_weights_beyond_int32_capacities(self, tmp_path):
+        # the exact common denominator of these weights (~1e10) exceeds the
+        # int32 capacities of scipy's maximum_flow; W-infinity is 1
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        pts = [[0.0, 0.0], [1.0, 0.0]]
+        save_measure(WeightedMeasure(pts, [1 / 99991, 1 - 1 / 99991]), a)
+        save_measure(WeightedMeasure(pts, [1 / 99989, 1 - 1 / 99989]), b)
+        assert run_cli("--out", str(tmp_path), "stability", "--alpha", str(a), "--beta", str(b),
+                       "--kernel", "truncation", "--sigma", "0.5", "--lam", "1", "--diameter", "1",
+                       "--grid=-1:1:3") == 0
+        assert json.loads((tmp_path / "stability.json").read_text())["transport_cost"] == 1.0
+
     def test_truncation_needs_lam(self, tmp_path):
         from covfields import empirical_measure
 
@@ -346,6 +358,48 @@ class TestConfigFile:
         assert (settings["cfg"].kind, settings["cfg"].threads) == ("lines2d", 1)
         assert self.run_with(tmp_path, {"converge": {"threads": 3}}, "converge") == 0
         assert settings["cfg"].threads == 3
+
+    @pytest.mark.parametrize("doc, setting", [
+        ({"converge": {"replicates": "2", "n_values": [10]}}, "replicates"),
+        ({"converge": {"n_values": [10, "100"]}}, "n_values"),
+        ({"converge": {"n_values": 10}}, "n_values"),
+        ({"converge": {"sigma": True}}, "sigma"),
+        ({"converge": {"out_dir": 5}}, "out_dir"),
+        ({"bench": {"n_samples": 4.0}}, "n_samples"),
+        ({"bench": {"kind": ["lines2d"]}}, "kind"),
+        ({"bench": {"sigma_grid": {"a": 1}}}, "sigma_grid"),
+    ])
+    def test_wrong_setting_type_exit_2(self, tmp_path, capsys, settings, doc, setting):
+        command = next(iter(doc))
+        message = config_error(capsys, self.run_with(tmp_path, doc, command))
+        assert repr(setting) in message and not settings
+
+    def test_setting_types_accepted(self, tmp_path, settings):
+        doc = {"bench": {"noise_sd": 0, "points_per_component": None, "sigma_grid": [0.04, 1],
+                         "kind": "planes3d", "n_samples": 5}}
+        assert self.run_with(tmp_path, doc, "bench") == 0
+        cfg = settings["cfg"]
+        assert (cfg.noise_sd, cfg.points_per_component, cfg.sigma_grid) == (0, None, [0.04, 1])
+
+    def test_out_dir_from_flag_else_section_else_working_directory(self, tmp_path, monkeypatch, settings):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"converge": {"out_dir": "elsewhere"}}))
+        assert run_cli("--config", str(path), "converge") == 0
+        assert settings["cfg"].out_dir == "elsewhere"
+        assert run_cli("--config", str(path), "--out", "given", "converge") == 0
+        assert settings["cfg"].out_dir == "given"
+        assert run_cli("bench") == 0
+        assert settings["cfg"].out_dir == "."
+
+    def test_section_out_dir_receives_the_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"converge": {"out_dir": "elsewhere", "n_values": [10], "replicates": 1}}))
+        assert run_cli("--config", str(path), "converge") == 0
+        assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == [
+            "converge.csv", "converge.json", "converge.svg"]
+        assert not (tmp_path / "converge.csv").exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["converge", "--replicates", "0"], "replicates"),

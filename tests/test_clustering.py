@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.cluster.hierarchy import cophenet, fcluster, linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from covfields import (
     BenchmarkConfig,
@@ -23,6 +23,7 @@ from covfields import (
     dendrogram_svg,
     derive_constants,
     empirical_measure,
+    gen_arrangement_suite,
     mean_cophenetic,
     quadrature_disk,
     run_cluster_benchmark,
@@ -32,7 +33,7 @@ from covfields import (
     topk_reassign,
     winf_exact,
 )
-from covfields.clustering import cophenetic_std
+from covfields.clustering import cophenetic_std, lifted_distances, tensor_features
 
 
 def random_metric(rng, n):
@@ -270,6 +271,25 @@ class TestTensorizedDistances:
         params = TensorizedMetricParams(gamma=2.0, sigma=0.1, kernel=builtin_truncation())
         d = tensorized_distances(empirical_measure(pts), params)
         np.testing.assert_allclose(d, 2.0 * cdist(pts, pts), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lines2d", "mixed_curves2d", "planes3d"])
+    def test_condensed_parts_match_dense_formula(self, kind):
+        """From condensed squared parts, the matrix is bit for bit the dense
+        cdist formula (with its zeroed diagonal and symmetrisation) on every
+        sigma and gamma of the suite's grid."""
+        cfg = BenchmarkConfig(kind=kind).resolved()
+        points = gen_arrangement_suite(kind, 1, seed=0, points_per_component=cfg.points_per_component,
+                                       noise_sd=cfg.noise_sd)[0].measure.atoms
+        for sigma in cfg.sigma_grid:
+            features = tensor_features(points, builtin_gaussian(), sigma)
+            for gamma in cfg.gamma_grid:
+                d2 = cdist(features, features, metric="sqeuclidean")
+                if gamma > 0:
+                    d2 = d2 + gamma**2 * cdist(points, points, metric="sqeuclidean")
+                np.fill_diagonal(d2, 0.0)
+                d = np.sqrt(np.maximum(d2, 0.0))
+                got = lifted_distances(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), gamma)
+                assert got.tobytes() == (0.5 * (d + d.T)).tobytes()
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -581,6 +601,39 @@ class TestVectorizedAgainstLoops:
         d = cdist(pts, pts)
         for k in (1, 2, 3, 4):
             np.testing.assert_array_equal(topk_reassign(asg, d, k).labels, loop_topk_reassign(asg, d, k))
+
+    @pytest.mark.parametrize("labels", [
+        [-5, -5, 7, 7, 7, 100, -5, 3, 100],  # negative and far-apart ids
+        [0, 0, 5, 5, 2, 2, 7, 0, 5],  # ids below n with gaps between them
+        [3, 3, 1, 1, 0, 2, 2, 4, 4],  # size ties between four ids
+    ])
+    def test_topk_reassign_label_sets(self, labels):
+        labels = np.array(labels)
+        pts = np.array([[0.0], [1.0], [2.0], [1.0], [0.0], [2.0], [1.0], [3.0], [0.0]])  # tied distances
+        d = cdist(pts, pts)
+        n_ids = np.unique(labels).size
+        asg = ClusterAssignment(labels, n_ids, 0.0)
+        for k in range(1, n_ids + 1):
+            np.testing.assert_array_equal(topk_reassign(asg, d, k).labels, loop_topk_reassign(asg, d, k))
+        with pytest.raises(ValueError, match="exceeds"):
+            topk_reassign(asg, d, n_ids + 1)
+
+    def test_topk_reassign_distance_ties_and_infinite_rows(self):
+        # ids 0 and 1 are kept (points 1-4); point 5 is as near to point 2
+        # (id 1) as to point 3 (id 0) and joins point 2, the lower index;
+        # point 0 is at +inf from every kept point and joins point 1, the
+        # first kept point
+        labels = np.array([2, 1, 1, 0, 0, 3])
+        d = np.full((6, 6), 5.0)
+        np.fill_diagonal(d, 0.0)
+        d[0, 1:5] = d[1:5, 0] = np.inf
+        d[0, 5] = d[5, 0] = 1.0
+        d[1, 2] = d[2, 1] = d[3, 4] = d[4, 3] = 1.0
+        d[5, [2, 3]] = d[[2, 3], 5] = 2.0
+        asg = ClusterAssignment(labels, 4, 0.0)
+        got = topk_reassign(asg, d, 2).labels
+        np.testing.assert_array_equal(got, [1, 1, 1, 0, 0, 1])
+        np.testing.assert_array_equal(got, loop_topk_reassign(asg, d, 2))
 
     def test_topk_reassign_k_below_one(self):
         asg = ClusterAssignment(np.array([0, 1]), 2, 0.0)

@@ -1,7 +1,17 @@
+import hashlib
 import json
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
+
+import covfields.experiments as ex
+from covfields import clustering
 
 from covfields import (
     BenchmarkConfig,
@@ -112,6 +122,78 @@ class TestBenchmark:
         a = run_cluster_benchmark(cfg)
         b = run_cluster_benchmark(cfg)
         assert a.test_errors == b.test_errors
+
+
+def per_offset_errors(dataset, d, offsets, k_true):
+    """The sweep as one cut, reassignment and score per offset (reference)."""
+    dend = clustering.single_linkage(d)
+    h0, sd = clustering.mean_cophenetic(dend), clustering.cophenetic_std(dend)
+    errs = []
+    for u in offsets:
+        assignment = clustering.cut(dend, height=max(h0 + u * sd, 0.0))
+        if assignment.k >= k_true:
+            assignment = clustering.topk_reassign(assignment, d, k_true)
+        errs.append(clustering.score(assignment.labels, dataset.labels))
+    return errs
+
+
+@st.composite
+def sweep_cases(draw):
+    """Euclidean metrics of 2-12 points on a 1/2 grid (tied heights and
+    zero distances), offsets drawn from a few values (repeated partitions),
+    ground truth and the number of clusters kept."""
+    n = draw(st.integers(2, 12))
+    pts = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(-4, 4))) / 2.0
+    offsets = draw(st.lists(st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.25, 1.0, 2.0]), min_size=1, max_size=12))
+    truth = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+    return cdist(pts, pts), offsets, SimpleNamespace(labels=truth), draw(st.integers(1, 4))
+
+
+class TestSweep:
+    # sha256 of json.dumps(asdict(result), sort_keys=True), recorded with one
+    # cut, reassignment and score per offset and tensorized distances built
+    # by cdist
+    FROZEN = {
+        ("lines2d", 32, 8, 0): "1779180d0e0746f0eef2649f772dd478c2be0df00e7eda4ccff4eb22301a7e0a",
+        ("planes3d", 4, 2, 0): "d79b1294d3686bafd3b82c72c1e9ecacd20de44c9cfa3ffb5421ca2ee76ef366",
+        ("mixed_curves2d", 8, 3, 0): "3985075f6eba90c915f579652e163e6aef4179ed79c2261a99cdb2cffe7b7e52",
+        ("lines2d", 32, 8, 4096): "592a43bcb19afa599bcd6b7c50fe7d9e804d4e44aa6ae3769c80f76726800bfb",
+        ("planes3d", 4, 2, 4096): "bd75cfda052169bbf93e0668f0325222135949ec5e0b9b77bd88bf65e07aa551",
+        ("mixed_curves2d", 8, 3, 4096): "5ba8f1860ece3f4fbff0dfc898c5483a1b3ed1991a3a9fa96963872c89bbc362",
+    }
+
+    @pytest.mark.parametrize("case", list(FROZEN))
+    def test_frozen_results(self, case):
+        kind, n_samples, n_train, seed = case
+        res = run_cluster_benchmark(BenchmarkConfig(kind=kind, n_samples=n_samples, n_train=n_train,
+                                                    cutoff_steps=25, seed=seed))
+        digest = hashlib.sha256(json.dumps(asdict(res), sort_keys=True).encode()).hexdigest()
+        assert digest == self.FROZEN[case]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_cases())
+    def test_matches_per_offset_loop(self, case):
+        d, offsets, dataset, k_true = case
+        assert ex._offset_errors(dataset, d, offsets, k_true) == per_offset_errors(dataset, d, offsets, k_true)
+
+    def test_one_cut_and_score_per_partition(self, monkeypatch):
+        ds = ex.gen_arrangement_suite("lines2d", 1, seed=0, points_per_component=40)[0]
+        params = clustering.TensorizedMetricParams(gamma=0.002, sigma=0.04, kernel=builtin_gaussian())
+        d = clustering.tensorized_distances(ds.measure, params)
+        offsets = np.linspace(-2.0, 2.0, 61)
+        expected = per_offset_errors(ds, d, offsets, 3)
+        calls = {"cut": 0, "score": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(clustering, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(clustering, name, counted)
+        assert ex._offset_errors(ds, d, offsets, 3) == expected
+        dend = clustering.single_linkage(d)
+        heights = np.maximum(clustering.mean_cophenetic(dend) + offsets * clustering.cophenetic_std(dend), 0.0)
+        n_partitions = len({int((dend.gaps <= h).sum()) for h in heights})
+        assert n_partitions < len(offsets)  # the offsets repeat partitions
+        assert calls == {"cut": n_partitions, "score": n_partitions}
 
 
 class TestPlots:

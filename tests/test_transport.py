@@ -145,6 +145,36 @@ class TestWinf:
         row, col = plan.marginal_errors()
         assert row <= 1e-9 and col <= 1e-9
 
+    def test_denominator_beyond_int32_capacities(self):
+        # 99991 and 99989 are prime, so the exact common denominator (~1e10)
+        # exceeds the int32 capacities of maximum_flow; at scale 1e9 both
+        # small weights round to 10001, which would give 0
+        a = WeightedMeasure([[0.0], [1.0]], [1 / 99991, 1 - 1 / 99991])
+        b = WeightedMeasure([[0.0], [1.0]], [1 / 99989, 1 - 1 / 99989])
+        for x, y in ((a, b), (b, a)):
+            val, plan = winf_exact(x, y)
+            assert val == 1.0 and plan.max_edge() == 1.0
+            row, col = plan.marginal_errors()
+            assert row <= 1e-12 and col <= 1e-12
+
+    def test_exact_flow_matches_maximum_flow(self, monkeypatch):
+        """Forced onto the Python-integer flow, the max-flow path gives the
+        same bottleneck and a plan with the same marginals."""
+        rng = np.random.default_rng(13)
+        cases = []
+        for _ in range(80):
+            n, m = rng.integers(1, 8, size=2)
+            pts_a, pts_b = rng.integers(-4, 5, size=(n, 2)) / 2.0, rng.integers(-4, 5, size=(m, 2)) / 2.0
+            wa, wb = rng.integers(1, 6, size=n).astype(float), rng.integers(1, 6, size=m).astype(float)
+            cases.append((cdist(pts_a, pts_b), wa / wa.sum(), wb / wb.sum()))
+        expected = [transport._maxflow_bottleneck(*case)[0] for case in cases]
+        monkeypatch.setattr(transport, "_MAX_CAPACITY", 0)
+        for (dist, wa, wb), value in zip(cases, expected):
+            got, pi = transport._maxflow_bottleneck(dist, wa, wb)
+            assert got == value and dist[pi > 0].max() == value and pi.min() >= 0.0
+            np.testing.assert_allclose(pi.sum(axis=1), wa, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pi.sum(axis=0), wb, rtol=0, atol=1e-12)
+
     def test_metric_symmetry(self):
         rng = np.random.default_rng(6)
         a = uniform_on(rng.normal(size=(5, 2)))
