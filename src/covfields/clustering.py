@@ -17,7 +17,9 @@ leaves (the gaps): u(order[p], order[q]) = max(gaps[p:q]), so a cut splits
 the leaf order at the gaps above its level: its partition is keyed by the
 number of gaps at or below the level.  Cuts and the cophenetic mean and std
 need no n x n matrix; ``Dendrogram.cophenetic`` builds it on demand.  The
-distances are built from the condensed (``pdist``) squared parts.
+distances are built from the condensed (``pdist``) squared parts, and
+``single_linkage`` takes them condensed or square: a caller that never
+needs the square (the benchmark sweep) never builds it.
 """
 
 from __future__ import annotations
@@ -86,12 +88,18 @@ def tensor_features(
     return ctf_grid(base, kernel, points, sigma).tensors.reshape(points.shape[0], -1)
 
 
-def lifted_distances(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float) -> np.ndarray:
-    """The (n, n) tensorized distances from the condensed squared distances
-    (``pdist(..., "sqeuclidean")``) of the :func:`tensor_features` rows and
-    of the points; exactly symmetric with a zero diagonal."""
+def lifted_condensed(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float) -> np.ndarray:
+    """The tensorized distances in condensed (``pdist``) order, from the
+    condensed squared distances (``pdist(..., "sqeuclidean")``) of the
+    :func:`tensor_features` rows and of the points."""
     d2 = feature_d2 + gamma**2 * point_d2 if gamma > 0 else feature_d2
-    return squareform(np.sqrt(np.maximum(d2, 0.0)))
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def lifted_distances(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float) -> np.ndarray:
+    """The (n, n) square of :func:`lifted_condensed`: exactly symmetric with
+    a zero diagonal."""
+    return squareform(lifted_condensed(feature_d2, point_d2, gamma))
 
 
 @dataclass(frozen=True)
@@ -129,35 +137,42 @@ class Dendrogram:
 
 
 def single_linkage(metric: np.ndarray) -> Dendrogram:
-    """Single-linkage dendrogram of a (pseudo-)metric matrix.
+    """Single-linkage dendrogram of a (pseudo-)metric, square or condensed.
 
-    The merges are the rows of scipy's ``linkage(..., method="single")``
-    (the sorted MST, smaller cluster id first in each row).  The leaf
-    order is scipy's ``leaves_list``: cluster_a's leaves before cluster_b's,
-    so each merge height is the gap after cluster_a's last leaf.  NaN or
-    infinite entries, a negative entry and a matrix that differs from its
-    transpose are rejected.
+    A condensed metric is the upper triangle in ``pdist`` order, a vector
+    of length n(n-1)/2, and goes to scipy as it is; a square matrix must
+    equal its transpose.  The merges are the rows of scipy's
+    ``linkage(..., method="single")`` (the sorted MST, smaller cluster id
+    first in each row).  The leaf order is scipy's ``leaves_list``:
+    cluster_a's leaves before cluster_b's, so each merge height is the gap
+    after cluster_a's last leaf.  NaN or infinite entries, a negative entry,
+    an asymmetric square and a vector of any other length are rejected.
     """
     d = np.asarray(metric, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("metric must be a square matrix")
+    if d.ndim == 1:
+        n = int(round((1 + math.sqrt(1 + 8 * d.size)) / 2))
+        if n * (n - 1) // 2 != d.size:
+            raise ValueError(f"a condensed metric has length n(n-1)/2, got {d.size}")
+    elif d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("metric must be a square matrix or a condensed vector")
+    else:
+        n = d.shape[0]
     if not np.isfinite(d).all():
-        raise ValueError("metric matrix contains NaN or infinite entries")
-    if not np.array_equal(d, d.T) or (d < 0).any():
-        raise ValueError("metric matrix must be symmetric with no negative entry")
-    n = d.shape[0]
+        raise ValueError("metric contains NaN or infinite entries")
+    if (d < 0).any() or (d.ndim == 2 and not np.array_equal(d, d.T)):
+        raise ValueError("metric must be symmetric with no negative entry")
     if n < 2:
         return Dendrogram(np.zeros((0, 3)), n, np.zeros(0), np.arange(n), np.zeros(0))
-    z = linkage(squareform(d, checks=False), method="single")
+    z = linkage(d if d.ndim == 1 else squareform(d, checks=False), method="single")
     ids = z[:, :2].astype(np.int64)
     sizes = np.concatenate([np.ones(n), z[:, 3]])
     order = leaves_list(z)
-    last = np.arange(2 * n - 1)  # the last leaf of each cluster, set as it forms
-    gap_after = np.zeros(n)
-    for k, (a, b) in enumerate(ids.tolist()):
-        gap_after[last[a]] = z[k, 2]
-        last[n + k] = last[b]
-    return Dendrogram(z[:, :3], n, sizes[ids[:, 0]] * sizes[ids[:, 1]], order, gap_after[order[:-1]])
+    last = list(range(n))  # the last leaf of each cluster, appended as it forms
+    gap_after = [0.0] * n
+    for (a, b), height in zip(ids.tolist(), z[:, 2].tolist()):
+        gap_after[last[a]] = height
+        last.append(last[b])
+    return Dendrogram(z[:, :3], n, sizes[ids[:, 0]] * sizes[ids[:, 1]], order, np.array(gap_after)[order[:-1]])
 
 
 @dataclass(frozen=True)
@@ -197,7 +212,7 @@ def cut(dendrogram: Dendrogram, k: int | None = None, height: float | None = Non
     run = np.zeros(n, dtype=np.int64)
     run[dendrogram.order[1:]] = np.cumsum(breaks)
     # runs are 0..r-1; number them in the order of their lowest leaf index
-    first = np.unique(run, return_index=True)[1]
+    first = np.minimum.reduceat(dendrogram.order, np.concatenate([[0], np.flatnonzero(breaks) + 1]))
     return ClusterAssignment(np.argsort(np.argsort(first))[run], first.size, cutoff)
 
 
@@ -221,27 +236,40 @@ def cophenetic_std(dendrogram: Dendrogram) -> float:
     return _cophenetic_moments(dendrogram)[1]
 
 
+def _codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """(codes, r): labels as codes 0..r-1.  Labels already in 0..n-1 (as
+    from ``cut``) are their own codes, r their maximum + 1, and a code no
+    point carries stands for an empty cluster; other labels are ranked."""
+    if labels.size and 0 <= labels.min() and labels.max() < labels.size:
+        return labels, int(labels.max()) + 1
+    ids, codes = np.unique(labels, return_inverse=True)
+    return codes, ids.size
+
+
+def largest_clusters(labels: np.ndarray, k: int) -> np.ndarray:
+    """The k largest clusters' labels renumbered 0..k-1 in id order, -1 on
+    every other point.  Size ties are broken toward the lower cluster id."""
+    codes, r = _codes(np.asarray(labels))
+    counts = np.bincount(codes, minlength=r)
+    n_ids = np.count_nonzero(counts)  # codes are in id order; a code may be empty
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > n_ids:
+        raise ValueError(f"k={k} exceeds the number of clusters {n_ids}")
+    rank = np.full(r, -1)
+    rank[np.sort(np.argsort(-counts, kind="stable")[:k])] = np.arange(k)
+    return rank[codes]
+
+
 def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> ClusterAssignment:
     """Keep the k largest clusters and absorb the rest by nearest point.
 
     Size ties are broken toward the lower cluster id.  Every point of a
     dropped cluster joins the cluster containing its nearest point (under
-    the supplied metric) among the kept ones; distance ties go to the
-    lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
+    the supplied square metric) among the kept ones; distance ties go to
+    the lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
     """
-    labels = assignment.labels
-    if labels.size and 0 <= labels.min() and labels.max() < labels.size:  # as from cut: 0..r-1
-        slot, counts = labels, np.bincount(labels)
-    else:
-        slot, counts = np.unique(labels, return_inverse=True, return_counts=True)[1:]
-    n_ids = np.count_nonzero(counts)  # slots are in id order; a bincount slot may be empty
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if k > n_ids:
-        raise ValueError(f"k={k} exceeds the number of clusters {n_ids}")
-    rank = np.full(counts.size, -1)
-    rank[np.sort(np.argsort(-counts, kind="stable")[:k])] = np.arange(k)
-    new_labels = rank[slot]
+    new_labels = largest_clusters(assignment.labels, k)
     kept_mask = new_labels >= 0
     dropped = np.nonzero(~kept_mask)[0]
     if dropped.size:
@@ -256,17 +284,16 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
 def score(labels: np.ndarray, truth: np.ndarray) -> float:
     """Misclassification rate under the best label bijection.
 
-    The confusion matrix is padded to square and matched optimally
-    (Hungarian); the returned rate is 1 - matched / n.
+    The confusion matrix of the two labellings' codes is matched optimally
+    (Hungarian); the returned rate is 1 - matched / n.  Rows or columns of
+    codes no point carries hold zeros and leave the matched total as it is.
     """
     labels = np.asarray(labels, dtype=np.int64).ravel()
     truth = np.asarray(truth, dtype=np.int64).ravel()
     if labels.shape != truth.shape:
         raise ValueError("label vectors must have equal length")
-    la, ia = np.unique(labels, return_inverse=True)
-    lb, ib = np.unique(truth, return_inverse=True)
-    k = max(la.size, lb.size)
-    conf = np.bincount(ia * k + ib, minlength=k * k).reshape(k, k)
+    (ia, ka), (ib, kb) = _codes(labels), _codes(truth)
+    conf = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb)
     rows, cols = linear_sum_assignment(-conf)
     matched = conf[rows, cols].sum()
     return 1.0 - matched / labels.size

@@ -220,8 +220,9 @@ class BenchmarkResult:
 
 def _sample_errors(dataset, params, offsets, k_true):
     """Error rates for each of ``params`` (one kernel) on one sample (rows)
-    at each cutoff offset (columns), from condensed squared distances: the
-    points' once, the tensors' once per run of equal sigma (one held at a time)."""
+    at each cutoff offset (columns).  The metric stays condensed: it is
+    built from condensed squared distances, the points' once, the tensors'
+    once per run of equal sigma (one held at a time)."""
     points = dataset.measure.atoms
     point_d2 = pdist(points, "sqeuclidean")
     sigma = feature_d2 = None
@@ -230,28 +231,59 @@ def _sample_errors(dataset, params, offsets, k_true):
         if p.sigma != sigma:
             sigma = p.sigma
             feature_d2 = pdist(cl.tensor_features(points, p.kernel, sigma), "sqeuclidean")
-        d = cl.lifted_distances(feature_d2, point_d2, p.gamma)
-        table.append(_offset_errors(dataset, d, offsets, k_true))
-        del d  # free the n x n matrix before the next one is built
+        y = cl.lifted_condensed(feature_d2, point_d2, p.gamma)
+        table.append(_offset_errors(dataset, y, offsets, k_true))
     return table
 
 
-def _offset_errors(dataset, d, offsets, k_true):
-    """Error rate at each cutoff offset (in cophenetic stds) under metric d.
+def _offset_errors(dataset, y, offsets, k_true):
+    """Error rate at each cutoff offset (in cophenetic stds) under the
+    condensed metric y.
+
     A height-h cut's partition is keyed by the number of gaps <= h: each
-    distinct key is cut, reassigned and scored once, at its first height."""
-    dend = cl.single_linkage(d)
+    distinct key is cut, reassigned and scored once, in increasing height.
+    The reassignment is ``topk_reassign``'s (the k_true largest clusters
+    kept, each other point joins its nearest kept point, distance ties to
+    the lowest index), read from y.  The cuts are nested, so each dropped
+    point's nearest kept point is carried from cut to cut: while the kept
+    set only grows, the dropped points are compared with the newly kept
+    points alone; when a kept point drops out, with the whole kept set.
+    """
+    dend = cl.single_linkage(y)
+    n = dend.n_leaves
     h0, sd = cl.mean_cophenetic(dend), cl.cophenetic_std(dend)
     heights = np.maximum(h0 + np.asarray(offsets, dtype=float) * sd, 0.0)
-    keys = np.searchsorted(np.sort(dend.gaps), heights, side="right").tolist()
+    keys = np.searchsorted(np.sort(dend.gaps), heights, side="right")
+    distinct, first = np.unique(keys, return_index=True)
+    i = np.arange(n)
+    start = i * n - i * (i + 3) // 2 - 1  # y[start[i] + j] is d(i, j) for i < j
+    kept = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)  # a dropped point's distance to its nearest kept point
+    nearest = np.zeros(n, dtype=np.int64)
     errs = {}
-    for key, h in zip(keys, heights.tolist()):
-        if key not in errs:
-            assignment = cl.cut(dend, height=h)
-            if assignment.k >= k_true:
-                assignment = cl.topk_reassign(assignment, d, k_true)
-            errs[key] = cl.score(assignment.labels, dataset.labels)
-    return [errs[key] for key in keys]
+    for key, h in zip(distinct.tolist(), heights[first].tolist()):
+        assignment = cl.cut(dend, height=h)
+        labels = assignment.labels
+        if assignment.k >= k_true:
+            labels = cl.largest_clusters(labels, k_true)
+            now = labels >= 0
+            if (kept & ~now).any():  # a kept point dropped out: start over
+                kept[:] = False
+                best[:] = np.inf
+            dropped, fresh = np.flatnonzero(~now), np.flatnonzero(now & ~kept)
+            if dropped.size and fresh.size:
+                lo, hi = np.minimum.outer(dropped, fresh), np.maximum.outer(dropped, fresh)
+                block = y[start[lo] + hi]
+                j = np.argmin(block, axis=1)  # the lowest index among ties
+                dist, cand = block[np.arange(dropped.size), j], fresh[j]
+                old = best[dropped]
+                closer = (dist < old) | ((dist == old) & (cand < nearest[dropped]))
+                best[dropped[closer]] = dist[closer]
+                nearest[dropped[closer]] = cand[closer]
+            kept = now
+            labels[dropped] = labels[nearest[dropped]]
+        errs[key] = cl.score(labels, dataset.labels)
+    return [errs[key] for key in keys.tolist()]
 
 
 def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:

@@ -4,11 +4,12 @@ Which solver runs depends on the input.  When both measures have the same
 number of atoms and each has all-equal weights, some optimal coupling is a
 permutation (Birkhoff-von Neumann): W1 is then the optimal assignment
 (``scipy.optimize.linear_sum_assignment``) and W-infinity the bottleneck
-assignment, a binary search over the sorted pairwise distances with a
+assignment, a search over the sorted pairwise distances (from the level
+every atom needs to reach the other side, then binary) with a
 perfect-matching feasibility test (itself an assignment on 0/1 costs).
 Every other pair (weighted or unequal sizes) takes the general solvers: W1
 as the transportation linear program (HiGHS dual simplex, an exact vertex
-method) and W-infinity by the same binary search with a max-flow
+method) and W-infinity by the same search with a max-flow
 feasibility test.  Only exact solvers are used — certifying an inequality
 against an approximate transport cost would invalidate its direction.
 Couplings induce correspondences between supports, whose metric distortion
@@ -226,21 +227,31 @@ def _bottleneck_search(dist: np.ndarray, feasible) -> tuple[float, object]:
     """Least distinct distance t at which ``feasible(dist <= t)`` gives a witness.
 
     ``feasible`` maps the boolean matrix of allowed edges to a witness, or to
-    None when the mass cannot move along those edges.  Binary search over
-    the sorted distinct distances; returns (t, witness at t).
+    None when the mass cannot move along those edges.  Every atom carries
+    positive mass, so each row and each column needs an allowed edge: no
+    level below the floor max(max_i min_j d_ij, max_j min_i d_ij) is
+    feasible.  The floor is probed first, and only when it is infeasible
+    does a binary search run over the sorted distinct distances above it.
+    Returns (t, witness at t).  When t is the floor, the row or column that
+    sets the floor has no edge below t: an O(nm)-checkable witness that the
+    level below t is infeasible.
     """
     levels = np.unique(dist)
-    lo, hi = 0, levels.size - 1
-    best = feasible(dist <= levels[hi])
+    lo = int(np.searchsorted(levels, max(dist.min(axis=1).max(), dist.min(axis=0).max())))
+    hi, best = lo, feasible(dist <= levels[lo])
+    if best is None:
+        lo, hi = lo + 1, levels.size - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            witness = feasible(dist <= levels[mid])
+            if witness is None:
+                lo = mid + 1
+            else:
+                hi, best = mid, witness
+        if best is None:  # no level below the maximum was feasible
+            best = feasible(dist <= levels[hi])
     if best is None:
         raise RuntimeError("bottleneck search failed at the maximal distance")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        witness = feasible(dist <= levels[mid])
-        if witness is None:
-            lo = mid + 1
-        else:
-            hi, best = mid, witness
     return float(levels[hi]), best
 
 
@@ -355,13 +366,15 @@ def winf_exact(
 ) -> tuple[float, TransportPlan]:
     """Exact infinity-Wasserstein (bottleneck) distance and a witness plan.
 
-    Binary-searches the sorted distinct pairwise distances for the least t
-    at which all mass can move along edges <= t.  When both measures have
-    the same number of atoms and each has all-equal weights, the test is a
-    perfect bipartite matching (a 0/1-cost ``linear_sum_assignment``); for
-    every other pair it is a max flow that saturates the total mass, on
-    weights scaled to integer capacities.  The witness plan's largest
-    support edge equals the returned value.
+    Finds the least distinct pairwise distance t at which all mass can
+    move along edges <= t: the floor (the largest distance from an atom to
+    its nearest atom of the other measure) first, then a binary search
+    above it.  When both measures have the same number of atoms and each
+    has all-equal weights, the test is a perfect bipartite matching (a
+    0/1-cost ``linear_sum_assignment``); for every other pair it is a max
+    flow that saturates the total mass, on weights scaled to integer
+    capacities.  The witness plan's largest support edge equals the
+    returned value.
     """
     _check_pair(alpha, beta, max_atoms)
     dist = cdist(alpha.atoms, beta.atoms)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -33,7 +34,7 @@ from covfields import (
     topk_reassign,
     winf_exact,
 )
-from covfields.clustering import cophenetic_std, lifted_distances, tensor_features
+from covfields.clustering import Dendrogram, cophenetic_std, lifted_distances, tensor_features
 
 
 def random_metric(rng, n):
@@ -694,3 +695,39 @@ class TestUltrametricProperties:
         assert np.all(u <= d)
         # u(i, j) <= max(u(i, k), u(k, j)), indexed [i, k, j]
         assert np.all(u[:, None, :] <= np.maximum(u[:, :, None], u[None, :, :]))
+
+
+class TestCondensedMetric:
+    @settings(max_examples=80, deadline=None)
+    @given(grid_metrics())
+    def test_condensed_matches_square(self, d):
+        got, want = single_linkage(squareform(d, checks=False)), single_linkage(d)
+        for field in dataclasses.fields(Dendrogram):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+    @pytest.mark.parametrize("y, match", [
+        (np.ones(2), "length"),  # between n = 2 (1 entry) and n = 3 (3 entries)
+        (np.ones(4), "length"),
+        ([1.0, np.nan, 2.0], "NaN"),
+        ([1.0, np.inf, 2.0], "infinite"),
+        ([1.0, -0.5, 2.0], "negative"),
+    ])
+    def test_condensed_rejected(self, y, match):
+        with pytest.raises(ValueError, match=match):
+            single_linkage(np.asarray(y))
+
+
+label_vectors = st.integers(1, 30).flatmap(lambda n: st.tuples(*[st.one_of(
+    hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)),  # codes with gaps
+    hnp.arrays(np.int64, n, elements=st.integers(0, 3)),
+    hnp.arrays(np.int64, n, elements=st.integers(-4, 2 * n)),  # negative or beyond n - 1
+)] * 2))
+
+
+class TestScoreCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(label_vectors)
+    def test_matches_unique_route(self, pair):
+        a, b = pair
+        assert score(a, b) == loop_score(a, b)
+        assert score(b, a) == loop_score(b, a)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 import covfields.experiments as ex
 from covfields import clustering
@@ -174,7 +174,8 @@ class TestSweep:
     @given(sweep_cases())
     def test_matches_per_offset_loop(self, case):
         d, offsets, dataset, k_true = case
-        assert ex._offset_errors(dataset, d, offsets, k_true) == per_offset_errors(dataset, d, offsets, k_true)
+        y = squareform(d, checks=False)
+        assert ex._offset_errors(dataset, y, offsets, k_true) == per_offset_errors(dataset, d, offsets, k_true)
 
     def test_one_cut_and_score_per_partition(self, monkeypatch):
         ds = ex.gen_arrangement_suite("lines2d", 1, seed=0, points_per_component=40)[0]
@@ -188,12 +189,43 @@ class TestSweep:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(clustering, name, counted)
-        assert ex._offset_errors(ds, d, offsets, 3) == expected
+        assert ex._offset_errors(ds, squareform(d, checks=False), offsets, 3) == expected
         dend = clustering.single_linkage(d)
         heights = np.maximum(clustering.mean_cophenetic(dend) + offsets * clustering.cophenetic_std(dend), 0.0)
         n_partitions = len({int((dend.gaps <= h).sum()) for h in heights})
         assert n_partitions < len(offsets)  # the offsets repeat partitions
         assert calls == {"cut": n_partitions, "score": n_partitions}
+
+    @pytest.mark.parametrize("x, truth, cut_heights, want", [
+        # A (5 points), B (4), C (3) and D (3) at height 0.2, so A and B are
+        # kept; at 0.6 C and D have merged (6 points) and B is dropped, so
+        # the nearest kept points are found again from scratch: three points
+        # of B join A and one joins C and D
+        (np.concatenate([np.arange(5) * 0.1, 10 + np.arange(4) * 0.1, 20 + np.arange(3) * 0.1,
+                         20.7 + np.arange(3) * 0.1]), np.repeat([0, 1], [5, 10]), (0.2, 0.6), [0.0, 3 / 15]),
+        # point 5 (at 53) is dropped at both heights; at 1.5 its nearest kept
+        # point is point 4 (at 3), and at 7 point 0 (at 103, newly kept) is
+        # as near and has the lower index, so point 5 changes cluster
+        (np.array([103.0, 0, 1, 2, 3, 53, 109, 110, 111, 112, 113]), np.repeat([1, 0, 1], [1, 5, 5]),
+         (1.5, 7.0), [0.0, 1 / 11]),
+    ])
+    def test_nested_cuts(self, x, truth, cut_heights, want):
+        d = cdist(x[:, None], x[:, None])
+        dataset = SimpleNamespace(labels=truth)
+        dend = clustering.single_linkage(d)
+        h0, sd = clustering.mean_cophenetic(dend), clustering.cophenetic_std(dend)
+        offsets = [(h - h0) / sd for h in cut_heights]
+        got = ex._offset_errors(dataset, squareform(d, checks=False), offsets, 2)
+        assert got == per_offset_errors(dataset, d, offsets, 2) == pytest.approx(want)
+
+    def test_benchmark_builds_no_square_metric(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep went through a square metric")
+
+        monkeypatch.setattr(clustering, "squareform", refuse)
+        monkeypatch.setattr(clustering, "topk_reassign", refuse)
+        res = run_cluster_benchmark(BenchmarkConfig(kind="planes3d", n_samples=3, n_train=2, cutoff_steps=9))
+        assert len(res.test_errors) == 1
 
 
 class TestPlots:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -302,6 +303,37 @@ def measure_triples(draw):
             w = draw(hnp.arrays(np.int64, size, elements=st.integers(1, 5))).astype(float)
             out.append(WeightedMeasure(atoms, w / w.sum()))
     return out
+
+
+def plain_bottleneck_search(dist, feasible):
+    """Binary search over every distinct distance, from the least (reference)."""
+    levels = np.unique(dist)
+    lo, hi = 0, levels.size - 1
+    best = feasible(dist <= levels[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        witness = feasible(dist <= levels[mid])
+        if witness is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, witness
+    return float(levels[hi]), best
+
+
+class TestBottleneckFloor:
+    @settings(max_examples=150, deadline=None)
+    @given(ms=measure_triples())
+    def test_matches_plain_binary_search(self, ms):
+        # uniform pairs of one size take the matching path, the others
+        # (1 x m included) the max-flow path; the 1/4 grid ties distances
+        a, b = ms[:2]
+        value, plan = winf_exact(a, b)
+        with mock.patch.object(transport, "_bottleneck_search", plain_bottleneck_search):
+            want, want_plan = winf_exact(a, b)
+        assert value == want
+        np.testing.assert_array_equal(plan.coupling, want_plan.coupling)
+        dist = cdist(a.atoms, b.atoms)
+        assert want >= max(dist.min(axis=1).max(), dist.min(axis=0).max())  # no level below the floor
 
 
 class TestTransportProperties:
