@@ -289,8 +289,11 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
     radius = math.sqrt(r2cap)
     reach, side = radius * (1.0 + 1e-9), radius / _CELLS_PER_RADIUS
     origin = np.array([col.min() for col in atoms.T])
+    key = np.empty_like(atoms)
     while True:  # coarser cells while an atom's cell holds too few atoms to pay for its test
-        key = np.floor((atoms - origin) / side)  # floats: no lattice index to overflow
+        np.subtract(atoms, origin, out=key)
+        key /= side
+        np.floor(key, out=key)  # floats: no lattice index to overflow
         order = np.lexsort(key.T[::-1])  # cells in lexicographic key order, so by x_1 first
         key = np.take(key, order, axis=0)
         first = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
@@ -301,22 +304,40 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
         # an atom's cell holds 1 + lambda atoms, lambda ~ side^d when the atoms fill d dimensions;
         # aim at twice the bound, so that few passes reach it when they fill fewer
         side = min(radius, side * (2.0 * _MIN_OCCUPANCY / max(occupancy - 1.0, 1e-3)) ** (1.0 / d))
-    atoms, weights = np.take(atoms, order, axis=0), weights[order]
-    lo, hi = np.minimum.reduceat(atoms, first), np.maximum.reduceat(atoms, first)
-    m0 = np.add.reduceat(weights, first)
-    local = atoms - np.repeat(lo, size, axis=0)  # moments about lo: exact for far-off cells
-    mu = np.add.reduceat(weights[:, None] * local, first) / m0[:, None]
-    dev = local - np.repeat(mu, size, axis=0)
-    scatter = np.add.reduceat(weights[:, None, None] * dev[:, :, None] * dev[:, None, :], first)
+    cell_x1 = key[first, 0]
+    del key
+    # candidate sources: the atoms by cell, a pseudo-atom lo + mu of weight M0 per cell, a null
+    # row; built one coordinate row at a time, so the scratch beyond them is a few n-sized rows
+    c = len(first)
+    pos, wts = np.empty((d, n + c + 1)), np.empty(n + c + 1)
+    for k in range(d):
+        pos[k, :n] = atoms[order, k]
+    wts[:n] = weights[order]
+    del order
+    w = wts[:n]
+    lo, hi = np.minimum.reduceat(pos[:, :n], first, axis=1), np.maximum.reduceat(pos[:, :n], first, axis=1)
+    m0 = np.add.reduceat(w, first)
+    dev = np.empty((d, n))
+    mu = np.empty((d, c))
+    for k in range(d):  # moments about lo: exact for far-off cells
+        np.subtract(pos[k, :n], np.repeat(lo[k], size), out=dev[k])
+        mu[k] = np.add.reduceat(w * dev[k], first) / m0
+        dev[k] -= np.repeat(mu[k], size)
+    scatter = np.empty((c, d, d))
+    for j in range(d):
+        wdev = w * dev[j]
+        for k in range(d):  # all d^2 entries: (w dev_j) dev_k and (w dev_k) dev_j can differ in bits
+            scatter[:, j, k] = np.add.reduceat(wdev * dev[k], first)
+    del dev, wdev
+    off = np.zeros((d, n + c + 1))
+    pos[:, n:-1], off[:, n:-1], pos[:, -1] = lo, mu, 0.0
+    wts[n:-1], wts[-1] = m0, 0.0
+    lo, hi = lo.T, hi.T  # one row per cell, as the queries
     flat = bool(kernel.analytic.get("flat", False))
-    # candidate sources: the atoms by cell, a pseudo-atom lo + mu of weight M0 per cell, a null row
-    pos = np.hstack([atoms.T, lo.T, np.zeros((d, 1))])
-    off = np.hstack([np.zeros((d, n)), mu.T, np.zeros((d, 1))])
-    wts = np.concatenate([weights, m0, [0.0]])
     # cells whose x_1 key can meet each query's ball, by the atoms' own key rule
     bound = np.floor((pts[:, :1] + np.array([-reach, reach]) - origin[0]) / side)
-    clo = np.searchsorted(key[first, 0], bound[:, 0], "left")
-    npair = np.searchsorted(key[first, 0], bound[:, 1], "right") - clo
+    clo = np.searchsorted(cell_x1, bound[:, 0], "left")
+    npair = np.searchsorted(cell_x1, bound[:, 1], "right") - clo
     cum = np.cumsum(npair)
     out = np.zeros((len(pts), d, d))
     a = 0

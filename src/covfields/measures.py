@@ -10,6 +10,7 @@ error of integrals of smooth functions is O(spacing^2).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MASS_TOL = 1e-12
+# rows per chunk that write_csv formats and writes at once
+_CSV_ROWS = 8192
 
 
 class MeasureFormatError(ValueError):
@@ -465,11 +468,22 @@ def write_csv(path, header, columns) -> None:
     equal-length sequence per name).  Each cell is ``str`` of the value from
     ``column.tolist()``: a float's shortest round-tripping decimal (its
     ``repr``, which ``float`` and ``np.loadtxt`` read back bit for bit), an
-    int as an int, and a string (such as a ``;``-joined cell) unchanged."""
-    cells = [list(map(str, np.asarray(column).tolist())) for column in columns]
-    rows = map(",".join, zip(*cells, strict=True))
+    int as an int, and a string (such as a ``;``-joined cell) unchanged.
+
+    Rows go out ``_CSV_ROWS`` at a time, so memory beyond the columns does
+    not grow with the row count.  Columns of unequal length raise
+    ``ValueError`` before the file is opened, leaving an existing file as
+    it was."""
+    columns = [np.asarray(column) for column in columns]
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *rows]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for s in range(0, n, _CSV_ROWS):
+            cells = [map(str, column[s : s + _CSV_ROWS].tolist()) for column in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def json_dumps(obj, **kwargs) -> str:
@@ -524,13 +538,20 @@ def _first_bad_row(rows, d: int, has_label: bool) -> MeasureFormatError | None:
     return None
 
 
+def _data_lines(fh):
+    """The stripped, non-blank lines of an open text file."""
+    return (ln for ln in map(str.strip, fh) if ln)
+
+
 def load_measure(path):
     """Load a WeightedMeasure or LabeledDataset written by :func:`save_measure`.
 
     Returns a LabeledDataset when the last CSV header name is ``label``.
-    One ``np.loadtxt`` call parses the CSV rows (int64 labels, so ``1.5`` or
-    ``3.0`` is no label).  A file with no data row, a malformed row or a
-    weight that is not positive (NaN included) raises
+    One ``np.loadtxt`` call parses the CSV rows as they are read from the
+    file, with no list of lines (int64 labels, so ``1.5`` or ``3.0`` is no
+    label); only a row it rejects makes a second pass, to name the line.
+    A file with no data row, a malformed row or a weight that is not
+    positive (NaN included) raises
     :class:`MeasureFormatError` naming the line; blank lines are skipped and
     not counted (the header is line 1).  A JSON file with no ``"atoms"`` or
     ``"weights"`` key, or with a weight that is not positive, raises
@@ -549,24 +570,29 @@ def load_measure(path):
         m = WeightedMeasure(doc["atoms"], weights)
         return LabeledDataset(m, doc["labels"]) if "labels" in doc else m
     with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
-    if not lines:
-        raise MeasureFormatError("empty file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if "weight" not in header:
-        raise MeasureFormatError("line 1: header must contain a 'weight' column")
-    has_label = header[-1] == "label"
-    d = len(header) - 1 - has_label
-    if d < 1:
-        raise MeasureFormatError("line 1: no coordinate columns")
-    rows = lines[1:]
-    if not rows:
-        raise MeasureFormatError("no data rows after the header")
-    fields = [("values", float, (d + 1,))] + ([("label", np.int64)] if has_label else [])
-    try:
-        table = np.loadtxt(rows, dtype=fields, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        raise _first_bad_row(rows, d, has_label) or MeasureFormatError(str(exc)) from None
+        rows = _data_lines(fh)
+        header_line = next(rows, None)
+        if header_line is None:
+            raise MeasureFormatError("empty file")
+        header = [c.strip() for c in header_line.split(",")]
+        if "weight" not in header:
+            raise MeasureFormatError("line 1: header must contain a 'weight' column")
+        has_label = header[-1] == "label"
+        d = len(header) - 1 - has_label
+        if d < 1:
+            raise MeasureFormatError("line 1: no coordinate columns")
+        row1 = next(rows, None)
+        if row1 is None:
+            raise MeasureFormatError("no data rows after the header")
+        fields = [("values", float, (d + 1,))] + ([("label", np.int64)] if has_label else [])
+        try:
+            table = np.loadtxt(itertools.chain([row1], rows), dtype=fields, delimiter=",",
+                               comments=None, ndmin=1)
+        except ValueError as exc:  # read the file again for the line number
+            with open(path) as again:
+                rows = _data_lines(again)
+                next(rows)
+                raise _first_bad_row(rows, d, has_label) or MeasureFormatError(str(exc)) from None
     values = table["values"]
     bad = np.flatnonzero(~(values[:, d] > 0))
     if bad.size:

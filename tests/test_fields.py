@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import unittest.mock
 
 import numpy as np
@@ -491,6 +493,51 @@ class TestCellList:
             times.append(time.perf_counter() - start)
         assert t.trace > 0
         assert min(times) < 0.05  # about 4 ms on a 2-core VM
+
+    # sha256 of the tensors' and traces' bytes, recorded before the cell list was
+    # built one coordinate row at a time
+    FROZEN = {
+        "circle_truncation": "c60a18450d094e331e81e7e4c71f683b0a5a1c8207a4ef82047cfce5c597b210",
+        "tabulated_flat_3d": "75e04bfb97d468920531b9b4c73708cfce360c739d11f0696c0c3ed5fda9f21a",
+    }
+
+    @pytest.mark.parametrize("case", list(FROZEN))
+    def test_frozen_bits(self, case):
+        if case == "circle_truncation":  # 1e4 atoms, 24 x 24 grid: whole cells and tested ones
+            rng = np.random.default_rng(40)
+            theta = rng.uniform(0.0, 2.0 * math.pi, 10_000)
+            atoms = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (10_000, 2))
+            w = rng.uniform(0.5, 1.5, 10_000)
+            axis = np.linspace(-1.3, 1.3, 24)
+            queries = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+            kernel, sigma = builtin_truncation(), 0.3
+        else:  # constant profile, not marked flat: every cell tests its atoms
+            rng = np.random.default_rng(41)
+            atoms = rng.normal(0.0, 1.0, (5000, 3))
+            w = rng.uniform(0.2, 1.0, 5000)
+            queries = rng.uniform(-1.5, 1.5, (60, 3))
+            kernel, sigma = tabulated_kernel([0.0, 1.0], [1.0, 1.0]), 0.5
+        fg = ctf_grid(WeightedMeasure(atoms, w), kernel, queries, sigma)
+        digest = hashlib.sha256(fg.tensors.tobytes() + fg.frechet_values.tobytes()).hexdigest()
+        assert digest == self.FROZEN[case]
+
+    def test_peak_memory_per_atom(self):
+        # the build holds no (n, d, d) product and no sorted key once the cells are known
+        def peak(n):
+            rng = np.random.default_rng(26)
+            theta = rng.uniform(0.0, 2.0 * math.pi, n)
+            atoms = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (n, 2))
+            w = np.full(n, 1.0 / n)
+            axis = np.linspace(-1.3, 1.3, 24)
+            queries = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+            tracemalloc.start()
+            try:
+                fields._cell_sum(atoms, w, queries, builtin_truncation(), 0.6, 0.36)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(200_000) - peak(50_000)) / 150_000 <= 80  # about 125 with an (n, d, d) product
 
 
 class TestSpectrum:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,19 @@ from covfields import (
     quadrature_sphere,
     save_measure,
 )
+from covfields import measures
 from covfields.measures import write_csv
+
+
+def traced_peak(fn):
+    """fn() and the peak of memory traced by tracemalloc above what was held when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestWeightedMeasure:
@@ -325,6 +339,51 @@ class TestIO:
         with pytest.raises(MeasureFormatError, match="line 2: weights must be positive"):
             load_measure(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "^empty file$"),
+        ("\n  \n\n", "^empty file$"),
+        ("x_1,x_2\n0.0,1.0\n", "^line 1: header must contain a 'weight' column$"),
+        ("weight\n1.0\n", "^line 1: no coordinate columns$"),
+        ("weight,label\n1.0,0\n", "^line 1: no coordinate columns$"),
+        ("\nx_1,weight\n\n  \n", "^no data rows after the header$"),
+    ])
+    def test_file_level_errors_keep_their_messages(self, tmp_path, text, message):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(MeasureFormatError, match=message):
+            load_measure(p)
+
+    def test_header_only_raises_without_a_numpy_warning(self, tmp_path):
+        p = tmp_path / "head.csv"
+        p.write_text("x_1,weight,label\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasureFormatError, match="no data rows"):
+                load_measure(p)
+
+    @pytest.mark.parametrize("bad", ["xyz", "1.0,2.0,3.0", "nan"])
+    def test_bad_row_beyond_the_first_chunk_names_its_line(self, tmp_path, bad):
+        # 10 000 rows, a blank line before every hundredth: the bad row is the
+        # 9001st data row, line 9002 (blank lines are not counted)
+        rows = [f"{i / 7!r},{1.0 + i}" for i in range(10_000)]
+        rows[9000] = "0.5,nan" if bad == "nan" else bad
+        text = "\n".join(("\n" + r) if i % 100 == 0 else r for i, r in enumerate(rows))
+        p = tmp_path / "long.csv"
+        p.write_text("\n\nx_1,weight\n" + text + "\n\n")
+        with pytest.raises(MeasureFormatError, match="^line 9002: "):
+            load_measure(p)
+
+    def test_peak_memory_is_a_small_multiple_of_the_arrays(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 100_000
+        m = WeightedMeasure(rng.normal(size=(n, 2)), rng.uniform(0.5, 1.5, n))
+        p = tmp_path / "big.csv"
+        save_measure(m, p)
+        back, peak = traced_peak(lambda: load_measure(p))
+        np.testing.assert_array_equal(back.atoms, m.atoms)
+        table_bytes = n * 3 * 8
+        assert peak <= 2.5 * table_bytes + 2e6  # a list of the lines would make it about 7 times
+
     def test_cell_python_accepts_numpy_rejects(self, tmp_path):
         # float("1_0") is 10.0, but the file parser takes no digit separators
         p = tmp_path / "sep.csv"
@@ -351,5 +410,33 @@ class TestWriteCsv:
         assert p.read_text() == "a,b\n"
 
     def test_unequal_columns_rejected(self, tmp_path):
+        p = tmp_path / "u.csv"
+        p.write_text("kept\n")
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "u.csv", ["a", "b"], [[1, 2], [1]])
+            write_csv(p, ["a", "b"], [[1, 2], [1]])
+        assert p.read_text() == "kept\n"
+
+    def test_rows_across_chunks(self, tmp_path):
+        n = 2 * measures._CSV_ROWS + 5
+        p = tmp_path / "c.csv"
+        write_csv(p, ["i", "x"], [np.arange(n), np.arange(n) / 3.0])
+        assert p.read_text() == "i,x\n" + "".join(f"{i},{i / 3.0!r}\n" for i in range(n))
+
+    # recorded before rows were written in chunks: 20 000 rows span three
+    SAVE_DIGEST = "3722172b16ad682188d5199ff61c336d9f4ec4ef1f6b2cd704e4cb86aece8c73"
+
+    def test_save_measure_frozen(self, tmp_path):
+        rng = np.random.default_rng(42)
+        n = 20_000
+        atoms = rng.normal(0.0, 1.0, (n, 2)) * 10.0 ** rng.integers(-20, 20, (n, 1))
+        ds = LabeledDataset(WeightedMeasure(atoms, rng.uniform(0.1, 2.0, n)), rng.integers(0, 1000, n))
+        p = tmp_path / "m.csv"
+        save_measure(ds, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.SAVE_DIGEST
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n = 200_000
+        columns = [rng.normal(size=n), rng.normal(size=n), rng.uniform(0.5, 1.5, n)]
+        _, peak = traced_peak(lambda: write_csv(tmp_path / "w.csv", ["x_1", "x_2", "weight"], columns))
+        assert peak <= 4e6  # a list of every row's strings would take about 70 MB
