@@ -62,7 +62,8 @@ def tensorized_distances(
     params: TensorizedMetricParams,
     reference: WeightedMeasure | None = None,
 ) -> np.ndarray:
-    """Pairwise tensorized distances between the data points.
+    """Pairwise tensorized distances between the data points, an (n, n)
+    matrix: exactly symmetric with a zero diagonal.
 
     Tensors are computed from the uniform empirical measure on the data
     points themselves unless a separate ``reference`` measure is supplied
@@ -71,7 +72,8 @@ def tensorized_distances(
     """
     points = data.atoms if isinstance(data, WeightedMeasure) else np.atleast_2d(np.asarray(data, dtype=float))
     features = tensor_features(points, params.kernel, params.sigma, reference)
-    return lifted_distances(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), params.gamma)
+    condensed = lifted_condensed(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), params.gamma)
+    return squareform(condensed)
 
 
 def tensor_features(
@@ -80,7 +82,7 @@ def tensor_features(
     """The tensors Sigma(x_i, sigma) flattened to rows of length d*d.
 
     They depend on sigma but not on gamma, so their squared distances serve
-    a whole gamma grid through :func:`lifted_distances`.
+    a whole gamma grid through :func:`lifted_condensed`.
     """
     base = reference if reference is not None else empirical_measure(points)
     if base.dim != points.shape[1]:
@@ -94,12 +96,6 @@ def lifted_condensed(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float)
     :func:`tensor_features` rows and of the points."""
     d2 = feature_d2 + gamma**2 * point_d2 if gamma > 0 else feature_d2
     return np.sqrt(np.maximum(d2, 0.0))
-
-
-def lifted_distances(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float) -> np.ndarray:
-    """The (n, n) square of :func:`lifted_condensed`: exactly symmetric with
-    a zero diagonal."""
-    return squareform(lifted_condensed(feature_d2, point_d2, gamma))
 
 
 @dataclass(frozen=True)
@@ -136,17 +132,12 @@ class Dendrogram:
         return (u + u.T)[np.ix_(position, position)]
 
 
-def single_linkage(metric: np.ndarray) -> Dendrogram:
-    """Single-linkage dendrogram of a (pseudo-)metric, square or condensed.
+def _checked_metric(metric: np.ndarray) -> tuple[np.ndarray, int]:
+    """(d, n): the metric as a float array and its number of points.
 
-    A condensed metric is the upper triangle in ``pdist`` order, a vector
-    of length n(n-1)/2, and goes to scipy as it is; a square matrix must
-    equal its transpose.  The merges are the rows of scipy's
-    ``linkage(..., method="single")`` (the sorted MST, smaller cluster id
-    first in each row).  The leaf order is scipy's ``leaves_list``:
-    cluster_a's leaves before cluster_b's, so each merge height is the gap
-    after cluster_a's last leaf.  NaN or infinite entries, a negative entry,
-    an asymmetric square and a vector of any other length are rejected.
+    A condensed metric is a vector of length n(n-1)/2 and a square one must
+    equal its transpose; NaN or infinite entries and negative entries are
+    rejected.
     """
     d = np.asarray(metric, dtype=float)
     if d.ndim == 1:
@@ -161,6 +152,22 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
         raise ValueError("metric contains NaN or infinite entries")
     if (d < 0).any() or (d.ndim == 2 and not np.array_equal(d, d.T)):
         raise ValueError("metric must be symmetric with no negative entry")
+    return d, n
+
+
+def single_linkage(metric: np.ndarray) -> Dendrogram:
+    """Single-linkage dendrogram of a (pseudo-)metric, square or condensed.
+
+    A condensed metric is the upper triangle in ``pdist`` order, a vector
+    of length n(n-1)/2, and goes to scipy as it is; a square matrix must
+    equal its transpose.  The merges are the rows of scipy's
+    ``linkage(..., method="single")`` (the sorted MST, smaller cluster id
+    first in each row).  The leaf order is scipy's ``leaves_list``:
+    cluster_a's leaves before cluster_b's, so each merge height is the gap
+    after cluster_a's last leaf.  NaN or infinite entries, a negative entry,
+    an asymmetric square and a vector of any other length are rejected.
+    """
+    d, n = _checked_metric(metric)
     if n < 2:
         return Dendrogram(np.zeros((0, 3)), n, np.zeros(0), np.arange(n), np.zeros(0))
     z = linkage(d if d.ndim == 1 else squareform(d, checks=False), method="single")
@@ -266,18 +273,21 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
 
     Size ties are broken toward the lower cluster id.  Every point of a
     dropped cluster joins the cluster containing its nearest point (under
-    the supplied square metric) among the kept ones; distance ties go to
-    the lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
+    the supplied metric) among the kept ones; distance ties go to the
+    lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
+    The metric is an n x n matrix for the n labels, checked as for
+    :func:`single_linkage`.
     """
+    d, n = _checked_metric(metric)
+    if d.ndim != 2 or n != assignment.labels.size:
+        raise ValueError(f"metric must be an n x n matrix for the n = {assignment.labels.size} labels")
     new_labels = largest_clusters(assignment.labels, k)
     kept_mask = new_labels >= 0
     dropped = np.nonzero(~kept_mask)[0]
     if dropped.size:
-        rows = np.asarray(metric, dtype=float)[dropped]
+        rows = d[dropped]
         rows[:, ~kept_mask] = np.inf
-        nearest = np.argmin(rows, axis=1)
-        nearest[~kept_mask[nearest]] = np.argmax(kept_mask)  # a row of +inf: the first kept point
-        new_labels[dropped] = new_labels[nearest]
+        new_labels[dropped] = new_labels[np.argmin(rows, axis=1)]
     return ClusterAssignment(new_labels, k, assignment.cutoff_height)
 
 

@@ -398,40 +398,19 @@ def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: fl
     return v, g, near
 
 
-def frechet_gradient(
-    measure: WeightedMeasure,
-    kernel: RadialKernel,
-    x,
-    sigma: float,
-    mode: str = "analytic_gaussian",
-    step: float = 1e-5,
-) -> np.ndarray:
-    """Gradient of the Fréchet function at x.
+def frechet_gradient(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> np.ndarray:
+    """Gradient of the Fréchet function at x, for the Gaussian kernel.
 
-    ``analytic_gaussian`` differentiates the Gaussian convolution form
-    termwise: grad V = sum_i w_i G(x, y_i, sigma) (y_i - x)(r_i^2/sigma^2 - 2)
-    with r_i = ||y_i - x||, a one-point pass of the flow's evaluator.
-    ``central_difference`` uses symmetric differences with the given step
-    and works for any kernel; the two agree to O(step^2) for the Gaussian.
+    Differentiates the Gaussian convolution form termwise:
+    grad V = sum_i w_i G(x, y_i, sigma) (y_i - x)(r_i^2/sigma^2 - 2) with
+    r_i = ||y_i - x||, a one-point pass of the flow's evaluator.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != measure.dim:
         raise ValueError("dimension mismatch")
-    if mode == "analytic_gaussian":
-        if kernel.name != "gaussian":
-            raise ValueError("analytic gradient is only available for the gaussian kernel")
-        return _frechet_pass(measure, kernel, x[None, :], sigma, grad=True)[1][0]
-    if mode == "central_difference":
-        grad = np.zeros_like(x)
-        for k in range(x.size):
-            e = np.zeros_like(x)
-            e[k] = step
-            grad[k] = (
-                frechet_value(measure, kernel, x + e, sigma)
-                - frechet_value(measure, kernel, x - e, sigma)
-            ) / (2.0 * step)
-        return grad
-    raise ValueError("mode must be 'analytic_gaussian' or 'central_difference'")
+    if kernel.name != "gaussian":
+        raise ValueError("analytic gradient is only available for the gaussian kernel")
+    return _frechet_pass(measure, kernel, x[None, :], sigma, grad=True)[1][0]
 
 
 # the gradient flow (see flow_to_attractor and basin_labels); the step and
@@ -524,9 +503,9 @@ def flow_to_attractor(
     initial step descends (both count as converged), or after 10000 steps;
     non-convergence is reported in the result flag, never raised.  A flow
     whose attractor has no atom within 3 sigma has escaped the data and is
-    not converged.  A one-start
-    :func:`basin_labels`, bit for bit.  Requires the Gaussian kernel (a
-    smooth V) and a finite start.
+    not converged.  The result is bit for bit :func:`basin_labels` run on
+    this one start.  Requires the Gaussian kernel (a smooth V) and a finite
+    start.
     """
     x, paths, converged, _ = _flow(measure, kernel, np.reshape(start, (1, -1)), sigma)
     return FlowResult(np.asarray(start, dtype=float), x[0], paths[0], bool(converged[0]))

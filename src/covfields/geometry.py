@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CovTensor, ctf_at
-from .kernels import builtin_truncation, unit_ball_volume
+from .kernels import _check_sigma, builtin_truncation, unit_ball_volume
 from .measures import NumericalError, WeightedMeasure
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -50,8 +50,7 @@ def subspace_tensor(d: int, r: int, basis, kernel_kind: str, sigma: float) -> Co
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if not (1 <= r <= d) or basis.shape != (r, d):
         raise ValueError("basis must be an (r, d) array with 1 <= r <= d")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     gram = basis @ basis.T
     if np.abs(gram - np.eye(r)).max() > 1e-10:
         raise ValueError("basis must be orthonormal")
@@ -81,10 +80,9 @@ def wedge_tensor(directions, lengths, sigma: float) -> CovTensor:
     n, d = dirs.shape
     if lens.shape[0] != n:
         raise ValueError("one length per direction required")
-    if np.any(lens <= 0):
+    if not (lens > 0).all():
         raise ValueError("lengths must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     norms = np.linalg.norm(dirs, axis=1)
     if np.abs(norms - 1.0).max() > 1e-10:
         raise ValueError("directions must be unit vectors")
@@ -109,10 +107,11 @@ def circle_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, fl
     phi = arccos((R^2 + r^2 - sigma^2) / (2 r R)), and vanishes when
     |r - R| > sigma.  Returns (lambda_n, lambda_t).
     """
-    if radius <= 0 or sigma <= 0:
-        raise ValueError("radius and sigma must be positive")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    _check_sigma(sigma)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    if not r >= 0:
+        raise ValueError(f"r must be non-negative, got {r!r}")
     if abs(r - radius) > sigma:
         return 0.0, 0.0
     if r == 0.0:
@@ -138,10 +137,11 @@ def sphere_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, fl
     phi as for the circle; the tensor vanishes when |r - R| > sigma.
     Returns (lambda_t, lambda_t, lambda_n).
     """
-    if radius <= 0 or sigma <= 0:
-        raise ValueError("radius and sigma must be positive")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    _check_sigma(sigma)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    if not r >= 0:
+        raise ValueError(f"r must be non-negative, got {r!r}")
     if abs(r - radius) > sigma:
         return 0.0, 0.0, 0.0
     if r == 0.0:
@@ -291,8 +291,7 @@ def gaussian_transfer_hat(sigma: float, d: int, xi) -> float:
     which vanishes exactly on the sphere ||xi|| = sqrt(pi d) / sigma — the
     only frequencies where the measure cannot be recovered directly.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     xi = np.asarray(xi, dtype=float)
     n2 = float(np.sum(xi * xi))
     return sigma**2 * (d - sigma**2 * n2 / math.pi) * math.exp(-(sigma**2) * n2 / (2.0 * math.pi))

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
 
 def _check_sigma(sigma: float) -> None:
@@ -60,14 +59,16 @@ def unit_sphere_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """Radial profile plus optional derivative and known exact constants.
+    """Radial profile plus optional derivative and its exact constants.
 
     ``profile`` and ``derivative`` act elementwise on numpy arrays of the
     squared distance ratio r = ||y-x||^2 / sigma^2.
     ``compact_support_radius_sq`` is the r beyond which f vanishes (None for
-    full support).  ``analytic`` may carry exact values for "M_d" (callable
-    of d), "C", "A1", "A2" so derived constants avoid numerical search, and
+    full support).  ``analytic`` carries the kernel's constants: "M_d" (a
+    callable of d), "C" and "A2", "A1" when there is a derivative, and
     "flat": True when f = 1 on all of [0, compact_support_radius_sq].
+    Nothing is integrated or searched numerically: a constant that is
+    needed but missing raises ValueError naming it.
     Kernels are immutable; evaluation is pure and reentrant.
     """
 
@@ -78,32 +79,14 @@ class RadialKernel:
     analytic: dict = field(default_factory=dict, repr=False)
 
     def moment(self, d: int) -> float:
-        """M_d = integral_0^inf r^{d/2-1} f(r) dr (errors if divergent)."""
-        import warnings
+        """M_d = integral_0^inf r^{d/2-1} f(r) dr, from ``analytic["M_d"]``."""
+        return float(self._constant("M_d")(d))
 
-        if "M_d" in self.analytic:
-            return float(self.analytic["M_d"](d))
-        upper = self.compact_support_radius_sq or np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(
-                lambda r: r ** (d / 2.0 - 1.0) * float(self.profile(np.asarray(r))),
-                0.0,
-                upper,
-                limit=400,
-            )
-            if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-                raise ValueError("condition (b) violated: moment integral does not converge")
-            if upper is np.inf:
-                tail, _ = integrate.quad(
-                    lambda r: r ** (d / 2.0 - 1.0) * float(self.profile(np.asarray(r))),
-                    1e3,
-                    2e3,
-                    limit=200,
-                )
-                if tail > 1e-9 * max(1.0, abs(val)):
-                    raise ValueError("condition (b) violated: moment integral does not converge")
-        return float(val)
+    def _constant(self, key: str):
+        """``analytic[key]``; ValueError naming the kernel and the key if it is missing."""
+        if key not in self.analytic:
+            raise ValueError(f"kernel {self.name!r} carries no constant {key!r}")
+        return self.analytic[key]
 
     def normalizer(self, sigma: float, d: int) -> float:
         """C_d(sigma) = (1/2) sigma^d M_d omega_{d-1}.
@@ -162,12 +145,14 @@ def tabulated_kernel(r_knots, f_values, name: str = "tabulated") -> RadialKernel
     the knots, so tabulated kernels are excluded from smooth-stability
     checks.  Values are rescaled so sup f = 1, and the profile is zero
     beyond the last knot, so tabulated kernels are always compactly
-    supported.
+    supported.  M_d, C and A2 of the interpolant are exact closed forms.
     """
     r_knots = np.asarray(r_knots, dtype=float).ravel()
     f_values = np.asarray(f_values, dtype=float).ravel()
     if r_knots.shape != f_values.shape or r_knots.size < 2:
         raise ValueError("need matching r/f arrays with at least 2 knots")
+    if not (np.isfinite(r_knots).all() and np.isfinite(f_values).all()):
+        raise ValueError("r knots and profile values must be finite")
     if np.any(np.diff(r_knots) <= 0):
         raise ValueError("r knots must be strictly increasing")
     if np.any(f_values < 0):
@@ -183,24 +168,39 @@ def tabulated_kernel(r_knots, f_values, name: str = "tabulated") -> RadialKernel
         vals = np.interp(r, r_knots, f_values, left=f_values[0], right=0.0)
         return np.where(r > support, 0.0, vals)
 
+    # f = a + b r on each knot interval
+    b = np.diff(f_values) / np.diff(r_knots)
+    a = f_values[:-1] - b * r_knots[:-1]
+
     def piecewise_moment(d: int) -> float:
         # exact integral of r^{d/2-1} (a + b r) over each knot interval
         total = 0.0
         p = d / 2.0
-        for r1, r2, f1, f2 in zip(r_knots[:-1], r_knots[1:], f_values[:-1], f_values[1:]):
-            b = (f2 - f1) / (r2 - r1)
-            a = f1 - b * r1
-            total += a * (r2**p - r1**p) / p + b * (r2 ** (p + 1) - r1 ** (p + 1)) / (p + 1)
+        for r1, r2, ai, bi in zip(r_knots[:-1], r_knots[1:], a, b):
+            total += ai * (r2**p - r1**p) / p + bi * (r2 ** (p + 1) - r1 ** (p + 1)) / (p + 1)
         if r_knots[0] > 0:  # constant head segment at f_values[0]
             total += f_values[0] * r_knots[0] ** p / p
         return total
+
+    # r f(r) and sqrt(r) f(r) rise on the constant head and vanish on the
+    # tail, so their sups lie at a knot or where (a r + b r^2)' = 0, resp.
+    # (a sqrt(r) + b r^{3/2})' = 0: r = -a/(2b), resp. -a/(3b).  Each finite
+    # r >= 0 gives a value the function takes, so no candidate overshoots.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.concatenate([r_knots, -a / (2.0 * b), -a / (3.0 * b)])
+    r = r[np.isfinite(r) & (r >= 0)]
+    f = prof(r)
 
     return RadialKernel(
         name=name,
         profile=prof,
         derivative=None,
         compact_support_radius_sq=support,
-        analytic={"M_d": piecewise_moment},
+        analytic={
+            "M_d": piecewise_moment,
+            "C": float((r * f).max()),
+            "A2": float((np.sqrt(r) * f).max()),
+        },
     )
 
 
@@ -227,24 +227,6 @@ def eval_kernel(kernel: RadialKernel, x, y, sigma: float) -> float:
     c_d = kernel.normalizer(sigma, x.size)
     r = float(np.sum((y - x) ** 2)) / (sigma * sigma)
     return float(kernel.profile(np.asarray(r))) / c_d
-
-
-def _sup_search(fn: Callable[[np.ndarray], np.ndarray], r_max: float) -> float:
-    """sup of fn over (0, r_max] via dense grid plus local refinement."""
-    grid = np.concatenate([
-        np.geomspace(1e-12, min(1.0, r_max), 4000),
-        np.linspace(1e-6, r_max, 200000),
-    ])
-    grid = grid[grid <= r_max]
-    vals = fn(grid)
-    k = int(np.argmax(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    res = optimize.minimize_scalar(
-        lambda r: -float(fn(np.asarray(r))), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return max(float(vals[k]), -float(res.fun))
 
 
 @dataclass(frozen=True)
@@ -274,37 +256,22 @@ class KernelConstants:
 
 
 def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:
-    """Compute M_d, C, A1, A2 for a kernel (analytic values when known).
+    """Read M_d, C, A1, A2 from the kernel's ``analytic`` constants.
 
-    Sup constants for non-builtin profiles come from a dense 1-D grid search
-    with local refinement, accurate to ~1e-6 relative for unimodal profiles.
-    A kernel is flagged smooth-stability-eligible iff it has a derivative
-    with finite A1 = sup r^{3/2} |f'(r)|.
+    A1 is read only for a kernel with a derivative and is infinite
+    otherwise.  A kernel is flagged smooth-stability-eligible iff it has a
+    derivative with finite A1 = sup r^{3/2} |f'(r)|.  A missing constant
+    raises ValueError naming it.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    m_d = kernel.moment(d)
-    r_max = kernel.compact_support_radius_sq or 100.0
-    if "C" in kernel.analytic:
-        c = float(kernel.analytic["C"])
-    else:
-        c = _sup_search(lambda r: r * kernel.profile(r), r_max)
-    if "A2" in kernel.analytic:
-        a2 = float(kernel.analytic["A2"])
-    else:
-        a2 = _sup_search(lambda r: np.sqrt(r) * kernel.profile(r), r_max)
-    if kernel.derivative is None:
-        a1 = math.inf
-    elif "A1" in kernel.analytic:
-        a1 = float(kernel.analytic["A1"])
-    else:
-        a1 = _sup_search(lambda r: r**1.5 * np.abs(kernel.derivative(r)), r_max)
+    a1 = math.inf if kernel.derivative is None else float(kernel._constant("A1"))
     return KernelConstants(
         dim=d,
-        m_d=m_d,
-        c=c,
+        m_d=kernel.moment(d),
+        c=float(kernel._constant("C")),
         a1=a1,
-        a2=a2,
+        a2=float(kernel._constant("A2")),
         nu_d=unit_ball_volume(d),
         omega_dm1=unit_sphere_area(d),
         smooth_stability_eligible=kernel.derivative is not None and np.isfinite(a1),

@@ -42,7 +42,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial.distance import cdist
 
 from .fields import ctf_grid
-from .kernels import RadialKernel, builtin_truncation, derive_constants, unit_sphere_area
+from .kernels import RadialKernel, _check_sigma, builtin_truncation, derive_constants, unit_sphere_area
 from .measures import WeightedMeasure
 
 DEFAULT_MAX_ATOMS = 2000
@@ -476,9 +476,9 @@ def check_stability_smooth(
     consts = derive_constants(kernel, alpha.dim)
     if not consts.smooth_stability_eligible:
         raise ValueError("kernel is not smooth-stability eligible (no derivative / infinite A1)")
+    factor = sigma * consts.a_f / consts.c_d(sigma)  # checks sigma before the transport solve
     w1, _ = w1_exact(alpha, beta)
     lhs = _grid_sup_diff(alpha, beta, kernel, sigma, grid)
-    factor = sigma * consts.a_f / consts.c_d(sigma)
     rhs = factor * w1
     return StabilityReport(
         lhs,
@@ -490,8 +490,9 @@ def check_stability_smooth(
 
 def truncation_stability_constant(sigma: float, d: int, c: float) -> float:
     """The three-term constant A(sigma, d, c) of the truncation-kernel bound."""
-    if sigma <= 0 or c <= 0:
-        raise ValueError("sigma and c must be positive")
+    _check_sigma(sigma)
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     t1 = d / (d + 2.0) * (sigma + c) ** (d + 2) / (c * sigma**d)
     t2 = (2.0 * sigma + c) * (sigma + c) ** d / sigma**d
     t3 = 2.0 * d / (d + 2.0) * (sigma + c) ** (d + 2) / (c * sigma**d)
@@ -513,11 +514,11 @@ def check_stability_trunc(
     min quadrature cell volume for a quadrature measure).  Purely atomic
     measures have no such bound, so runs on them are heuristic.
     """
-    if lam is None or lam <= 0:
-        raise ValueError("a positive density bound lam is required")
+    if lam is None or not 0 < lam < math.inf:
+        raise ValueError(f"a finite, positive density bound lam is required, got {lam!r}")
+    a_const = truncation_stability_constant(sigma, alpha.dim, c)  # checks sigma and c before the solve
     winf, _ = winf_exact(alpha, beta)
     lhs = _grid_sup_diff(alpha, beta, builtin_truncation(), sigma, grid)
-    a_const = truncation_stability_constant(sigma, alpha.dim, c)
     rhs = lam * a_const * winf
     return StabilityReport(
         lhs,

@@ -246,6 +246,17 @@ class TestStabilityCommand:
                        "--grid=-1:1:3") == 0
         assert json.loads((tmp_path / "stability.json").read_text())["transport_cost"] == 1.0
 
+    def test_tabulated_kernel_not_eligible_exit_2(self, tmp_path, capsys):
+        # a tabulated profile has no derivative; this flat one has its sups at its last knot
+        from covfields import empirical_measure
+
+        a, prof = tmp_path / "a.csv", tmp_path / "flat.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [0.5, 0.5]]), a)
+        prof.write_text("r,f\n0,1\n1,1\n")
+        code = run_cli("--out", str(tmp_path), "stability", "--alpha", str(a), "--beta", str(a),
+                       "--kernel", str(prof), "--sigma", "0.5", "--grid=-1:1:3")
+        assert "not smooth-stability eligible" in config_error(capsys, code)
+
     def test_truncation_needs_lam(self, tmp_path):
         from covfields import empirical_measure
 

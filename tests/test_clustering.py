@@ -34,7 +34,7 @@ from covfields import (
     topk_reassign,
     winf_exact,
 )
-from covfields.clustering import Dendrogram, cophenetic_std, lifted_distances, tensor_features
+from covfields.clustering import Dendrogram, cophenetic_std, lifted_condensed, tensor_features
 
 
 def random_metric(rng, n):
@@ -222,6 +222,21 @@ class TestTopkReassign:
         assert out.labels[5] == out.labels[2]  # 3.0 joins the 0-block
         assert out.labels[6] == out.labels[2]
 
+    def test_metric_checked(self):
+        # NaN entries, a condensed metric and one of the wrong size are
+        # rejected by name
+        pts = np.array([[0.0], [0.2], [0.4], [10.0], [10.2], [3.0], [3.1]])
+        d = cdist(pts, pts)
+        asg = cut(single_linkage(d), k=3)
+        np.testing.assert_array_equal(topk_reassign(asg, d, 2).labels, [0, 0, 0, 1, 1, 0, 0])
+        bad = d.copy()
+        bad[5:, 3] = bad[3, 5:] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            topk_reassign(asg, bad, 2)
+        for wrong in (pdist(pts), d[:6, :6]):
+            with pytest.raises(ValueError, match="n x n"):
+                topk_reassign(asg, wrong, 2)
+
 
 class TestScore:
     def test_identical(self):
@@ -289,7 +304,7 @@ class TestTensorizedDistances:
                     d2 = d2 + gamma**2 * cdist(points, points, metric="sqeuclidean")
                 np.fill_diagonal(d2, 0.0)
                 d = np.sqrt(np.maximum(d2, 0.0))
-                got = lifted_distances(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), gamma)
+                got = squareform(lifted_condensed(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), gamma))
                 assert got.tobytes() == (0.5 * (d + d.T)).tobytes()
 
     def test_gamma_validation(self):
@@ -622,12 +637,11 @@ class TestVectorizedAgainstLoops:
     def test_topk_reassign_distance_ties_and_infinite_rows(self):
         # ids 0 and 1 are kept (points 1-4); point 5 is as near to point 2
         # (id 1) as to point 3 (id 0) and joins point 2, the lower index;
-        # point 0 is at +inf from every kept point and joins point 1, the
-        # first kept point
+        # point 0 is at 5 from every kept point and joins point 1, the lowest
+        # index.  A row at +inf from every kept point is rejected.
         labels = np.array([2, 1, 1, 0, 0, 3])
         d = np.full((6, 6), 5.0)
         np.fill_diagonal(d, 0.0)
-        d[0, 1:5] = d[1:5, 0] = np.inf
         d[0, 5] = d[5, 0] = 1.0
         d[1, 2] = d[2, 1] = d[3, 4] = d[4, 3] = 1.0
         d[5, [2, 3]] = d[[2, 3], 5] = 2.0
@@ -635,6 +649,9 @@ class TestVectorizedAgainstLoops:
         got = topk_reassign(asg, d, 2).labels
         np.testing.assert_array_equal(got, [1, 1, 1, 0, 0, 1])
         np.testing.assert_array_equal(got, loop_topk_reassign(asg, d, 2))
+        d[0, 1:5] = d[1:5, 0] = np.inf
+        with pytest.raises(ValueError, match="infinite"):
+            topk_reassign(asg, d, 2)
 
     def test_topk_reassign_k_below_one(self):
         asg = ClusterAssignment(np.array([0, 1]), 2, 0.0)

@@ -331,3 +331,39 @@ class TestTransferFunction:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             gaussian_transfer_hat(0.0, 2, [1.0, 0.0])
+
+
+BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_positivity_guards_reject_nan_inf_zero_negative(bad):
+    """Every positive parameter rejects NaN, +-inf, 0 and -1 by name."""
+    from covfields import check_stability_trunc, empirical_measure, truncation_stability_constant
+
+    basis = np.array([[1.0, 0.0]])
+    m = empirical_measure([[0.0, 0.0], [0.5, 0.0]])
+    calls = {
+        "sigma": [
+            lambda s: subspace_tensor(2, 1, basis, "gaussian", s),
+            lambda s: wedge_tensor([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], s),
+            lambda s: circle_eigenvalues(1.0, 0.5, s),
+            lambda s: sphere_eigenvalues(1.0, 0.5, s),
+            lambda s: gaussian_transfer_hat(s, 2, [1.0, 0.0]),
+            lambda s: truncation_stability_constant(s, 2, 1.0),
+        ],
+        "radius": [lambda x: circle_eigenvalues(x, 0.5, 1.0), lambda x: sphere_eigenvalues(x, 0.5, 1.0)],
+        "c": [lambda x: truncation_stability_constant(0.5, 2, x)],
+        "lam": [lambda x: check_stability_trunc(m, m, 0.5, 1.0, x, [[0.0, 0.0]])],
+        "lengths": [lambda x: wedge_tensor([[1.0, 0.0], [0.0, 1.0]], [1.0, x], 0.5)],
+    }
+    for name, fns in calls.items():
+        if name == "lengths" and bad == math.inf:
+            continue  # an infinite segment is a ray: min(sigma, length) = sigma
+        for fn in fns:
+            with pytest.raises(ValueError, match=name):
+                fn(bad)
+    for bad_r in (math.nan, -math.inf, -1.0):
+        for fn in (circle_eigenvalues, sphere_eigenvalues):
+            with pytest.raises(ValueError, match="r must"):
+                fn(1.0, bad_r, 0.5)

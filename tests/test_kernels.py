@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from covfields import (
+    RadialKernel,
     builtin_gaussian,
     builtin_truncation,
     derive_constants,
@@ -186,6 +192,64 @@ class TestTabulated:
             tabulated_kernel([0.0, 0.0], [1.0, 1.0])
 
 
+def brute_force_sups(kernel, r_knots):
+    """max of r f(r) and sqrt(r) f(r) over 20001 points per knot interval
+    and on the constant head (reference)."""
+    edges = np.concatenate([[0.0], r_knots]) if r_knots[0] > 0 else np.asarray(r_knots)
+    r = np.concatenate([np.linspace(lo, hi, 20001) for lo, hi in zip(edges[:-1], edges[1:])])
+    f = kernel.profile(r)
+    return (r * f).max(), (np.sqrt(r) * f).max()
+
+
+@st.composite
+def piecewise_linear_profiles(draw):
+    """Knots (the first one 0 or a head segment's end), values with a
+    positive maximum; the profile is zero beyond the last knot."""
+    m = draw(st.integers(2, 8))
+    head = draw(st.sampled_from([0.0, 0.05, 0.5, 1.5]))
+    steps = draw(st.lists(st.floats(0.01, 2.0), min_size=m - 1, max_size=m - 1))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda v: max(v) > 0))
+    return head + np.concatenate([[0.0], np.cumsum(steps)]), np.array(values)
+
+
+class TestTabulatedSups:
+    @pytest.mark.parametrize("r_knots, f_values, c, a2", [
+        # sups at a knot at r <= 1
+        ([0.0, 1.0], [1.0, 1.0], 1.0, 1.0),
+        ([0.0, 0.5], [1.0, 1.0], 0.5, math.sqrt(0.5)),
+        ([0.0, 1.0, 2.0], [1.0, 1.0, 0.0], 1.0, 1.0),
+        ([0.195, 0.861], [0.44, 0.955], 0.861, math.sqrt(0.861)),
+    ])
+    def test_sup_at_knot_up_to_one(self, r_knots, f_values, c, a2):
+        consts = derive_constants(tabulated_kernel(r_knots, f_values), 2)
+        assert consts.c == pytest.approx(c, rel=1e-15)
+        assert consts.a2 == pytest.approx(a2, rel=1e-15)
+        assert consts.a1 == math.inf and not consts.smooth_stability_eligible
+
+    def test_interior_stationary_points(self):
+        # f = 1 - r on [0, 1]: r f peaks at r = 1/2 and sqrt(r) f at r = 1/3,
+        # while both functions vanish at the knots
+        consts = derive_constants(tabulated_kernel([0.0, 1.0], [1.0, 0.0]), 2)
+        assert consts.c == pytest.approx(0.25, rel=1e-15)
+        assert consts.a2 == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=piecewise_linear_profiles())
+    def test_property_bounds_brute_force_from_above(self, profile):
+        r_knots, f_values = profile
+        kernel = tabulated_kernel(r_knots, f_values)
+        consts = derive_constants(kernel, 2)
+        want_c, want_a2 = brute_force_sups(kernel, r_knots)
+        for got, want in ((consts.c, want_c), (consts.a2, want_a2)):
+            assert got >= want * (1.0 - 1e-12)
+            assert got <= want + 1e-6
+
+    def test_non_finite_knots_rejected(self):
+        for r_knots, f_values in (([0.0, math.nan], [1.0, 1.0]), ([0.0, 1.0], [1.0, math.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                tabulated_kernel(r_knots, f_values)
+
+
 def test_load_profile_csv(tmp_path):
     from covfields import load_profile_csv
 
@@ -199,13 +263,29 @@ def test_load_profile_csv(tmp_path):
     assert float(k.profile(np.asarray(1.0))) == pytest.approx(math.exp(-1.0), rel=1e-3)
 
 
-def test_divergent_moment_rejected():
-    from covfields import RadialKernel
+def test_kernel_without_constants_rejected():
+    # nothing is integrated or searched numerically: a missing constant is named
+    gauss = builtin_gaussian()
+    fat_tail = RadialKernel(name="fat-tail", profile=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)))
+    for call in (lambda: fat_tail.moment(2), lambda: fat_tail.normalizer(1.0, 2),
+                 lambda: derive_constants(fat_tail, 2), lambda: eval_kernel(fat_tail, [0.0], [1.0], 1.0)):
+        with pytest.raises(ValueError, match="'fat-tail' carries no constant 'M_d'"):
+            call()
+    for missing in ("C", "A2", "A1"):
+        analytic = {k: v for k, v in gauss.analytic.items() if k != missing}
+        kernel = RadialKernel("partial", gauss.profile, gauss.derivative, analytic=analytic)
+        with pytest.raises(ValueError, match=f"'partial' carries no constant '{missing}'"):
+            derive_constants(kernel, 2)
+    # A1 is read only for a kernel with a derivative
+    no_a1 = {k: v for k, v in gauss.analytic.items() if k != "A1"}
+    assert derive_constants(RadialKernel("plain", gauss.profile, analytic=no_a1), 2).a1 == math.inf
 
-    # f(r) = 1/(1+r): the d=2 moment integrand ~ 1/r at infinity, divergent
-    bad = RadialKernel(name="fat-tail", profile=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float)))
-    with pytest.raises(ValueError, match="condition"):
-        bad.moment(2)
+
+def test_import_leaves_out_scipy_integrate():
+    code = "import sys, covfields; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_q_tensor():

@@ -489,6 +489,20 @@ class TestTruncStability:
             check_stability_trunc(m, m, 0.5, 1.0, None, [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0])
+def test_stability_checks_sigma_before_transport_solve(bad, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transport solved before sigma was checked")
+
+    monkeypatch.setattr(transport, "w1_exact", refuse)
+    monkeypatch.setattr(transport, "winf_exact", refuse)
+    m = uniform_on([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="sigma"):
+        check_stability_smooth(m, m, builtin_gaussian(), bad, [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="sigma"):
+        check_stability_trunc(m, m, bad, 1.0, 1.0, [[0.0, 0.0]])
+
+
 class TestRadialMoments:
     def test_unit_disk(self):
         assert radial_moment(0.0, 1.0, 2) == pytest.approx(math.pi / 2, rel=1e-14)
