@@ -237,6 +237,30 @@ class TestPlots:
         loglog_svg(x, series, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # SHA-256 of each writer's bytes on fixed inputs, recorded before the
+    # writers shared one header, plot area and file write
+    FROZEN_DIGESTS = {
+        "loglog": "aeaa17dad88df3915430590cf53be773750d7a514c300ed09a3c0adcde41a0ba",
+        "dendrogram": "ba5c3306fa4cd0f1b0b66bc140f37801cea50d9232fa2a70d53b70bc974e9eb1",
+        "glyphs": "2aeec1f74a5def367a0cc139c9ac1eafd71d4a7ea704cf971e837a4731e2e587",
+        "heatmap": "4fcd974f47c73ee35f2d99e590ab6dc6da2d964c19036162255b030644084ba9",
+    }
+
+    @pytest.mark.parametrize("writer", sorted(FROZEN_DIGESTS))
+    def test_frozen_bytes(self, writer, tmp_path):
+        path = tmp_path / "plot.svg"
+        x = np.random.default_rng(1).random((9, 2))
+        tensors = np.array([np.diag([1.0, 4.0]), np.eye(2), [[2.0, 0.5], [0.5, 1.0]]])
+        if writer == "loglog":
+            loglog_svg([10.0, 100.0, 1000.0], [("a", [0.3, 0.1, 0.03]), ("b", [1.0, 0.5, 0.2])], path)
+        elif writer == "dendrogram":
+            dendrogram_svg(single_linkage(cdist(x, x)), path)
+        elif writer == "glyphs":
+            tensor_glyphs_svg([[0.0, 0.0], [1.0, 1.0], [0.3, 0.8]], tensors, path)
+        else:
+            heatmap_svg(np.arange(4.0), np.arange(3.0), np.sin(np.arange(12.0)).reshape(3, 4), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FROZEN_DIGESTS[writer]
+
     def test_tensor_glyph_axis_ratio(self, tmp_path):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         tensors = np.array([np.diag([1.0, 4.0]), np.eye(2)])

@@ -126,6 +126,26 @@ class TestQuadratureSphere:
         assert quadrature_sphere(1.0, 4, 5).dim == 3
 
 
+# SHA-256 over atoms then weights, recorded before the sphere and the cap
+# shared one latitude-longitude grid
+SPHERE_GRID_DIGESTS = {
+    "sphere": "f8c1db8ca9502cb8d0c44a3ebc5ebda91c5c0868384ae5b948b94c211e682fa6",
+    "cap": "cb005b39fecc4f61d7de694eaf97bad23711d80d6a603aa8ab6cf1e7a057dfe0",
+    "cap aligned": "e795c6d042c9dd38f95b7c204556bd0b39ee37b60d16546115685f475263d2bf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPHERE_GRID_DIGESTS))
+def test_sphere_grids_frozen(case):
+    m = {
+        "sphere": lambda: quadrature_sphere(2.5, 7, 9),
+        "cap": lambda: measures.quadrature_cap(1.5, 0.8, 6, 8),
+        "cap aligned": lambda: measures.quadrature_cap(1.0, 1.2, 5, 9, align_thetas=[0.1, 0.33, 0.9, 5.0]),
+    }[case]()
+    digest = hashlib.sha256(m.atoms.tobytes() + m.weights.tobytes()).hexdigest()
+    assert digest == SPHERE_GRID_DIGESTS[case]
+
+
 def test_quadrature_disk_mass():
     m = quadrature_disk(0.5, 100, 64)
     assert abs(m.total_mass - math.pi * 0.25) < 1e-12 * math.pi
@@ -158,6 +178,19 @@ class TestLineArrangement:
     def test_empty_spec(self):
         with pytest.raises(ValueError, match="empty"):
             gen_line_arrangement([])
+
+    # SHA-256 over atoms, weights and labels, recorded before the arrangement
+    # and the suites shared one segment sampler
+    NOISY_DIGEST = "e7ab0dd3f2db9ec0a664d74cf019b1dfe6e20e0b53c3b7ac42532ee32585b369"
+
+    def test_noisy_with_outliers_frozen(self):
+        ds = gen_line_arrangement(
+            [(s, 40 + i) for i, s in enumerate(self.SEGS3)], noise_sd=0.015, n_outliers=11, seed=3
+        )
+        h = hashlib.sha256()
+        for a in (ds.measure.atoms, ds.measure.weights, ds.labels):
+            h.update(a.tobytes())
+        assert h.hexdigest() == self.NOISY_DIGEST
 
     def test_seed_determinism(self):
         a = gen_line_arrangement([(s, 50) for s in self.SEGS3], noise_sd=0.01, n_outliers=7, seed=42)
@@ -203,12 +236,15 @@ class TestArrangementSuite:
             np.testing.assert_array_equal(x.measure.atoms, y.measure.atoms)
 
     # SHA-256 over each sample's atoms then labels (float64 / int64 bytes),
-    # recorded before the two 2-D generators shared their segment draw
+    # recorded before the two 2-D generators shared their segment draw (the
+    # planes3d ones before its rejection test became one all(...))
     FROZEN_DIGESTS = {
         ("lines2d", 0): "4d3074468a6f99181694a027482d050196404b81becdc1c299ab61e082e1311b",
         ("lines2d", 12345): "30f49d5ce78fe6ec924d86fb80dbfae13a4d98e4f919d589e967bfce4f24a3e6",
         ("mixed_curves2d", 0): "171372ff363028e8bd85bb879e6ccc34315a77b253cbc1551258b87e11e8320f",
         ("mixed_curves2d", 12345): "676121572f85356f4db88483527ec75f65e41dbfdf8aa0c74a0336fe2d4a02f2",
+        ("planes3d", 0): "31f3dc3414576f914c4ff07fd66ccdd05ad65cf004d59701ca3bf5aab9a1c653",
+        ("planes3d", 12345): "71fbc8dc5a09c3cfed5d1683f802ac6dd01302b73f39b1233817382a6f95e9e9",
     }
 
     @pytest.mark.parametrize("kind, seed", sorted(FROZEN_DIGESTS))

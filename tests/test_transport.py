@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -157,6 +158,32 @@ class TestWinf:
             assert val == 1.0 and plan.max_edge() == 1.0
             row, col = plan.marginal_errors()
             assert row <= 1e-12 and col <= 1e-12
+
+    # SHA-256 of repr((a, b, denominator)) as Python ints, recorded before
+    # the per-side and the joint common denominators became one math.lcm
+    CAPACITY_DIGESTS = {
+        "exact": "208ab027a2d2d3583a6a18416e68d70529bc321ddae3deac957252791fe61c8f",
+        "denominator over 2^40": "dc255ebc4add3c7086b38f442f54cd0f6195b6c20a0e7958b9ad28ed8b2bfe93",
+        "unequal exact totals": "1d9366932f17c0c79c726b67d269ccd5b8539f8204cb2c90ea3cd30dbbd53681",
+        "not near a rational": "706d774aebfbb8a40222b7ab6405392d7c53b20c26c4179ee35dab436bf3e639",
+    }
+    CAPACITY_CASES = {
+        "exact": ([1 / 3, 1 / 6, 1 / 2], [0.5, 0.25, 0.25]),
+        "denominator over 2^40": ([1 / 9999991, 1 / 9999973, 1 / 9999971], [0.1, 0.2]),
+        "unequal exact totals": ([0.5, 0.5], [0.25, 0.25]),
+        "not near a rational": ([0.5 + math.pi * 1e-11, 0.5 - math.pi * 1e-11], [0.5, 0.5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CAPACITY_DIGESTS))
+    def test_scaled_capacities_frozen(self, case):
+        wa, wb = (np.array(w) for w in self.CAPACITY_CASES[case])
+        a, b, denom = transport._scaled_capacities(wa, wb)
+        text = repr(([int(v) for v in a], [int(v) for v in b], int(denom)))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CAPACITY_DIGESTS[case]
+
+    def test_scaled_capacities_too_small(self):
+        with pytest.raises(ValueError, match="weights too small to scale to integer capacities"):
+            transport._scaled_capacities(np.array([math.pi * 1e-11, 1 - math.pi * 1e-11]), np.array([0.5, 0.5]))
 
     def test_exact_flow_matches_maximum_flow(self, monkeypatch):
         """Forced onto the Python-integer flow, the max-flow path gives the
