@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     cvg.add_argument("--replicates", type=int, default=None)
 
     b = sub.add_parser("bench", help="clustering benchmark on arrangement suites")
-    b.add_argument("--kind", default=None, choices=list(experiments._TRUE_K))
+    b.add_argument("--kind", default=None, choices=list(experiments._SUITE_DEFAULTS))
     b.add_argument("--n-samples", type=int, default=None)
     b.add_argument("--n-train", type=int, default=None)
     return p

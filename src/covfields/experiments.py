@@ -171,9 +171,6 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
 # clustering benchmark with learned parameters
 # ---------------------------------------------------------------------------
 
-_TRUE_K = {"lines2d": 3, "mixed_curves2d": 4, "planes3d": 3}
-
-
 _SUITE_DEFAULTS = {
     # points per component, sigma grid, gamma grid (calibrated on held-out seeds)
     "lines2d": (100, (0.025, 0.04, 0.06), (0.0, 0.002, 0.006)),
@@ -311,7 +308,7 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         points_per_component=cfg.points_per_component,
         noise_sd=cfg.noise_sd,
     )
-    k_true = _TRUE_K[cfg.kind]
+    k_true = int(suite[0].labels.max()) + 1  # components are labelled 0..k-1, with no outliers
     kernel = kernel_by_name(cfg.kernel)
     train, test = suite[: cfg.n_train], suite[cfg.n_train :]
     offsets = np.linspace(-cfg.cutoff_width_stds, cfg.cutoff_width_stds, cfg.cutoff_steps)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import CovTensor, ctf_at
 from .kernels import _check_sigma, builtin_truncation, unit_ball_volume
-from .measures import NumericalError, WeightedMeasure
+from .measures import NumericalError, WeightedMeasure, _check_positive
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -95,6 +95,21 @@ def wedge_tensor(directions, lengths, sigma: float) -> CovTensor:
     return CovTensor(m)
 
 
+def _cap_angle(radius: float, r: float, sigma: float) -> float | None:
+    """phi = arccos((R^2 + r^2 - sigma^2) / (2 r R)), the half-angle of the part of the radius-R
+    circle or sphere within sigma of a point at distance r from its centre; None if |r - R| > sigma."""
+    _check_sigma(sigma)
+    _check_positive("radius", radius)
+    if not r >= 0:
+        raise ValueError(f"r must be non-negative, got {r!r}")
+    if abs(r - radius) > sigma:
+        return None
+    if r == 0.0:
+        raise NumericalError("angle undefined at the center with R <= sigma")
+    arg = (radius**2 + r**2 - sigma**2) / (2.0 * r * radius)
+    return math.acos(min(1.0, max(-1.0, arg)))
+
+
 def circle_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, float]:
     """Normal and tangential eigenvalues of the circle's arc-length tensor.
 
@@ -107,17 +122,9 @@ def circle_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, fl
     phi = arccos((R^2 + r^2 - sigma^2) / (2 r R)), and vanishes when
     |r - R| > sigma.  Returns (lambda_n, lambda_t).
     """
-    _check_sigma(sigma)
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius!r}")
-    if not r >= 0:
-        raise ValueError(f"r must be non-negative, got {r!r}")
-    if abs(r - radius) > sigma:
+    phi = _cap_angle(radius, r, sigma)
+    if phi is None:
         return 0.0, 0.0
-    if r == 0.0:
-        raise NumericalError("angle undefined at the center with R <= sigma")
-    arg = (radius**2 + r**2 - sigma**2) / (2.0 * r * radius)
-    phi = math.acos(min(1.0, max(-1.0, arg)))
     s, c = math.sin(phi), math.cos(phi)
     lam_t = radius**3 / (math.pi * sigma**2) * (phi - s * c)
     lam_n = (
@@ -137,17 +144,9 @@ def sphere_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, fl
     phi as for the circle; the tensor vanishes when |r - R| > sigma.
     Returns (lambda_t, lambda_t, lambda_n).
     """
-    _check_sigma(sigma)
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius!r}")
-    if not r >= 0:
-        raise ValueError(f"r must be non-negative, got {r!r}")
-    if abs(r - radius) > sigma:
+    phi = _cap_angle(radius, r, sigma)
+    if phi is None:
         return 0.0, 0.0, 0.0
-    if r == 0.0:
-        raise NumericalError("angle undefined at the center with R <= sigma")
-    arg = (radius**2 + r**2 - sigma**2) / (2.0 * r * radius)
-    phi = math.acos(min(1.0, max(-1.0, arg)))
     c = math.cos(phi)
     lam_t = radius**4 / sigma**3 * math.sin(phi / 2.0) ** 4 * (c + 2.0)
     lam_n = radius / (2.0 * sigma**3) * ((radius - r) ** 3 - (radius * c - r) ** 3)

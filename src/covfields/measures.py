@@ -30,6 +30,17 @@ class NumericalError(RuntimeError):
     """A computation produced an inconsistent or non-convergent result."""
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Require ``0 < value < inf``, so NaN and infinities fail here, by name."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_noise_sd(noise_sd: float) -> None:
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd!r}")
+
+
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG (Philox4x64-10); streams derived as seed XOR stream."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream)))
@@ -142,8 +153,7 @@ def quadrature_segment(endpoint_a, endpoint_b, spacing: float) -> WeightedMeasur
     b = np.asarray(endpoint_b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError("endpoints must have the same dimension")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    _check_positive("spacing", spacing)
     length = float(np.linalg.norm(b - a))
     if length == 0.0:
         raise ValueError("degenerate segment: endpoints coincide")
@@ -162,8 +172,7 @@ def quadrature_circle(radius: float, n_atoms: int) -> WeightedMeasure:
     Atoms at angles 2*pi*k/n, each carrying weight 2*pi*R/n (total mass =
     circumference).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     if n_atoms < 3:
         raise ValueError("n_atoms must be at least 3")
     theta = 2.0 * np.pi * np.arange(n_atoms) / n_atoms
@@ -178,8 +187,7 @@ def quadrature_arc(radius: float, theta_min: float, theta_max: float, n_atoms: i
     Useful for localized evaluations where a compactly supported kernel only
     ever sees part of the circle.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     if theta_max <= theta_min:
         raise ValueError("empty arc")
     if n_atoms < 1:
@@ -197,21 +205,22 @@ def quadrature_sphere(radius: float, n_theta: int, n_phi: int) -> WeightedMeasur
     Latitude-longitude midpoint quadrature with area-element weights
     R^2 sin(theta) dtheta dphi; total mass converges to 4*pi*R^2 at O(1/n^2).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     if n_theta < 2 or n_phi < 3:
         raise ValueError("need n_theta >= 2 and n_phi >= 3")
     dt = np.pi / n_theta
-    dp = 2.0 * np.pi / n_phi
     theta = (np.arange(n_theta) + 0.5) * dt
-    phi = (np.arange(n_phi) + 0.5) * dp
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return _sphere_grid(radius, theta, radius * radius * np.sin(theta) * dt, n_phi)
+
+
+def _sphere_grid(radius: float, theta, band_mass, n_phi: int) -> WeightedMeasure:
+    """Atoms of the sphere at each polar angle in ``theta`` (the slow index)
+    and ``n_phi`` azimuth midpoints, each with 1/n_phi of its band's mass."""
+    dp = 2.0 * np.pi / n_phi
+    tt, pp = np.meshgrid(theta, (np.arange(n_phi) + 0.5) * dp, indexing="ij")
     st = np.sin(tt)
-    atoms = radius * np.column_stack(
-        [(st * np.cos(pp)).ravel(), (st * np.sin(pp)).ravel(), np.cos(tt).ravel()]
-    )
-    w = (radius * radius * st * dt * dp).ravel()
-    return WeightedMeasure(atoms, w)
+    columns = [(st * np.cos(pp)).ravel(), (st * np.sin(pp)).ravel(), np.cos(tt).ravel()]
+    return WeightedMeasure(radius * np.column_stack(columns), np.repeat(band_mass * dp, n_phi))
 
 
 def _edges_with_alignment(lo: float, hi: float, n: int, align) -> np.ndarray:
@@ -234,22 +243,13 @@ def quadrature_cap(
     a cell; this removes the dominant quadrature error when evaluating
     covariance tensors at the pole.
     """
-    if radius <= 0 or theta_max <= 0:
-        raise ValueError("radius and theta_max must be positive")
+    _check_positive("radius", radius)
+    _check_positive("theta_max", theta_max)
     if n_theta < 2 or n_phi < 3:
         raise ValueError("need n_theta >= 2 and n_phi >= 3")
     edges = _edges_with_alignment(0.0, theta_max, n_theta, align_thetas)
-    mids = 0.5 * (edges[:-1] + edges[1:])
     band_mass = radius * radius * (np.cos(edges[:-1]) - np.cos(edges[1:]))
-    dp = 2.0 * np.pi / n_phi
-    phi = (np.arange(n_phi) + 0.5) * dp
-    tt, pp = np.meshgrid(mids, phi, indexing="ij")
-    st = np.sin(tt)
-    atoms = radius * np.column_stack(
-        [(st * np.cos(pp)).ravel(), (st * np.sin(pp)).ravel(), np.cos(tt).ravel()]
-    )
-    w = np.repeat(band_mass * dp, n_phi)
-    return WeightedMeasure(atoms, w)
+    return _sphere_grid(radius, 0.5 * (edges[:-1] + edges[1:]), band_mass, n_phi)
 
 
 def quadrature_disk(
@@ -261,8 +261,7 @@ def quadrature_disk(
     :func:`quadrature_cap`).  With ``dim=3`` the disk is embedded in the
     z = 0 plane.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     if n_r < 1 or n_phi < 3:
         raise ValueError("need n_r >= 1 and n_phi >= 3")
     edges = _edges_with_alignment(0.0, radius, n_r, align_radii)
@@ -302,18 +301,12 @@ def gen_line_arrangement(
     """
     if not segments:
         raise ValueError("empty segment specification")
+    _check_noise_sd(noise_sd)
+    ends, counts = zip(*segments)
+    if min(counts) < 2:
+        raise ValueError("each line needs at least 2 points")
     rng = _philox(seed)
-    pts, labels = [], []
-    for idx, ((a, b), n_pts) in enumerate(segments):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if n_pts < 2:
-            raise ValueError("each line needs at least 2 points")
-        t = np.linspace(0.0, 1.0, n_pts)
-        pts.append(a[None, :] + t[:, None] * (b - a)[None, :])
-        labels.append(np.full(n_pts, idx, dtype=np.int64))
-    points = np.concatenate(pts, axis=0)
-    labels = np.concatenate(labels)
+    points, labels = _sample_segments(ends, counts)
     if noise_sd > 0:
         points = points + rng.normal(0.0, noise_sd, size=points.shape)
     if n_outliers > 0:
@@ -328,6 +321,16 @@ def gen_line_arrangement(
         labels = np.concatenate([labels, np.full(n_outliers, len(segments), dtype=np.int64)])
     desc = f"line arrangement: {len(segments)} segments, noise_sd={noise_sd}, outliers={n_outliers}"
     return LabeledDataset(empirical_measure(points), labels, desc)
+
+
+def _sample_segments(segments, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``counts[i]`` equally spaced points, endpoints included, on the i-th
+    segment ``(a, b)``, labelled i: (points, int64 labels)."""
+    pts = []
+    for (a, b), n in zip(segments, counts):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        pts.append(a + np.linspace(0.0, 1.0, n)[:, None] * (b - a))
+    return np.concatenate(pts), np.repeat(np.arange(len(pts), dtype=np.int64), counts)
 
 
 def _cross2(u, v) -> float:
@@ -350,44 +353,26 @@ def _separated_segments(rng, count):
     while True:
         segs = [_random_segment(rng, box_lo, box_hi, 0.7) for _ in range(count)]
         dirs = [(b - a) / np.linalg.norm(b - a) for a, b in segs]
-        if all(
-            abs(_cross2(dirs[i], dirs[j])) >= np.sin(np.radians(30.0))
-            for i in range(count)
-            for j in range(i + 1, count)
-        ):
+        if all(abs(_cross2(u, v)) >= np.sin(np.radians(30.0))
+               for u, v in itertools.combinations(dirs, 2)):
             return segs
 
 
-def _gen_lines2d(rng, n_components, points_per, noise_sd):
-    # distinct slopes, pairwise direction angles >= 30 degrees
-    segs = _separated_segments(rng, n_components)
-    pts, labels = [], []
-    for idx, (a, b) in enumerate(segs):
-        t = np.linspace(0.0, 1.0, points_per)
-        pts.append(a[None, :] + t[:, None] * (b - a)[None, :])
-        labels.append(np.full(points_per, idx, dtype=np.int64))
-    points = np.concatenate(pts) + rng.normal(0.0, noise_sd, size=(n_components * points_per, 2))
-    return points, np.concatenate(labels)
-
-
-def _gen_mixed2d(rng, points_per, noise_sd):
-    # four curves, each a segment or a shallow parabola arc; chord directions
-    # kept >= 30 degrees apart so tangent ranges stay distinguishable
-    segs = _separated_segments(rng, 4)
-    pts, labels = [], []
-    for idx, (a, b) in enumerate(segs):
-        t = np.linspace(0.0, 1.0, points_per)
-        base = a[None, :] + t[:, None] * (b - a)[None, :]
-        if rng.random() < 0.5:
+def _gen_curves2d(rng, count, points_per, noise_sd, bend):
+    # ``count`` segments with chord directions >= 30 degrees apart, so tangent
+    # ranges stay distinguishable; with ``bend``, each becomes a shallow
+    # parabola arc with probability 1/2
+    segs = _separated_segments(rng, count)
+    points, labels = _sample_segments(segs, [points_per] * count)
+    t = np.linspace(0.0, 1.0, points_per)
+    for (a, b), curve in zip(segs, np.split(points, count)):  # views into points
+        if bend and rng.random() < 0.5:
             chord = float(np.linalg.norm(b - a))
             direction = (b - a) / chord
             normal = np.array([-direction[1], direction[0]])
             amp = rng.uniform(0.02, 0.05) * chord * np.sign(rng.random() - 0.5)
-            base = base + (amp * ((t - 0.5) ** 2 * 4 - 1))[:, None] * normal[None, :]
-        pts.append(base)
-        labels.append(np.full(points_per, idx, dtype=np.int64))
-    points = np.concatenate(pts) + rng.normal(0.0, noise_sd, size=(4 * points_per, 2))
-    return points, np.concatenate(labels)
+            curve += (amp * ((t - 0.5) ** 2 * 4 - 1))[:, None] * normal
+    return points + rng.normal(0.0, noise_sd, size=points.shape), labels
 
 
 def _gen_planes3d(rng, grid_per_side, noise_sd):
@@ -395,18 +380,13 @@ def _gen_planes3d(rng, grid_per_side, noise_sd):
     while True:
         normals = rng.normal(size=(3, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        ok = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(np.dot(normals[i], normals[j])) > np.cos(np.radians(40.0)):
-                    ok = False
-        if ok:
+        if all(abs(np.dot(p, q)) <= np.cos(np.radians(40.0))
+               for p, q in itertools.combinations(normals, 2)):
             break
-    pts, labels = [], []
+    pts = []
     u = np.linspace(-0.5, 0.5, grid_per_side)
     uu, vv = np.meshgrid(u, u, indexing="ij")
-    for idx in range(3):
-        n = normals[idx]
+    for n in normals:
         e1 = np.cross(n, [1.0, 0.0, 0.0])
         if np.linalg.norm(e1) < 1e-8:
             e1 = np.cross(n, [0.0, 1.0, 0.0])
@@ -415,11 +395,10 @@ def _gen_planes3d(rng, grid_per_side, noise_sd):
         center = rng.uniform(-0.25, 0.25, size=3)
         patch = center[None, :] + uu.ravel()[:, None] * e1[None, :] + vv.ravel()[:, None] * e2[None, :]
         pts.append(patch)
-        labels.append(np.full(patch.shape[0], idx, dtype=np.int64))
     points = np.concatenate(pts)
     if noise_sd > 0:
         points = points + rng.normal(0.0, noise_sd, size=points.shape)
-    return points, np.concatenate(labels)
+    return points, np.repeat(np.arange(3, dtype=np.int64), grid_per_side**2)
 
 
 ARRANGEMENT_KINDS = ("lines2d", "mixed_curves2d", "planes3d")
@@ -445,13 +424,16 @@ def gen_arrangement_suite(
         raise ValueError("n_samples must be at least 1")
     if kind not in ARRANGEMENT_KINDS:
         raise ValueError(f"unknown arrangement kind: {kind!r}")
+    if not 2 <= points_per_component < math.inf:
+        raise ValueError(f"points_per_component must be finite and at least 2, got {points_per_component!r}")
+    _check_noise_sd(noise_sd)
     suite = []
     for i in range(n_samples):
         rng = _philox(seed, stream=i + 1)
         if kind == "lines2d":
-            points, labels = _gen_lines2d(rng, 3, points_per_component, noise_sd)
+            points, labels = _gen_curves2d(rng, 3, points_per_component, noise_sd, bend=False)
         elif kind == "mixed_curves2d":
-            points, labels = _gen_mixed2d(rng, points_per_component, noise_sd)
+            points, labels = _gen_curves2d(rng, 4, points_per_component, noise_sd, bend=True)
         else:
             side = max(4, int(round(math.sqrt(points_per_component))))
             points, labels = _gen_planes3d(rng, side, noise_sd)

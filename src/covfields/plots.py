@@ -13,6 +13,8 @@ import numpy as np
 _MARGIN = 50.0
 _W = 640.0
 _H = 480.0
+# the plot area inside the margins: x0, x1 (left, right), y0, y1 (top, bottom)
+_AREA = (_MARGIN, _W - _MARGIN, _MARGIN, _H - _MARGIN)
 
 _VIRIDIS = [
     (0.267, 0.005, 0.329),
@@ -47,23 +49,25 @@ def _heat_color(v: float) -> str:
     return "#" + "".join(f"{int(round(255 * c)):02x}" for c in rgb)
 
 
-def _svg(body: list[str], width=_W, height=_H) -> str:
+def _write_svg(path, body: list[str]) -> None:
+    """Write the canvas: header, white background, ``body``, close."""
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
-        f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" '
+        f'height="{int(_H)}" viewBox="0 0 {int(_W)} {int(_H)}">'
     )
-    return "\n".join([head, '<rect width="100%" height="100%" fill="white"/>'] + body + ["</svg>"]) + "\n"
+    lines = [head, '<rect width="100%" height="100%" fill="white"/>', *body, "</svg>"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _axes(x0, x1, y0, y1, xlabel, ylabel) -> list[str]:
-    body = [
+    return [
         f'<line x1="{_fmt(x0)}" y1="{_fmt(y1)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" stroke="black"/>',
         f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" stroke="black"/>',
         f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y1 + 35)}" font-size="13" text-anchor="middle">{xlabel}</text>',
         f'<text x="{_fmt(x0 - 35)}" y="{_fmt((y0 + y1) / 2)}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 {_fmt(x0 - 35)} {_fmt((y0 + y1) / 2)})">{ylabel}</text>',
     ]
-    return body
 
 
 def loglog_svg(x, series, path) -> None:
@@ -76,8 +80,7 @@ def loglog_svg(x, series, path) -> None:
     if ymax == ymin:
         ymax = ymin + 1.0
     xspan = (lx[-1] - lx[0]) or 1.0  # one x value sits at the left axis
-    x0, x1 = _MARGIN, _W - _MARGIN
-    y0, y1 = _MARGIN, _H - _MARGIN
+    x0, x1, y0, y1 = _AREA
 
     def sx(v):
         return x0 + (v - lx[0]) / xspan * (x1 - x0)
@@ -97,8 +100,7 @@ def loglog_svg(x, series, path) -> None:
         body.append(
             f'<text x="{_fmt(x1 - 140)}" y="{_fmt(y0 + 16 + 16 * i)}" font-size="12" fill="{color}">{label}</text>'
         )
-    with open(path, "w") as fh:
-        fh.write(_svg(body))
+    _write_svg(path, body)
 
 
 def dendrogram_svg(dendrogram, path) -> None:
@@ -108,8 +110,7 @@ def dendrogram_svg(dendrogram, path) -> None:
     pos = {int(leaf): i for i, leaf in enumerate(dendrogram.order)}
     hmax = merges[:, 2].max() if len(merges) else 1.0
     hmax = hmax if hmax > 0 else 1.0
-    x0, x1 = _MARGIN, _W - _MARGIN
-    y0, y1 = _MARGIN, _H - _MARGIN
+    x0, x1, y0, y1 = _AREA
 
     def sx(i):
         return x0 + (x1 - x0) * (i + 0.5) / max(n, 1)
@@ -131,8 +132,7 @@ def dendrogram_svg(dendrogram, path) -> None:
         )
         xcoord[n + k] = 0.5 * (xa + xb)
         hcoord[n + k] = h
-    with open(path, "w") as fh:
-        fh.write(_svg(body))
+    _write_svg(path, body)
 
 
 def tensor_glyphs_svg(points, tensors, path) -> None:
@@ -149,8 +149,7 @@ def tensor_glyphs_svg(points, tensors, path) -> None:
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    x0, x1 = _MARGIN, _W - _MARGIN
-    y0, y1 = _MARGIN, _H - _MARGIN
+    x0, x1, y0, y1 = _AREA
     scale = min((x1 - x0) / span[0], (y1 - y0) / span[1])
 
     def sx(p):
@@ -174,8 +173,7 @@ def tensor_glyphs_svg(points, tensors, path) -> None:
             f'fill="none" stroke="#d62728" stroke-width="1"/>'
         )
         body.append(f'<circle cx="{_fmt(sx(p))}" cy="{_fmt(sy(p))}" r="1.2" fill="#1f77b4"/>')
-    with open(path, "w") as fh:
-        fh.write(_svg(body))
+    _write_svg(path, body)
 
 
 def heatmap_svg(x_axis, y_axis, values, path) -> None:
@@ -187,8 +185,7 @@ def heatmap_svg(x_axis, y_axis, values, path) -> None:
         raise ValueError("values must be shaped (len(y), len(x))")
     vmin, vmax = values.min(), values.max()
     spread = vmax - vmin if vmax > vmin else 1.0
-    x0, x1 = _MARGIN, _W - _MARGIN
-    y0, y1 = _MARGIN, _H - _MARGIN
+    x0, x1, y0, y1 = _AREA
     cw = (x1 - x0) / x_axis.size
     ch = (y1 - y0) / y_axis.size
     body = []
@@ -199,6 +196,5 @@ def heatmap_svg(x_axis, y_axis, values, path) -> None:
                 f'<rect x="{_fmt(x0 + ix * cw)}" y="{_fmt(y1 - (iy + 1) * ch)}" '
                 f'width="{_fmt(cw + 0.3)}" height="{_fmt(ch + 0.3)}" fill="{color}"/>'
             )
-    with open(path, "w") as fh:
-        fh.write(_svg(body))
+    _write_svg(path, body)
 

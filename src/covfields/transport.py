@@ -10,8 +10,10 @@ perfect-matching feasibility test (itself an assignment on 0/1 costs).
 Every other pair (weighted or unequal sizes) takes the general solvers: W1
 as the transportation linear program (HiGHS dual simplex, an exact vertex
 method) and W-infinity by the same search with a max-flow
-feasibility test.  Only exact solvers are used — certifying an inequality
-against an approximate transport cost would invalidate its direction.
+feasibility test.  The solvers are exact — certifying an inequality against
+an approximate transport cost would invalidate its direction — except that
+weighted W-infinity rounds weights that are not near-rational (see
+:func:`_scaled_capacities`) to integer capacities at scale 1e9.
 Couplings induce correspondences between supports, whose metric distortion
 upper-bounds twice the Gromov-Hausdorff distance.
 
@@ -43,7 +45,7 @@ from scipy.spatial.distance import cdist
 
 from .fields import ctf_grid
 from .kernels import RadialKernel, _check_sigma, builtin_truncation, derive_constants, unit_sphere_area
-from .measures import WeightedMeasure
+from .measures import WeightedMeasure, _check_positive
 
 DEFAULT_MAX_ATOMS = 2000
 MARGINAL_TOL = 1e-9
@@ -95,23 +97,16 @@ class Correspondence:
         )
 
 
-def _check_probability(measure: WeightedMeasure, label: str) -> None:
-    if abs(measure.total_mass - 1.0) > MARGINAL_TOL:
-        raise ValueError(f"{label} must be a normalized probability measure")
-
-
-def _check_size(measure: WeightedMeasure, max_atoms: int, label: str) -> None:
-    if measure.size > max_atoms:
-        raise ValueError(
-            f"{label} has {measure.size} atoms > max {max_atoms}; subsample or raise the cap"
-        )
-
-
 def _check_pair(alpha: WeightedMeasure, beta: WeightedMeasure, max_atoms: int) -> None:
-    _check_probability(alpha, "alpha")
-    _check_probability(beta, "beta")
-    _check_size(alpha, max_atoms, "alpha")
-    _check_size(beta, max_atoms, "beta")
+    pair = (("alpha", alpha), ("beta", beta))
+    for label, measure in pair:
+        if abs(measure.total_mass - 1.0) > MARGINAL_TOL:
+            raise ValueError(f"{label} must be a normalized probability measure")
+    for label, measure in pair:
+        if measure.size > max_atoms:
+            raise ValueError(
+                f"{label} has {measure.size} atoms > max {max_atoms}; subsample or raise the cap"
+            )
     if alpha.dim != beta.dim:
         raise ValueError("measures must live in the same dimension")
 
@@ -178,41 +173,24 @@ def w1_exact(
     return value, TransportPlan(pi, value, alpha, beta)
 
 
-def _integer_capacities(weights: np.ndarray) -> tuple[list[int], int] | None:
-    """Represent weights exactly as integers over a common denominator.
-
-    Returns (numerators, denominator) when every weight is within 1e-12 of a
-    rational with small denominator and the common denominator stays below
-    2^40; None otherwise.
-    """
-    fracs = [Fraction(float(w)).limit_denominator(10**7) for w in weights]
-    if any(abs(float(f) - float(w)) > 1e-12 for f, w in zip(fracs, weights)):
-        return None
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        if denom > 2**40:
-            return None
-    return [f.numerator * (denom // f.denominator) for f in fracs], denom
-
-
 def _scaled_capacities(wa: np.ndarray, wb: np.ndarray) -> tuple[list[int], list[int], int]:
     """Integer capacities for both marginals over one common denominator.
 
-    Prefers an exact rational representation, whatever the size of its
-    denominator; otherwise rounds at scale 1e9 (guard: per-weight distortion
+    Exact when every weight is within 1e-12 of a rational with denominator
+    <= 1e7, each side's common denominator is <= 2^40 and the two sides'
+    numerators have equal totals over the joint denominator, whatever its
+    size.  Otherwise rounds at scale 1e9 (guard: per-weight distortion
     <= 1e-9 of mass) and repairs the largest entry so both sides carry
     identical total flow.
     """
-    ra = _integer_capacities(wa)
-    rb = _integer_capacities(wb)
-    if ra is not None and rb is not None:
-        (na, da), (nb, db) = ra, rb
-        denom = da * db // math.gcd(da, db)
-        a = [v * (denom // da) for v in na]
-        b = [v * (denom // db) for v in nb]
-        if sum(a) == sum(b):
-            return a, b, denom
+    sides = [[Fraction(float(w)).limit_denominator(10**7) for w in ws] for ws in (wa, wb)]
+    if all(abs(float(f) - float(w)) <= 1e-12 for fs, ws in zip(sides, (wa, wb)) for f, w in zip(fs, ws)):
+        denoms = [math.lcm(*(f.denominator for f in fs)) for fs in sides]
+        if max(denoms) <= 2**40:
+            denom = math.lcm(*denoms)
+            a, b = ([f.numerator * (denom // f.denominator) for f in fs] for fs in sides)
+            if sum(a) == sum(b):
+                return a, b, denom
     scale = 10**9
     a = np.round(wa * scale).astype(np.int64)
     b = np.round(wb * scale).astype(np.int64)
@@ -373,8 +351,9 @@ def winf_exact(
     has all-equal weights, the test is a perfect bipartite matching (a
     0/1-cost ``linear_sum_assignment``); for every other pair it is a max
     flow that saturates the total mass, on weights scaled to integer
-    capacities.  The witness plan's largest support edge equals the
-    returned value.
+    capacities (exactly when near-rational, else rounded at scale 1e9, so
+    the marginals hold to 1e-9 of mass).  The witness plan's largest support
+    edge equals the returned value.
     """
     _check_pair(alpha, beta, max_atoms)
     dist = cdist(alpha.atoms, beta.atoms)
@@ -491,8 +470,7 @@ def check_stability_smooth(
 def truncation_stability_constant(sigma: float, d: int, c: float) -> float:
     """The three-term constant A(sigma, d, c) of the truncation-kernel bound."""
     _check_sigma(sigma)
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be finite and positive, got {c!r}")
+    _check_positive("c", c)
     t1 = d / (d + 2.0) * (sigma + c) ** (d + 2) / (c * sigma**d)
     t2 = (2.0 * sigma + c) * (sigma + c) ** d / sigma**d
     t3 = 2.0 * d / (d + 2.0) * (sigma + c) ** (d + 2) / (c * sigma**d)

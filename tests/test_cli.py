@@ -64,6 +64,14 @@ class TestGen:
                     "--noise-sd", "0.02", "--output", name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_lines_bad_noise_sd_exit_2(self, tmp_path, capsys, value):
+        segs = json.dumps([[[0, 0], [1, 1]]])
+        code = run_cli("--out", str(tmp_path), "gen", "--kind", "lines", "--segments", segs,
+                       f"--noise-sd={value}")
+        assert "noise_sd" in config_error(capsys, code)
+        assert not (tmp_path / "measure.csv").exists()
+
 
 class TestFieldCommands:
     @pytest.fixture()
@@ -425,6 +433,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("setting", [{"sigma_grid": []}, {"gamma_grid": []}, {"cutoff_steps": 0}])
     def test_empty_search_exit_2(self, tmp_path, capsys, setting):
         doc = {"bench": {"n_samples": 3, "n_train": 1, "points_per_component": 20, **setting}}
+        assert next(iter(setting)) in config_error(capsys, self.run_with(tmp_path, doc, "bench"))
+
+    @pytest.mark.parametrize("setting", [
+        {"points_per_component": 0}, {"points_per_component": 1}, {"noise_sd": -1}, {"noise_sd": math.nan},
+    ])
+    def test_unusable_suite_setting_exit_2(self, tmp_path, capsys, setting):
+        doc = {"bench": {"n_samples": 3, "n_train": 1, **setting}}
         assert next(iter(setting)) in config_error(capsys, self.run_with(tmp_path, doc, "bench"))
 
 

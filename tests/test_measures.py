@@ -146,6 +146,49 @@ def test_sphere_grids_frozen(case):
     assert digest == SPHERE_GRID_DIGESTS[case]
 
 
+BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_generator_parameters_fail_by_name(bad):
+    """NaN, +-inf, 0 and -1 through each generator parameter raise ValueError
+    naming it; noise_sd alone takes 0."""
+    positive = {
+        "spacing": [lambda x: quadrature_segment([0, 0], [1, 0], x)],
+        "radius": [
+            lambda x: quadrature_circle(x, 8),
+            lambda x: measures.quadrature_arc(x, 0.0, 1.0, 4),
+            lambda x: quadrature_sphere(x, 4, 4),
+            lambda x: measures.quadrature_cap(x, 1.0, 4, 4),
+            lambda x: quadrature_disk(x, 4, 8),
+        ],
+        "theta_max": [lambda x: measures.quadrature_cap(1.0, x, 4, 4)],
+    }
+    for name, fns in positive.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+                fn(bad)
+    segments = [(((0.0, 0.0), (1.0, 1.0)), 5)]
+    suites = [lambda kind=kind, **kw: gen_arrangement_suite(kind, 1, **kw)
+              for kind in measures.ARRANGEMENT_KINDS]
+    for fn in suites:
+        with pytest.raises(ValueError, match="^points_per_component must be finite and at least 2"):
+            fn(points_per_component=bad)
+    for fn in [lambda **kw: gen_line_arrangement(segments, **kw), *suites]:
+        if bad == 0.0:
+            fn(noise_sd=bad)
+        else:
+            with pytest.raises(ValueError, match="^noise_sd must be finite and non-negative"):
+                fn(noise_sd=bad)
+
+
+def test_one_point_per_component_rejected():
+    with pytest.raises(ValueError, match="points_per_component must be finite and at least 2, got 1"):
+        gen_arrangement_suite("lines2d", 1, points_per_component=1)
+    with pytest.raises(ValueError, match="each line needs at least 2 points"):
+        gen_line_arrangement([(((0.0, 0.0), (1.0, 1.0)), 5), (((0.0, 1.0), (1.0, 0.0)), 1)])
+
+
 def test_quadrature_disk_mass():
     m = quadrature_disk(0.5, 100, 64)
     assert abs(m.total_mass - math.pi * 0.25) < 1e-12 * math.pi

@@ -183,7 +183,7 @@ class TestWinf:
 
     def test_scaled_capacities_too_small(self):
         with pytest.raises(ValueError, match="weights too small to scale to integer capacities"):
-            transport._scaled_capacities(np.array([math.pi * 1e-11, 1 - math.pi * 1e-11]), np.array([0.5, 0.5]))
+            transport._scaled_capacities(np.array([math.pi * 1e-11, 1 - math.pi * 1e-11]), np.full(2, 0.5))
 
     def test_exact_flow_matches_maximum_flow(self, monkeypatch):
         """Forced onto the Python-integer flow, the max-flow path gives the
