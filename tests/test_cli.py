@@ -135,6 +135,21 @@ class TestFieldCommands:
         kappa = float(lines[1].split(",")[2])
         assert abs(kappa - 1.0) < 0.1
 
+    # SHA-256 of curvature.csv from the real surface fit on a polar cap,
+    # recorded while the surface fit still took a --surface flag
+    SURFACE_DIGEST = "667479c6e1be4ac5e175720f9520f11c606da7172b1d40f6991dcb2d1c63aa9f"
+
+    def test_surface_curvature_frozen(self, tmp_path):
+        from covfields import quadrature_cap
+
+        aligns = [2.0 * math.asin(s / 2.0) for s in (0.1, 0.08, 0.06)]
+        data = tmp_path / "cap.csv"
+        save_measure(quadrature_cap(1.0, 1.6 * max(aligns), 60, 120, align_thetas=aligns), data)
+        assert run_cli("--out", str(tmp_path), "curvature", "--input", str(data),
+                       "--point", "[0.0, 0.0, 1.0]", "--ladder", "0.1,0.08,0.06", "--surface") == 0
+        digest = hashlib.sha256((tmp_path / "curvature.csv").read_bytes()).hexdigest()
+        assert digest == self.SURFACE_DIGEST
+
 
 class TestClusterCommand:
     def test_cluster_with_labels(self, tmp_path):

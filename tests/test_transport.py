@@ -181,6 +181,28 @@ class TestWinf:
         text = repr(([int(v) for v in a], [int(v) for v in b], int(denom)))
         assert hashlib.sha256(text.encode()).hexdigest() == self.CAPACITY_DIGESTS[case]
 
+    # SHA-256 of repr(value) then the coupling's float64 bytes, recorded while
+    # winf_exact still summed the plan's cost: the weighted pair takes the
+    # max-flow path, the uniform pair of one size the matching path
+    WINF_DIGESTS = {
+        "weighted": "2345c14c25b16523556faed99241d69be8d2a7511290ab60df6dc506557fe6b2",
+        "uniform": "ca24756a511d72f87103b318842531c28e3a8b94ad28a13c91bee5c8906a63c1",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WINF_DIGESTS))
+    def test_winf_frozen(self, kind):
+        rng = np.random.default_rng(23)
+        if kind == "weighted":
+            wa, wb = rng.integers(1, 6, size=7).astype(float), rng.integers(1, 6, size=5).astype(float)
+            a = WeightedMeasure(rng.normal(size=(7, 2)), wa / wa.sum())
+            b = WeightedMeasure(rng.normal(size=(5, 2)), wb / wb.sum())
+        else:
+            a, b = uniform_on(rng.normal(size=(8, 2))), uniform_on(rng.normal(size=(8, 2)))
+        value, plan = winf_exact(a, b)
+        h = hashlib.sha256(repr(value).encode())
+        h.update(np.ascontiguousarray(plan.coupling, dtype=np.float64).tobytes())
+        assert h.hexdigest() == self.WINF_DIGESTS[kind]
+
     def test_scaled_capacities_too_small(self):
         with pytest.raises(ValueError, match="weights too small to scale to integer capacities"):
             transport._scaled_capacities(np.array([math.pi * 1e-11, 1 - math.pi * 1e-11]), np.full(2, 0.5))
