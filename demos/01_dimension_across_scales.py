@@ -29,7 +29,7 @@ for sigma, tag in ((0.1, "small"), (2.0, "large")):
     grid = cf.ctf_grid(measure, kernel, probes, sigma)
     spectra = [cf.spectrum(t) for t in grid.tensors]
     ratios = [s.anisotropy_ratios[0] for s in spectra]
-    dims = [cf.dimension_estimate(s, threshold=0.5) for s in spectra]
+    dims = [cf.dimension_estimate(s) for s in spectra]
     print(f"sigma = {sigma}:")
     print(f"  eigenvalue ratios along the band: {np.round(ratios, 3)}")
     print(f"  estimated dimension at each probe: {dims}")

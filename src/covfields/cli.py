@@ -88,7 +88,7 @@ def _json_fits(value, types: tuple) -> bool:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Grid spec lo:hi:n (2-D square grid) or a CSV/JSON file of points."""
+    """Grid spec lo:hi:n (2-D square grid) or a measure CSV of points."""
     if os.path.exists(spec):
         return _load_plain_measure(spec).atoms
     try:
@@ -183,11 +183,11 @@ def _cmd_curvature(args) -> int:
     point = json.loads(args.point)
     ladder = [float(s) for s in args.ladder.split(",")]
     path = _outpath(args, args.output)
-    if args.surface:
+    if measure.dim == 3:
         est = surface_curvatures(measure, point, ladder)
         names = ["kappa1", "kappa2", "residual_trace", "residual_det", "sign_ambiguity"]
         values = [est.kappa1, est.kappa2, est.residual_trace, est.residual_det, int(est.sign_ambiguity)]
-    else:
+    else:  # the curve fit rejects every dimension but 2
         est = curve_curvature(measure, point, ladder)
         names = ["kappa_abs", "residual", "clamped"]
         values = [est.kappa_abs, est.residual, int(est.clamped)]
@@ -331,11 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--starts", required=True, help="lo:hi:n or points file")
     fl.add_argument("--output", default="flow.csv")
 
-    cv = sub.add_parser("curvature", help="curvature recovery from small scales")
+    cv = sub.add_parser("curvature", help="curvature of a 2-D curve or a 3-D surface from small scales")
     cv.add_argument("--input", required=True)
     cv.add_argument("--point", required=True, help="JSON coordinates")
     cv.add_argument("--ladder", required=True, help="comma-separated scales")
-    cv.add_argument("--surface", action="store_true")
     cv.add_argument("--output", default="curvature.csv")
 
     cc = sub.add_parser("cluster", help="tensorized single-linkage clustering")

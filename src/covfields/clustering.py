@@ -35,7 +35,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .fields import ctf_grid
 from .kernels import RadialKernel, _check_sigma
-from .measures import WeightedMeasure, empirical_measure
+from .measures import WeightedMeasure, _check_non_negative, empirical_measure
 from .transport import Correspondence, distortion
 
 
@@ -52,8 +52,7 @@ class TensorizedMetricParams:
     kernel: RadialKernel
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma!r}")
+        _check_non_negative("gamma", self.gamma)
         _check_sigma(self.sigma)
 
 

@@ -104,17 +104,17 @@ def spectrum(t: CovTensor | np.ndarray) -> SpectrumSummary:
     return SpectrumSummary(vals, vecs, float(vals.sum()), ratios)
 
 
-def dimension_estimate(s: SpectrumSummary, threshold: float = 0.5) -> int:
-    """Number of eigenvalues within a factor ``threshold`` of the largest.
+def dimension_estimate(s: SpectrumSummary) -> int:
+    """Number of eigenvalues within a factor 1/2 of the largest.
 
-    Counts eigenvalues with lambda_i / lambda_max > threshold (the largest
+    Counts eigenvalues with lambda_i / lambda_max > 0.5 (the largest
     counts itself); returns 0 for the zero tensor.
     """
     lam = s.eigenvalues
     top = lam[-1]
     if top <= 0:
         return 0
-    return int(np.sum(lam / top > threshold))
+    return int(np.sum(lam / top > 0.5))
 
 
 def ctf_at(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> CovTensor:

@@ -138,8 +138,8 @@ def builtin_truncation() -> RadialKernel:
     )
 
 
-def tabulated_kernel(r_knots, f_values, name: str = "tabulated") -> RadialKernel:
-    """Kernel from tabulated (r, f(r)) samples with linear interpolation.
+def tabulated_kernel(r_knots, f_values) -> RadialKernel:
+    """Kernel named ``"tabulated"`` from (r, f(r)) samples with linear interpolation.
 
     This is an approximation of the underlying profile; f' is undefined at
     the knots, so tabulated kernels are excluded from smooth-stability
@@ -192,7 +192,7 @@ def tabulated_kernel(r_knots, f_values, name: str = "tabulated") -> RadialKernel
     f = prof(r)
 
     return RadialKernel(
-        name=name,
+        name="tabulated",
         profile=prof,
         derivative=None,
         compact_support_radius_sq=support,
@@ -204,10 +204,10 @@ def tabulated_kernel(r_knots, f_values, name: str = "tabulated") -> RadialKernel
     )
 
 
-def load_profile_csv(path, name: str = "tabulated") -> RadialKernel:
+def load_profile_csv(path) -> RadialKernel:
     """Read a two-column CSV of (r, f(r)) samples into a tabulated kernel."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return tabulated_kernel(data[:, 0], data[:, 1], name=name)
+    return tabulated_kernel(data[:, 0], data[:, 1])
 
 
 def kernel_by_name(name: str) -> RadialKernel:
@@ -243,8 +243,6 @@ class KernelConstants:
     c: float
     a1: float
     a2: float
-    nu_d: float
-    omega_dm1: float
     smooth_stability_eligible: bool
 
     @property
@@ -272,8 +270,6 @@ def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:
         c=float(kernel._constant("C")),
         a1=a1,
         a2=float(kernel._constant("A2")),
-        nu_d=unit_ball_volume(d),
-        omega_dm1=unit_sphere_area(d),
         smooth_stability_eligible=kernel.derivative is not None and np.isfinite(a1),
     )
 

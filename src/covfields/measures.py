@@ -36,9 +36,9 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_noise_sd(noise_sd: float) -> None:
-    if not 0 <= noise_sd < math.inf:
-        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd!r}")
+def _check_non_negative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
@@ -126,7 +126,6 @@ class LabeledDataset:
 
     measure: WeightedMeasure
     labels: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64).ravel())
@@ -188,8 +187,8 @@ def quadrature_arc(radius: float, theta_min: float, theta_max: float, n_atoms: i
     ever sees part of the circle.
     """
     _check_positive("radius", radius)
-    if theta_max <= theta_min:
-        raise ValueError("empty arc")
+    if not 0 < theta_max - theta_min < math.inf:  # NaN and infinite angles fail here
+        raise ValueError(f"theta_max - theta_min must be finite and positive, got {theta_max} - {theta_min}")
     if n_atoms < 1:
         raise ValueError("n_atoms must be positive")
     h = (theta_max - theta_min) / n_atoms
@@ -301,7 +300,8 @@ def gen_line_arrangement(
     """
     if not segments:
         raise ValueError("empty segment specification")
-    _check_noise_sd(noise_sd)
+    _check_non_negative("noise_sd", noise_sd)
+    _check_non_negative("n_outliers", n_outliers)
     ends, counts = zip(*segments)
     if min(counts) < 2:
         raise ValueError("each line needs at least 2 points")
@@ -319,8 +319,7 @@ def gen_line_arrangement(
         out = rng.uniform(lo, hi, size=(n_outliers, points.shape[1]))
         points = np.concatenate([points, out], axis=0)
         labels = np.concatenate([labels, np.full(n_outliers, len(segments), dtype=np.int64)])
-    desc = f"line arrangement: {len(segments)} segments, noise_sd={noise_sd}, outliers={n_outliers}"
-    return LabeledDataset(empirical_measure(points), labels, desc)
+    return LabeledDataset(empirical_measure(points), labels)
 
 
 def _sample_segments(segments, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +425,7 @@ def gen_arrangement_suite(
         raise ValueError(f"unknown arrangement kind: {kind!r}")
     if not 2 <= points_per_component < math.inf:
         raise ValueError(f"points_per_component must be finite and at least 2, got {points_per_component!r}")
-    _check_noise_sd(noise_sd)
+    _check_non_negative("noise_sd", noise_sd)
     suite = []
     for i in range(n_samples):
         rng = _philox(seed, stream=i + 1)
@@ -437,12 +436,12 @@ def gen_arrangement_suite(
         else:
             side = max(4, int(round(math.sqrt(points_per_component))))
             points, labels = _gen_planes3d(rng, side, noise_sd)
-        suite.append(LabeledDataset(empirical_measure(points), labels, f"{kind} sample {i}"))
+        suite.append(LabeledDataset(empirical_measure(points), labels))
     return suite
 
 
 # ---------------------------------------------------------------------------
-# I/O: one CSV writer, strict JSON, measure files (CSV or a JSON mirror)
+# I/O: one CSV writer, strict JSON, measure CSV files
 # ---------------------------------------------------------------------------
 
 def write_csv(path, header, columns) -> None:
@@ -478,21 +477,13 @@ def json_dumps(obj, **kwargs) -> str:
 
 
 def save_measure(obj, path) -> None:
-    """Write a WeightedMeasure or LabeledDataset to CSV or JSON (by suffix).
+    """Write a WeightedMeasure or LabeledDataset as CSV, whatever the suffix.
 
-    CSV columns: x_1,..,x_d,weight[,label] with a mandatory header row,
+    Columns: x_1,..,x_d,weight[,label] with a mandatory header row,
     written by :func:`write_csv`: floats as shortest round-tripping
     decimals, so a save/load cycle is bit-exact, and labels as integers.
     """
-    path = str(path)
     measure, labels = (obj.measure, obj.labels) if isinstance(obj, LabeledDataset) else (obj, None)
-    if path.endswith(".json"):
-        doc = {"dim": measure.dim, "atoms": measure.atoms.tolist(), "weights": measure.weights.tolist()}
-        if labels is not None:
-            doc["labels"] = labels.tolist()
-        with open(path, "w") as fh:
-            fh.write(json_dumps(doc) + "\n")
-        return
     header = [f"x_{i + 1}" for i in range(measure.dim)] + ["weight"]
     columns = [*measure.atoms.T, measure.weights]
     if labels is not None:
@@ -526,7 +517,7 @@ def _data_lines(fh):
 
 
 def load_measure(path):
-    """Load a WeightedMeasure or LabeledDataset written by :func:`save_measure`.
+    """Load a WeightedMeasure or LabeledDataset from CSV, whatever the suffix.
 
     Returns a LabeledDataset when the last CSV header name is ``label``.
     One ``np.loadtxt`` call parses the CSV rows as they are read from the
@@ -535,22 +526,8 @@ def load_measure(path):
     A file with no data row, a malformed row or a weight that is not
     positive (NaN included) raises
     :class:`MeasureFormatError` naming the line; blank lines are skipped and
-    not counted (the header is line 1).  A JSON file with no ``"atoms"`` or
-    ``"weights"`` key, or with a weight that is not positive, raises
-    :class:`MeasureFormatError` too.
+    not counted (the header is line 1).
     """
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            doc = json.load(fh)
-        for key in ("atoms", "weights"):
-            if not isinstance(doc, dict) or key not in doc:
-                raise MeasureFormatError(f"missing key {key!r}")
-        weights = np.asarray(doc["weights"], dtype=float)
-        if not np.all(weights > 0):  # NaN included
-            raise MeasureFormatError("weights must be positive")
-        m = WeightedMeasure(doc["atoms"], weights)
-        return LabeledDataset(m, doc["labels"]) if "labels" in doc else m
     with open(path) as fh:
         rows = _data_lines(fh)
         header_line = next(rows, None)

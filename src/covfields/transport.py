@@ -54,10 +54,9 @@ _MAX_CAPACITY = 2**31 - 1  # scipy's maximum_flow holds capacities and flows as 
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling matrix between two weighted measures with its cost."""
+    """Coupling matrix between two weighted measures."""
 
     coupling: np.ndarray  # (n, m), row sums = source weights, col sums = target weights
-    cost_w1: float
     source: WeightedMeasure
     target: WeightedMeasure
 
@@ -170,7 +169,7 @@ def w1_exact(
     solve = _assignment_coupling if _uniform_equal_size(alpha, beta) else _lp_coupling
     pi = solve(cost, alpha.weights, beta.weights)
     value = float((pi * cost).sum())
-    return value, TransportPlan(pi, value, alpha, beta)
+    return value, TransportPlan(pi, alpha, beta)
 
 
 def _scaled_capacities(wa: np.ndarray, wb: np.ndarray) -> tuple[list[int], list[int], int]:
@@ -359,7 +358,7 @@ def winf_exact(
     dist = cdist(alpha.atoms, beta.atoms)
     search = _matching_bottleneck if _uniform_equal_size(alpha, beta) else _maxflow_bottleneck
     value, pi = search(dist, alpha.weights, beta.weights)
-    return value, TransportPlan(pi, float((pi * dist).sum()), alpha, beta)
+    return value, TransportPlan(pi, alpha, beta)
 
 
 def distortion(corr: Correspondence, d_x: np.ndarray, d_y: np.ndarray) -> float:

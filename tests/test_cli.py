@@ -72,6 +72,13 @@ class TestGen:
         assert "noise_sd" in config_error(capsys, code)
         assert not (tmp_path / "measure.csv").exists()
 
+    def test_lines_negative_outliers_exit_2(self, tmp_path, capsys):
+        segs = json.dumps([[[0, 0], [1, 1]]])
+        code = run_cli("--out", str(tmp_path), "gen", "--kind", "lines", "--segments", segs,
+                       "--outliers", "-3")
+        assert config_error(capsys, code) == "n_outliers must be finite and non-negative, got -3"
+        assert not (tmp_path / "measure.csv").exists()
+
 
 class TestFieldCommands:
     @pytest.fixture()
@@ -135,8 +142,18 @@ class TestFieldCommands:
         kappa = float(lines[1].split(",")[2])
         assert abs(kappa - 1.0) < 0.1
 
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_curvature_other_dimension_exit_2(self, tmp_path, capsys, dim):
+        data = tmp_path / "m.csv"
+        save_measure(WeightedMeasure(np.eye(dim), np.ones(dim)), data)
+        code = run_cli("--out", str(tmp_path), "curvature", "--input", str(data),
+                       "--point", json.dumps([0.0] * dim), "--ladder", "0.05,0.04,0.03")
+        assert config_error(capsys, code) == "plane-curve curvature requires dim 2"
+        assert not (tmp_path / "curvature.csv").exists()
+
     # SHA-256 of curvature.csv from the real surface fit on a polar cap,
-    # recorded while the surface fit still took a --surface flag
+    # recorded while the surface fit still took a --surface flag; a 3-D
+    # measure now selects it
     SURFACE_DIGEST = "667479c6e1be4ac5e175720f9520f11c606da7172b1d40f6991dcb2d1c63aa9f"
 
     def test_surface_curvature_frozen(self, tmp_path):
@@ -146,7 +163,7 @@ class TestFieldCommands:
         data = tmp_path / "cap.csv"
         save_measure(quadrature_cap(1.0, 1.6 * max(aligns), 60, 120, align_thetas=aligns), data)
         assert run_cli("--out", str(tmp_path), "curvature", "--input", str(data),
-                       "--point", "[0.0, 0.0, 1.0]", "--ladder", "0.1,0.08,0.06", "--surface") == 0
+                       "--point", "[0.0, 0.0, 1.0]", "--ladder", "0.1,0.08,0.06") == 0
         digest = hashlib.sha256((tmp_path / "curvature.csv").read_bytes()).hexdigest()
         assert digest == self.SURFACE_DIGEST
 
@@ -476,6 +493,13 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
+    def test_json_document_input_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "m.json"
+        data.write_text('{"dim": 2, "atoms": [[0.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]}\n')
+        code = run_cli("--out", str(tmp_path), "ctf", "--input", str(data),
+                       "--sigma", "0.5", "--grid=-1:1:3")
+        assert config_error(capsys, code) == "line 1: header must contain a 'weight' column"
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # inconsistent surface curvature fit: wildly non-surface data
         from covfields import empirical_measure
@@ -484,8 +508,7 @@ class TestErrorPaths:
         data = tmp_path / "cloud.csv"
         save_measure(empirical_measure(rng.normal(0, 0.02, size=(4000, 3))), data)
         code = run_cli("--out", str(tmp_path), "curvature", "--input", str(data),
-                       "--point", "[0.0, 0.0, 0.0]", "--ladder", "0.05,0.04,0.03",
-                       "--surface")
+                       "--point", "[0.0, 0.0, 0.0]", "--ladder", "0.05,0.04,0.03")
         if code == 3:
             assert json.loads(capsys.readouterr().err.strip())["error"] == "numerical"
         else:
@@ -585,6 +608,8 @@ class TestCsvBytesFrozen:
                                                         _seeded(5, 9, positive=True)), labels), path)
             return path
         data = str(self._measure_csv(tmp_path))
+        data3 = tmp_path / "m3.csv"
+        save_measure(WeightedMeasure(_seeded(4, (9, 3)), _seeded(5, 9, positive=True)), data3)
 
         def fake_ctf_grid(measure, kernel, grid, sigma, acceleration="exact"):
             m = len(grid)
@@ -633,8 +658,8 @@ class TestCsvBytesFrozen:
             "flow": ("flow", "--input", data, "--sigma", "0.5", "--starts", data),
             "curvature": ("curvature", "--input", data, "--point", "[1.0, 0.0]",
                           "--ladder", "0.05,0.04,0.03"),
-            "curvature_surface": ("curvature", "--input", data, "--point", "[0.0, 0.0, 1.0]",
-                                  "--ladder", "0.05,0.04,0.03", "--surface"),
+            "curvature_surface": ("curvature", "--input", str(data3), "--point", "[0.0, 0.0, 1.0]",
+                                  "--ladder", "0.05,0.04,0.03"),
             "merges": ("cluster", "--input", data, "--sigma", "0.5", "--cut", "k:2"),
         }[name]
         assert run_cli("--out", str(out), *args) == 0

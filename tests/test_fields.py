@@ -23,6 +23,7 @@ from covfields import (
     flow_to_attractor,
     frechet_gradient,
     frechet_value,
+    load_profile_csv,
     quadrature_segment,
     spectrum,
     tabulated_kernel,
@@ -594,11 +595,11 @@ class TestDimensionEstimate:
         from covfields import CovTensor
 
         s = spectrum(CovTensor(np.diag([0.908, 1.0])))
-        assert dimension_estimate(s, 0.5) == 2
+        assert dimension_estimate(s) == 2
         s = spectrum(CovTensor(np.diag([0.025, 1.0])))
-        assert dimension_estimate(s, 0.5) == 1
+        assert dimension_estimate(s) == 1
         s = spectrum(CovTensor(np.zeros((2, 2))))
-        assert dimension_estimate(s, 0.5) == 0
+        assert dimension_estimate(s) == 0
 
     def test_band_dataset_across_scales(self):
         # thin 2-D band: isotropic at small scale, 1-D at large scale
@@ -608,8 +609,8 @@ class TestDimensionEstimate:
         g = builtin_gaussian()
         small = spectrum(ctf_at(m, g, [0.0, 0.0], 0.1))
         large = spectrum(ctf_at(m, g, [0.0, 0.0], 2.0))
-        assert dimension_estimate(small, 0.5) == 2
-        assert dimension_estimate(large, 0.5) == 1
+        assert dimension_estimate(small) == 2
+        assert dimension_estimate(large) == 1
         assert large.anisotropy_ratios[0] < 0.05
 
 
@@ -673,6 +674,23 @@ class TestFrechetGradient:
         m = empirical_measure([[0.0, 0.0]])
         with pytest.raises(ValueError, match="gaussian"):
             frechet_gradient(m, builtin_truncation(), [1.0, 0.0], 1.0)
+
+    def test_tabulated_kernel_is_never_taken_for_gaussian(self, tmp_path):
+        """Every tabulated kernel is named "tabulated", so no name lets its
+        piecewise-linear profile past the Gaussian-only gradient and flow."""
+        path = tmp_path / "prof.csv"
+        path.write_text("r,f\n0,1\n1,1\n4,0\n")
+        with pytest.raises(TypeError):
+            tabulated_kernel([0.0, 1.0, 4.0], [1.0, 1.0, 0.0], name="gaussian")
+        m = WeightedMeasure([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
+        for kernel in (tabulated_kernel([0.0, 1.0, 4.0], [1.0, 1.0, 0.0]), load_profile_csv(path)):
+            assert kernel.name == "tabulated"
+            with pytest.raises(ValueError, match="gaussian"):
+                frechet_gradient(m, kernel, [0.5, 0.0], 1.0)
+            with pytest.raises(ValueError, match="gaussian"):
+                flow_to_attractor(m, kernel, [0.5, 0.0], 1.0)
+            with pytest.raises(ValueError, match="gaussian"):
+                basin_labels(m, kernel, [[0.5, 0.0]], 1.0)
 
     def test_analytic_vs_direct_sum(self):
         rng = np.random.default_rng(11)

@@ -173,7 +173,7 @@ class TestConditionC:
 class TestTabulated:
     def test_interpolated_profile(self):
         r = np.linspace(0, 4, 200)
-        k = tabulated_kernel(r, np.exp(-r / 2) * 3.0, name="tab-gauss")
+        k = tabulated_kernel(r, np.exp(-r / 2) * 3.0)
         # rescaled to sup f = 1; linear interpolation approximates the profile
         assert float(k.profile(np.asarray(1.0))) == pytest.approx(math.exp(-0.5), rel=1e-4)
         assert k.derivative is None
@@ -257,8 +257,8 @@ def test_load_profile_csv(tmp_path):
     f = np.exp(-r)
     path = tmp_path / "prof.csv"
     path.write_text("r,f\n" + "\n".join(f"{a},{b}" for a, b in zip(r, f)) + "\n")
-    k = load_profile_csv(path, name="decay")
-    assert k.name == "decay"
+    k = load_profile_csv(path)
+    assert k.name == "tabulated"
     assert k.compact_support_radius_sq == 3.0
     assert float(k.profile(np.asarray(1.0))) == pytest.approx(math.exp(-1.0), rel=1e-3)
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import tracemalloc
 import warnings
@@ -189,6 +188,24 @@ def test_one_point_per_component_rejected():
         gen_line_arrangement([(((0.0, 0.0), (1.0, 1.0)), 5), (((0.0, 1.0), (1.0, 0.0)), 1)])
 
 
+@pytest.mark.parametrize("theta_min, theta_max", [
+    (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf),
+    (1.0, 1.0), (1.0, 0.5),
+])
+def test_arc_angles_fail_by_name(theta_min, theta_max):
+    """A NaN or infinite angle, an empty arc and a reversed arc raise one
+    error naming both angles, with no numpy warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^theta_max - theta_min must be finite and positive, got "):
+            measures.quadrature_arc(1.0, theta_min, theta_max, 4)
+
+
+def test_negative_outlier_count_rejected():
+    with pytest.raises(ValueError, match="^n_outliers must be finite and non-negative, got -3$"):
+        gen_line_arrangement([(((0.0, 0.0), (1.0, 1.0)), 5)], n_outliers=-3)
+
+
 def test_quadrature_disk_mass():
     m = quadrature_disk(0.5, 100, 64)
     assert abs(m.total_mass - math.pi * 0.25) < 1e-12 * math.pi
@@ -320,27 +337,16 @@ class TestIO:
         np.testing.assert_array_equal(back.atoms, m.atoms)
         np.testing.assert_array_equal(back.weights, m.weights)
 
-    @pytest.mark.parametrize("weight", ["NaN", "0.0", "-1.0", "-Infinity"])
-    def test_json_non_positive_weight_rejected(self, tmp_path, weight):
-        p = tmp_path / "w.json"
-        p.write_text(f'{{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [1.0, {weight}]}}')
-        with pytest.raises(MeasureFormatError, match="weights must be positive"):
-            load_measure(p)
-
-    @pytest.mark.parametrize("key", ["atoms", "weights"])
-    def test_json_missing_key_named(self, tmp_path, key):
-        doc = {"dim": 1, "atoms": [[0.0]], "weights": [1.0]}
-        del doc[key]
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5], "labels": [0, 1]}',
+                     id="measure-document"),
+        "3", "[[0.0], [1.0]]", '"atoms"', "null",
+    ])
+    def test_json_document_fails_the_header_check(self, tmp_path, text):
+        # a measure file is CSV whatever its suffix, and no JSON text has a 'weight' column
         p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(MeasureFormatError, match=f"missing key '{key}'"):
-            load_measure(p)
-
-    @pytest.mark.parametrize("text", ["3", "[[0.0], [1.0]]", '"atoms"', "null"])
-    def test_json_not_an_object(self, tmp_path, text):
-        p = tmp_path / "m.json"
-        p.write_text(text)
-        with pytest.raises(MeasureFormatError, match="missing key 'atoms'"):
+        p.write_text(text + "\n")
+        with pytest.raises(MeasureFormatError, match="^line 1: header must contain a 'weight' column$"):
             load_measure(p)
 
     def test_negative_weight_rejected(self, tmp_path):

@@ -439,7 +439,7 @@ class TestCorrespondence:
         pi = np.full((2, 2), 0.25)
         from covfields import TransportPlan
 
-        plan = TransportPlan(pi, 0.0, a, a)
+        plan = TransportPlan(pi, a, a)
         corr = correspondence_from_plan(plan)
         assert len(corr.pairs) == 4
 
