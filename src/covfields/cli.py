@@ -204,7 +204,7 @@ def _cmd_cluster(args) -> int:
     measure = ds.measure if isinstance(ds, LabeledDataset) else ds
     kernel = _resolve_kernel(args.kernel)
     params = cl.TensorizedMetricParams(gamma=args.gamma, sigma=args.sigma, kernel=kernel)
-    dist = cl.tensorized_distances(measure, params)
+    dist = cl.tensorized_condensed(measure, params)
     dend = cl.single_linkage(dist)
     mode, value = args.cut.split(":")
     if mode == "k":

@@ -18,8 +18,8 @@ the leaf order at the gaps above its level: its partition is keyed by the
 number of gaps at or below the level.  Cuts and the cophenetic mean and std
 need no n x n matrix; ``Dendrogram.cophenetic`` builds it on demand.  The
 distances are built from the condensed (``pdist``) squared parts, and
-``single_linkage`` takes them condensed or square: a caller that never
-needs the square (the benchmark sweep) never builds it.
+``single_linkage`` and ``topk_reassign`` condense a square metric: a caller
+that never needs the square (the CLI, the benchmark sweep) never builds it.
 """
 
 from __future__ import annotations
@@ -56,13 +56,17 @@ class TensorizedMetricParams:
         _check_sigma(self.sigma)
 
 
-def tensorized_distances(
-    data: WeightedMeasure | np.ndarray,
-    params: TensorizedMetricParams,
-    reference: WeightedMeasure | None = None,
-) -> np.ndarray:
-    """Pairwise tensorized distances between the data points, an (n, n)
-    matrix: exactly symmetric with a zero diagonal.
+def tensorized_distances(data: WeightedMeasure | np.ndarray, params: TensorizedMetricParams,
+                         reference: WeightedMeasure | None = None) -> np.ndarray:
+    """:func:`tensorized_condensed` as an (n, n) matrix: exactly symmetric
+    with a zero diagonal."""
+    return squareform(tensorized_condensed(data, params, reference))
+
+
+def tensorized_condensed(data: WeightedMeasure | np.ndarray, params: TensorizedMetricParams,
+                         reference: WeightedMeasure | None = None) -> np.ndarray:
+    """Pairwise tensorized distances between the data points in condensed
+    (``pdist``) order, a vector of length n(n-1)/2.
 
     Tensors are computed from the uniform empirical measure on the data
     points themselves unless a separate ``reference`` measure is supplied
@@ -71,8 +75,7 @@ def tensorized_distances(
     """
     points = data.atoms if isinstance(data, WeightedMeasure) else np.atleast_2d(np.asarray(data, dtype=float))
     features = tensor_features(points, params.kernel, params.sigma, reference)
-    condensed = lifted_condensed(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), params.gamma)
-    return squareform(condensed)
+    return lifted_condensed(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), params.gamma)
 
 
 def tensor_features(
@@ -92,9 +95,12 @@ def tensor_features(
 def lifted_condensed(feature_d2: np.ndarray, point_d2: np.ndarray, gamma: float) -> np.ndarray:
     """The tensorized distances in condensed (``pdist``) order, from the
     condensed squared distances (``pdist(..., "sqeuclidean")``) of the
-    :func:`tensor_features` rows and of the points."""
-    d2 = feature_d2 + gamma**2 * point_d2 if gamma > 0 else feature_d2
-    return np.sqrt(np.maximum(d2, 0.0))
+    :func:`tensor_features` rows and of the points, filled into one new
+    buffer.  At gamma = 0 ``point_d2`` is not read."""
+    out = gamma**2 * point_d2 if gamma > 0 else np.zeros_like(feature_d2)
+    out += feature_d2
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,11 @@ class Dendrogram:
 
 
 def _checked_metric(metric: np.ndarray) -> tuple[np.ndarray, int]:
-    """(d, n): the metric as a float array and its number of points.
+    """(y, n): the metric as a condensed float vector and its number of points.
 
     A condensed metric is a vector of length n(n-1)/2 and a square one must
-    equal its transpose; NaN or infinite entries and negative entries are
-    rejected.
+    equal its transpose (its diagonal is not read); NaN or infinite entries
+    and negative entries are rejected.
     """
     d = np.asarray(metric, dtype=float)
     if d.ndim == 1:
@@ -151,7 +157,19 @@ def _checked_metric(metric: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError("metric contains NaN or infinite entries")
     if (d < 0).any() or (d.ndim == 2 and not np.array_equal(d, d.T)):
         raise ValueError("metric must be symmetric with no negative entry")
-    return d, n
+    return (d if d.ndim == 1 else squareform(d, checks=False)), n
+
+
+def _nearest_kept(y: np.ndarray, n: int, dropped: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(distance, index) of each dropped point's nearest point among the
+    increasing, disjoint ``kept`` under the condensed metric y of n points;
+    distance ties go to the lowest index."""
+    i = np.arange(n)
+    start = i * n - i * (i + 3) // 2 - 1  # y[start[i] + j] is d(i, j) for i < j
+    lo, hi = np.minimum.outer(dropped, kept), np.maximum.outer(dropped, kept)
+    block = y[start[lo] + hi]
+    j = np.argmin(block, axis=1)  # the first, so the lowest index, among ties
+    return block[np.arange(dropped.size), j], kept[j]
 
 
 def single_linkage(metric: np.ndarray) -> Dendrogram:
@@ -166,10 +184,10 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
     after cluster_a's last leaf.  NaN or infinite entries, a negative entry,
     an asymmetric square and a vector of any other length are rejected.
     """
-    d, n = _checked_metric(metric)
+    y, n = _checked_metric(metric)
     if n < 2:
         return Dendrogram(np.zeros((0, 3)), n, np.zeros(0), np.arange(n), np.zeros(0))
-    z = linkage(d if d.ndim == 1 else squareform(d, checks=False), method="single")
+    z = linkage(y, method="single")
     ids = z[:, :2].astype(np.int64)
     sizes = np.concatenate([np.ones(n), z[:, 3]])
     order = leaves_list(z)
@@ -274,19 +292,15 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
     dropped cluster joins the cluster containing its nearest point (under
     the supplied metric) among the kept ones; distance ties go to the
     lowest point index.  Kept clusters are renumbered 0..k-1 in id order.
-    The metric is an n x n matrix for the n labels, checked as for
-    :func:`single_linkage`.
+    The metric is square or condensed over the n labelled points, checked
+    as for :func:`single_linkage`.
     """
-    d, n = _checked_metric(metric)
-    if d.ndim != 2 or n != assignment.labels.size:
-        raise ValueError(f"metric must be an n x n matrix for the n = {assignment.labels.size} labels")
+    y, n = _checked_metric(metric)
+    if n != assignment.labels.size:
+        raise ValueError(f"metric has {n} points for the {assignment.labels.size} labels")
     new_labels = largest_clusters(assignment.labels, k)
-    kept_mask = new_labels >= 0
-    dropped = np.nonzero(~kept_mask)[0]
-    if dropped.size:
-        rows = d[dropped]
-        rows[:, ~kept_mask] = np.inf
-        new_labels[dropped] = new_labels[np.argmin(rows, axis=1)]
+    dropped = np.flatnonzero(new_labels < 0)
+    new_labels[dropped] = new_labels[_nearest_kept(y, n, dropped, np.flatnonzero(new_labels >= 0))[1]]
     return ClusterAssignment(new_labels, k, assignment.cutoff_height)
 
 

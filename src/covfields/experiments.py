@@ -241,10 +241,10 @@ def _offset_errors(dataset, y, offsets, k_true):
     distinct key is cut, reassigned and scored once, in increasing height.
     The reassignment is ``topk_reassign``'s (the k_true largest clusters
     kept, each other point joins its nearest kept point, distance ties to
-    the lowest index), read from y.  The cuts are nested, so each dropped
-    point's nearest kept point is carried from cut to cut: while the kept
-    set only grows, the dropped points are compared with the newly kept
-    points alone; when a kept point drops out, with the whole kept set.
+    the lowest index), through the same search.  The cuts are nested, so
+    each dropped point's nearest kept point is carried from cut to cut:
+    while the kept set only grows, the dropped points are compared with the
+    newly kept points alone; when a kept point drops out, with all of it.
     """
     dend = cl.single_linkage(y)
     n = dend.n_leaves
@@ -252,8 +252,6 @@ def _offset_errors(dataset, y, offsets, k_true):
     heights = np.maximum(h0 + np.asarray(offsets, dtype=float) * sd, 0.0)
     keys = np.searchsorted(np.sort(dend.gaps), heights, side="right")
     distinct, first = np.unique(keys, return_index=True)
-    i = np.arange(n)
-    start = i * n - i * (i + 3) // 2 - 1  # y[start[i] + j] is d(i, j) for i < j
     kept = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)  # a dropped point's distance to its nearest kept point
     nearest = np.zeros(n, dtype=np.int64)
@@ -269,10 +267,7 @@ def _offset_errors(dataset, y, offsets, k_true):
                 best[:] = np.inf
             dropped, fresh = np.flatnonzero(~now), np.flatnonzero(now & ~kept)
             if dropped.size and fresh.size:
-                lo, hi = np.minimum.outer(dropped, fresh), np.maximum.outer(dropped, fresh)
-                block = y[start[lo] + hi]
-                j = np.argmin(block, axis=1)  # the lowest index among ties
-                dist, cand = block[np.arange(dropped.size), j], fresh[j]
+                dist, cand = cl._nearest_kept(y, n, dropped, fresh)
                 old = best[dropped]
                 closer = (dist < old) | ((dist == old) & (cand < nearest[dropped]))
                 best[dropped[closer]] = dist[closer]

@@ -11,9 +11,8 @@ which normalizes K to unit integral over R^d.  The profile must be
 non-negative, have finite M_d, and satisfy r f(r) <= C; profiles are stored
 with sup f = 1.  The constants A1 = sup r^{3/2} |f'(r)| and
 A2 = sup sqrt(r) f(r) control the Lipschitz modulus of z -> (z (x) z) K(z)
-through A_f = 2 (A1 + A2); kernels with a derivative and finite A1 are
-eligible for the smooth-kernel stability certificates in
-:mod:`covfields.transport`.
+through A_f = 2 (A1 + A2); kernels that carry a finite A1 are eligible
+for the smooth-kernel stability certificates in :mod:`covfields.transport`.
 """
 
 from __future__ import annotations
@@ -59,13 +58,13 @@ def unit_sphere_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """Radial profile plus optional derivative and its exact constants.
+    """Radial profile and its exact constants.
 
-    ``profile`` and ``derivative`` act elementwise on numpy arrays of the
-    squared distance ratio r = ||y-x||^2 / sigma^2.
+    ``profile`` acts elementwise on numpy arrays of the squared distance
+    ratio r = ||y-x||^2 / sigma^2.
     ``compact_support_radius_sq`` is the r beyond which f vanishes (None for
     full support).  ``analytic`` carries the kernel's constants: "M_d" (a
-    callable of d), "C" and "A2", "A1" when there is a derivative, and
+    callable of d), "C" and "A2", "A1" when f is differentiable, and
     "flat": True when f = 1 on all of [0, compact_support_radius_sq].
     Nothing is integrated or searched numerically: a constant that is
     needed but missing raises ValueError naming it.
@@ -74,7 +73,6 @@ class RadialKernel:
 
     name: str
     profile: Callable[[np.ndarray], np.ndarray]
-    derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
     compact_support_radius_sq: Optional[float] = None
     analytic: dict = field(default_factory=dict, repr=False)
 
@@ -107,7 +105,6 @@ def builtin_gaussian() -> RadialKernel:
     return RadialKernel(
         name="gaussian",
         profile=lambda r: np.exp(-0.5 * np.asarray(r, dtype=float)),
-        derivative=lambda r: -0.5 * np.exp(-0.5 * np.asarray(r, dtype=float)),
         compact_support_radius_sq=None,
         analytic={
             "M_d": lambda d: 2.0 ** (d / 2.0) * math.gamma(d / 2.0),
@@ -132,7 +129,6 @@ def builtin_truncation() -> RadialKernel:
     return RadialKernel(
         name="truncation",
         profile=chi,
-        derivative=None,
         compact_support_radius_sq=1.0,
         analytic={"M_d": lambda d: 2.0 / d, "C": 1.0, "A2": 1.0, "flat": True},
     )
@@ -194,7 +190,6 @@ def tabulated_kernel(r_knots, f_values) -> RadialKernel:
     return RadialKernel(
         name="tabulated",
         profile=prof,
-        derivative=None,
         compact_support_radius_sq=support,
         analytic={
             "M_d": piecewise_moment,
@@ -235,7 +230,7 @@ class KernelConstants:
 
     ``c_d`` evaluates the normalizer C_d(sigma); ``a_f`` = 2 (a1 + a2) is the
     Lipschitz constant used by smooth-kernel stability bounds, infinite when
-    the kernel has no usable derivative.
+    the kernel carries no finite A1.
     """
 
     dim: int
@@ -256,21 +251,20 @@ class KernelConstants:
 def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:
     """Read M_d, C, A1, A2 from the kernel's ``analytic`` constants.
 
-    A1 is read only for a kernel with a derivative and is infinite
-    otherwise.  A kernel is flagged smooth-stability-eligible iff it has a
-    derivative with finite A1 = sup r^{3/2} |f'(r)|.  A missing constant
-    raises ValueError naming it.
+    A missing A1 reads as infinite.  A kernel is flagged
+    smooth-stability-eligible iff its A1 = sup r^{3/2} |f'(r)| is finite.
+    Any other missing constant raises ValueError naming it.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    a1 = math.inf if kernel.derivative is None else float(kernel._constant("A1"))
+    a1 = float(kernel.analytic.get("A1", math.inf))
     return KernelConstants(
         dim=d,
         m_d=kernel.moment(d),
         c=float(kernel._constant("C")),
         a1=a1,
         a2=float(kernel._constant("A2")),
-        smooth_stability_eligible=kernel.derivative is not None and np.isfinite(a1),
+        smooth_stability_eligible=math.isfinite(a1),
     )
 
 

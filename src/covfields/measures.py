@@ -96,9 +96,6 @@ class WeightedMeasure:
         """Return the same atoms with weights rescaled to total mass 1."""
         return WeightedMeasure(self.atoms, self.weights / self.weights.sum())
 
-    def scale_weights(self, factor: float) -> "WeightedMeasure":
-        return WeightedMeasure(self.atoms, self.weights * factor)
-
     def transform(self, matrix: np.ndarray | None = None, shift: np.ndarray | None = None) -> "WeightedMeasure":
         """Pushforward under the affine map x -> matrix @ x + shift."""
         pts = self.atoms

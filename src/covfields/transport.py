@@ -449,11 +449,11 @@ def check_stability_smooth(
 ) -> StabilityReport:
     """Certify sup_x ||Sigma_a - Sigma_b|| <= sigma A_f / C_d(sigma) * W1(a, b).
 
-    Requires a smooth-stability-eligible kernel (derivative with finite A1).
+    Requires a smooth-stability-eligible kernel (finite A1).
     """
     consts = derive_constants(kernel, alpha.dim)
     if not consts.smooth_stability_eligible:
-        raise ValueError("kernel is not smooth-stability eligible (no derivative / infinite A1)")
+        raise ValueError("kernel is not smooth-stability eligible (no finite A1)")
     factor = sigma * consts.a_f / consts.c_d(sigma)  # checks sigma before the transport solve
     w1, _ = w1_exact(alpha, beta)
     lhs = _grid_sup_diff(alpha, beta, kernel, sigma, grid)

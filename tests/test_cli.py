@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from covfields import (
     LabeledDataset,
@@ -183,6 +185,30 @@ class TestClusterCommand:
         assert out.measure.size == 200
         assert (tmp_path / "merges.csv").exists()
         assert (tmp_path / "dend.svg").exists()
+
+    def test_metric_stays_condensed(self, tmp_path):
+        # 4002 points: each condensed vector of the 8e6 pairs takes 64 MB, and
+        # the peak is the two squared parts and the distances (~192 MB); an
+        # n x n square would add 128 MB.  The outputs are frozen bytes.
+        from covfields import gen_arrangement_suite
+
+        data = tmp_path / "ds.csv"
+        save_measure(gen_arrangement_suite("lines2d", 1, seed=0, points_per_component=1334)[0], data)
+        tracemalloc.start()
+        try:
+            code = run_cli("--out", str(tmp_path), "cluster", "--input", str(data), "--sigma", "0.04",
+                           "--gamma", "0.002", "--cut", "k:8", "--topk", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 200e6
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("clusters.csv", "merges.csv")}
+        assert digests == {
+            "clusters.csv": "bade84994f77139c34dcb561d3305b540c76b88f67c230afec9ba803b32670a1",
+            "merges.csv": "3338669b33ccea3a24b7f25454d8f0073b3b744414d2369bc226eee47b767b4e",
+        }
 
     def test_bad_cut_spec_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure
@@ -501,19 +527,16 @@ class TestErrorPaths:
         assert config_error(capsys, code) == "line 1: header must contain a 'weight' column"
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        # inconsistent surface curvature fit: wildly non-surface data
-        from covfields import empirical_measure
+        # a straight segment in 3-D is no surface: its quadratic fit has no
+        # consistent principal curvatures, and the command exits 3
+        from covfields import quadrature_segment
 
-        rng = np.random.default_rng(2)
-        data = tmp_path / "cloud.csv"
-        save_measure(empirical_measure(rng.normal(0, 0.02, size=(4000, 3))), data)
+        data = tmp_path / "segment.csv"
+        save_measure(quadrature_segment([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.001), data)
         code = run_cli("--out", str(tmp_path), "curvature", "--input", str(data),
-                       "--point", "[0.0, 0.0, 0.0]", "--ladder", "0.05,0.04,0.03")
-        if code == 3:
-            assert json.loads(capsys.readouterr().err.strip())["error"] == "numerical"
-        else:
-            # a fit this degenerate may also clamp; either way no crash
-            assert code == 0
+                       "--point", "[0.0, 0.0, 0.0]", "--ladder", "0.2,0.1,0.05")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "numerical"
 
     def test_indexed_full_support_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure
@@ -638,7 +661,7 @@ class TestCsvBytesFrozen:
         monkeypatch.setattr(cli, "surface_curvatures", estimate(
             SurfaceCurvatureEstimate, *_seeded(12, 2).tolist(), False, *_seeded(13, 2).tolist()))
         half = np.triu(_seeded(14, (9, 9), positive=True), 1)
-        monkeypatch.setattr(clustering, "tensorized_distances", lambda m, p: half + half.T)
+        monkeypatch.setattr(clustering, "tensorized_condensed", lambda m, p: squareform(half + half.T))
         rng = np.random.default_rng(15)
         monkeypatch.setattr(experiments, "_sample_errors", lambda ds, params, offsets, k: [
             rng.random(len(offsets)).tolist() for _ in params])

@@ -223,19 +223,22 @@ class TestTopkReassign:
         assert out.labels[6] == out.labels[2]
 
     def test_metric_checked(self):
-        # NaN entries, a condensed metric and one of the wrong size are
-        # rejected by name
+        # a condensed metric gives the square's labels; NaN entries and a
+        # metric over the wrong number of points are rejected by name
         pts = np.array([[0.0], [0.2], [0.4], [10.0], [10.2], [3.0], [3.1]])
         d = cdist(pts, pts)
         asg = cut(single_linkage(d), k=3)
-        np.testing.assert_array_equal(topk_reassign(asg, d, 2).labels, [0, 0, 0, 1, 1, 0, 0])
+        for metric in (d, pdist(pts)):
+            np.testing.assert_array_equal(topk_reassign(asg, metric, 2).labels, [0, 0, 0, 1, 1, 0, 0])
         bad = d.copy()
         bad[5:, 3] = bad[3, 5:] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             topk_reassign(asg, bad, 2)
-        for wrong in (pdist(pts), d[:6, :6]):
-            with pytest.raises(ValueError, match="n x n"):
+        for wrong in (pdist(pts[:6]), d[:6, :6]):
+            with pytest.raises(ValueError, match="metric has 6 points for the 7 labels"):
                 topk_reassign(asg, wrong, 2)
+        with pytest.raises(ValueError, match=r"length n\(n-1\)/2, got 20"):
+            topk_reassign(asg, pdist(pts)[:-1], 2)
 
 
 class TestScore:
@@ -596,6 +599,8 @@ class TestCopheneticStatistics:
 
 
 class TestVectorizedAgainstLoops:
+    # topk_reassign takes each metric square and condensed, with equal labels
+
     @pytest.mark.parametrize("case", range(10))
     def test_topk_reassign(self, case):
         d = reference_metrics()[case]
@@ -604,9 +609,11 @@ class TestVectorizedAgainstLoops:
         for h in np.unique(d)[:6]:
             asg = cut(dend, height=h)
             for k in range(1, asg.k + 1):
-                got = topk_reassign(asg, d, k)
-                np.testing.assert_array_equal(got.labels, loop_topk_reassign(asg, d, k))
-                assert got.k == k and got.labels.shape == (n,)
+                want = loop_topk_reassign(asg, d, k)
+                for metric in (d, squareform(d)):
+                    got = topk_reassign(asg, metric, k)
+                    np.testing.assert_array_equal(got.labels, want)
+                    assert got.k == k and got.labels.shape == (n,)
 
     def test_topk_reassign_size_ties(self):
         # four clusters of sizes 2, 1, 2, 1: the size tie between ids 0 and 2
@@ -616,7 +623,9 @@ class TestVectorizedAgainstLoops:
         asg = ClusterAssignment(labels, 4, 0.0)
         d = cdist(pts, pts)
         for k in (1, 2, 3, 4):
-            np.testing.assert_array_equal(topk_reassign(asg, d, k).labels, loop_topk_reassign(asg, d, k))
+            want = loop_topk_reassign(asg, d, k)
+            for metric in (d, squareform(d)):
+                np.testing.assert_array_equal(topk_reassign(asg, metric, k).labels, want)
 
     @pytest.mark.parametrize("labels", [
         [-5, -5, 7, 7, 7, 100, -5, 3, 100],  # negative and far-apart ids
@@ -630,7 +639,9 @@ class TestVectorizedAgainstLoops:
         n_ids = np.unique(labels).size
         asg = ClusterAssignment(labels, n_ids, 0.0)
         for k in range(1, n_ids + 1):
-            np.testing.assert_array_equal(topk_reassign(asg, d, k).labels, loop_topk_reassign(asg, d, k))
+            want = loop_topk_reassign(asg, d, k)
+            for metric in (d, squareform(d)):
+                np.testing.assert_array_equal(topk_reassign(asg, metric, k).labels, want)
         with pytest.raises(ValueError, match="exceeds"):
             topk_reassign(asg, d, n_ids + 1)
 

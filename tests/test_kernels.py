@@ -176,7 +176,7 @@ class TestTabulated:
         k = tabulated_kernel(r, np.exp(-r / 2) * 3.0)
         # rescaled to sup f = 1; linear interpolation approximates the profile
         assert float(k.profile(np.asarray(1.0))) == pytest.approx(math.exp(-0.5), rel=1e-4)
-        assert k.derivative is None
+        assert "A1" not in k.analytic
         c = derive_constants(k, 2)
         assert not c.smooth_stability_eligible
 
@@ -271,14 +271,15 @@ def test_kernel_without_constants_rejected():
                  lambda: derive_constants(fat_tail, 2), lambda: eval_kernel(fat_tail, [0.0], [1.0], 1.0)):
         with pytest.raises(ValueError, match="'fat-tail' carries no constant 'M_d'"):
             call()
-    for missing in ("C", "A2", "A1"):
+    for missing in ("C", "A2"):
         analytic = {k: v for k, v in gauss.analytic.items() if k != missing}
-        kernel = RadialKernel("partial", gauss.profile, gauss.derivative, analytic=analytic)
+        kernel = RadialKernel("partial", gauss.profile, analytic=analytic)
         with pytest.raises(ValueError, match=f"'partial' carries no constant '{missing}'"):
             derive_constants(kernel, 2)
-    # A1 is read only for a kernel with a derivative
+    # a missing A1 reads as infinite, and the kernel is not eligible
     no_a1 = {k: v for k, v in gauss.analytic.items() if k != "A1"}
-    assert derive_constants(RadialKernel("plain", gauss.profile, analytic=no_a1), 2).a1 == math.inf
+    consts = derive_constants(RadialKernel("plain", gauss.profile, analytic=no_a1), 2)
+    assert consts.a1 == math.inf and not consts.smooth_stability_eligible
 
 
 def test_import_leaves_out_scipy_integrate():
