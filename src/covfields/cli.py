@@ -6,7 +6,8 @@ converge, bench.  Global flags: --config (JSON object whose "converge" and
 flags; any other section or setting, or one of the wrong type, is a
 configuration error), --seed, --out (default: the section's out_dir, else
 "."), --threads.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure; errors print a single-line JSON object on stderr.
+3 numerical failure or memory exhausted; errors print a single-line JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -384,6 +385,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except RuntimeError as exc:  # NumericalError, failed transport solves
         return _fail(3, "numerical", str(exc))
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        return _fail(3, "memory", str(exc) or "out of memory")
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         return _fail(2, "config", str(exc))
 

@@ -115,7 +115,10 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         errs = []
         for n in n_values:
             theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-            pts = cfg.radius * np.column_stack([np.cos(theta), np.sin(theta)])
+            pts = np.empty((n, 2))
+            np.cos(theta, out=pts[:, 0])
+            np.sin(theta, out=pts[:, 1])
+            pts *= cfg.radius
             emp = empirical_measure(pts)
             tensors = ctf_grid(emp, kernel, grid, cfg.sigma).tensors
             errs.append(float(np.linalg.norm(tensors - exact, axis=(1, 2)).max()))

@@ -8,16 +8,17 @@ kernel-weighted covariance about x,
 a symmetric positive semi-definite d x d tensor.  The Fréchet value
 V(x, sigma) = sum_i w_i ||y_i - x||^2 K(x, y_i, sigma) equals the trace of
 the tensor.  Every tensor comes from one accumulator over blocks of
-(query, atom) pairs, one contiguous difference array per coordinate: each
-tensor entry is one row reduction, so a query's bits do not depend on the
-other queries of its block.  Under a compactly supported kernel the atoms
-are binned into a cell list: a query skips the cells outside its kernel
-ball, tests the atoms of the cells on the ball's boundary one by one, and,
-when the profile is constant on its support, adds each cell inside the ball
-from the cell's moments in one step.  The gradient flow of V moves all its
-starts together, one pass over the same blocks and kernel weights giving V
-and grad V per step.  Measures and kernels are immutable during evaluation
-and every query is independent.
+queries, one contiguous difference array per coordinate in which each
+query's candidate atoms are one row or one segment: each tensor entry is
+one reduction per query, so under every kernel a query's bits do not
+depend on the other queries or on how they are blocked.  Under a compactly
+supported kernel the atoms are binned into a cell list: a query skips the
+cells outside its kernel ball, tests the atoms of the cells on the ball's
+boundary one by one, and, when the profile is constant on its support,
+adds each cell inside the ball from the cell's moments in one step.  The
+gradient flow of V moves all its starts together, one pass over the same
+blocks and kernel weights giving V and grad V per step.  Measures and
+kernels are immutable during evaluation and every query is independent.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .kernels import RadialKernel
 from .measures import WeightedMeasure, write_csv
 
 SYM_TOL = 1e-12
-# (queries x atoms) pairs evaluated per block of ctf_grid
-_PAIR_BUDGET = 1 << 16
+# (query, atom) pairs per block, (query, cell) pairs per chunk; at most 2 * 8192, so a block over more
+# than 8192 atoms holds one row: past numpy's 8192-element buffer einsum's row sums depend on the others
+_PAIR_BUDGET = 1 << 14
 # cells per support radius along each axis of ctf_grid's cell list, at most
 _CELLS_PER_RADIUS = 8
 # atoms in the mean atom's cell below which ctf_grid coarsens its cells
@@ -197,13 +199,15 @@ def ctf_grid(
     outside the ball is skipped; a cell wholly inside it, under a profile
     equal to 1 on its support (``"flat"`` in ``kernel.analytic``), adds its
     weight M0, centroid g and scatter S as S + M0 (g - x)(g - x)^T; every
-    other cell tests its atoms one by one.  Candidates go in blocks of at
-    most ``_PAIR_BUDGET`` (query, candidate) pairs (or one query), one
-    (queries, candidates) difference array per coordinate; each of the
-    d(d+1)/2 tensor entries is one row reduction over them, so a row's bits
-    do not depend on the queries that share its block (under full support
-    every row is bitwise the :func:`ctf_at` of its query).  ``acceleration``
-    selects no code, and ``"indexed"`` requires a compactly supported kernel.
+    other cell tests its atoms one by one.  Each query's candidates are one
+    segment, in cell order (under full support, one row of all the atoms),
+    and each of the d(d+1)/2 tensor entries is one reduction per segment.
+    Segments go in blocks of whole queries with at most ``_PAIR_BUDGET``
+    candidates, or of one query, so under every kernel a row's bits depend
+    on its query alone, not on the other queries or on the blocking (under
+    full support every row is bitwise the :func:`ctf_at` of its query).
+    ``acceleration`` selects no code, and ``"indexed"`` requires a
+    compactly supported kernel.
     """
     d = measure.dim
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
@@ -218,12 +222,13 @@ def ctf_grid(
         raise ValueError("indexed acceleration requires a compactly supported kernel")
     if not np.all(np.isfinite(pts)):
         raise ValueError("query points must be finite")
-    weights = measure.weights / kernel.normalizer(sigma, d)
+    c_d = kernel.normalizer(sigma, d)
     r2cap = math.inf if css is None else css * sigma * sigma
     if math.isfinite(r2cap) and len(pts) > 1:
-        tensors = _cell_sum(measure.atoms, weights, pts, kernel, sigma, r2cap)
+        tensors = _cell_sum(measure.atoms, measure.weights, c_d, pts, kernel, sigma, r2cap)
     else:
         tensors = np.empty((len(pts), d, d))
+        weights = measure.weights / c_d
         for rows, diff in _blocks(measure.atoms, pts):
             tensors[rows] = _accumulate(diff, weights, kernel.profile, sigma, r2cap)
     tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
@@ -259,21 +264,24 @@ def _kernel_weights(diff, w, profile, sigma: float, r2cap: float):
     return u, f
 
 
-def _accumulate(diff, w, profile, sigma: float, r2cap: float) -> np.ndarray:
+def _accumulate(diff, w, profile, sigma: float, r2cap: float, starts=None) -> np.ndarray:
     """sum_k w_k f(r_k^2 / sigma^2) [r_k^2 <= r2cap] (y_k - x)(y_k - x)^T per row of ``diff``.
 
-    ``diff`` holds one (b, k) difference array per coordinate.  Each entry
-    of the upper triangle is one row reduction, mirrored below: no matrix
-    product, so each row's bits do not depend on the other rows.
+    ``diff`` holds one (b, k) difference array per coordinate, or, with
+    ``starts``, one flat array per coordinate whose rows are the nonempty
+    segments beginning at ``starts``.  Each entry of the upper triangle is
+    one row reduction, mirrored below: no matrix product, so each row's bits
+    do not depend on the other rows.
     """
     _, f = _kernel_weights(diff, w, profile, sigma, r2cap)
     d = len(diff)
-    out = np.empty((len(f), d, d))
+    out = np.empty((len(f) if starts is None else len(starts), d, d))
     fj = np.empty_like(f)
     for j in range(d):
         np.multiply(f, diff[j], out=fj)
         for k in range(j, d):
-            out[:, j, k] = out[:, k, j] = np.einsum("bk,bk->b", fj, diff[k])
+            out[:, j, k] = out[:, k, j] = (np.einsum("bk,bk->b", fj, diff[k]) if starts is None
+                                           else np.add.reduceat(fj * diff[k], starts))
     return out
 
 
@@ -283,8 +291,8 @@ def _ranges(starts, counts) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: float) -> np.ndarray:
-    """Unsymmetrized tensors at ``pts`` from a cell list of the atoms (see :func:`ctf_grid`)."""
+def _cell_sum(atoms, weights, c_d: float, pts, kernel: RadialKernel, sigma: float, r2cap: float) -> np.ndarray:
+    """Unsymmetrized tensors at ``pts`` from a cell list of the atoms, weighted weights / c_d (see ctf_grid)."""
     n, d = atoms.shape
     radius = math.sqrt(r2cap)
     reach, side = radius * (1.0 + 1e-9), radius / _CELLS_PER_RADIUS
@@ -306,15 +314,15 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
         side = min(radius, side * (2.0 * _MIN_OCCUPANCY / max(occupancy - 1.0, 1e-3)) ** (1.0 / d))
     cell_x1 = key[first, 0]
     del key
-    # candidate sources: the atoms by cell, a pseudo-atom lo + mu of weight M0 per cell, a null
-    # row; built one coordinate row at a time, so the scratch beyond them is a few n-sized rows
+    # candidate sources: the atoms by cell, then a pseudo-atom at lo (offset by mu) of weight M0
+    # per cell; built one coordinate row at a time, so the scratch beyond them is a few n-sized rows
     c = len(first)
-    pos, wts = np.empty((d, n + c + 1)), np.empty(n + c + 1)
+    pos, wts = np.empty((d, n + c)), np.empty(n + c)
     for k in range(d):
-        pos[k, :n] = atoms[order, k]
-    wts[:n] = weights[order]
+        np.take(atoms[:, k], order, out=pos[k, :n])
+    w = np.take(weights, order, out=wts[:n])
+    w /= c_d
     del order
-    w = wts[:n]
     lo, hi = np.minimum.reduceat(pos[:, :n], first, axis=1), np.maximum.reduceat(pos[:, :n], first, axis=1)
     m0 = np.add.reduceat(w, first)
     dev = np.empty((d, n))
@@ -329,9 +337,7 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
         for k in range(d):  # all d^2 entries: (w dev_j) dev_k and (w dev_k) dev_j can differ in bits
             scatter[:, j, k] = np.add.reduceat(wdev * dev[k], first)
     del dev, wdev
-    off = np.zeros((d, n + c + 1))
-    pos[:, n:-1], off[:, n:-1], pos[:, -1] = lo, mu, 0.0
-    wts[n:-1], wts[-1] = m0, 0.0
+    pos[:, n:], wts[n:] = lo, m0
     lo, hi = lo.T, hi.T  # one row per cell, as the queries
     flat = bool(kernel.analytic.get("flat", False))
     # cells whose x_1 key can meet each query's ball, by the atoms' own key rule
@@ -350,25 +356,27 @@ def _cell_sum(atoms, weights, pts, kernel: RadialKernel, sigma: float, r2cap: fl
         far = np.maximum(x - blo, bhi - x)
         keep = np.einsum("pd,pd->p", near, near) <= r2cap * (1.0 + 1e-9)
         whole = keep & (np.einsum("pd,pd->p", far, far) < r2cap * (1.0 - 1e-9)) & flat
+        del x, blo, bhi, near, far
         np.add.at(out, pq[whole], scatter[pc[whole]])
-        pq, pc, whole = pq[keep] - a, pc[keep], whole[keep]
+        pq, pc, whole = pq[keep], pc[keep], whole[keep]
+        # a query's candidates are one segment: its kept cells' atoms or pseudo-atoms, in cell
+        # order; a query with no kept cell has no segment (reduceat sums no empty one to 0)
         src0 = np.where(whole, n + pc, first[pc])
         cnt = np.where(whole, 1, size[pc])
-        kq = np.bincount(pq, weights=cnt, minlength=b - a).astype(np.int64)
-        nk = np.bincount(pq, minlength=b - a)
-        pfirst = np.cumsum(nk) - nk
-        rank = np.argsort(-kq, kind="stable")
-        s = 0
-        while s < len(rank) and kq[rank[s]] > 0:  # blocks padded to their first query's count
-            qq = rank[s : s + max(1, _PAIR_BUDGET // kq[rank[s]])]
-            k = kq[qq]
-            pp = _ranges(pfirst[qq], nk[qq])
-            col = np.arange(k[0])
-            idx = np.where(col < k[:, None], (np.cumsum(k) - k)[:, None] + col, -1)
-            src = np.append(_ranges(src0[pp], cnt[pp]), len(wts) - 1)[idx]
-            diff = [(np.take(pos[c], src) - pts[a + qq, c, None]) + np.take(off[c], src) for c in range(d)]
-            out[a + qq] += _accumulate(diff, np.take(wts, src), kernel.profile, sigma, r2cap)
-            s += len(qq)
+        qb = np.flatnonzero(np.diff(pq, prepend=-1, append=b))  # each query's first pair, then the end
+        cb = np.r_[0, np.cumsum(cnt)][qb]  # candidates before each such pair
+        i = 0
+        while i < len(qb) - 1:  # blocks of whole queries with at most _PAIR_BUDGET candidates
+            j = max(i + 1, int(np.searchsorted(cb, cb[i] + _PAIR_BUDGET, "right")) - 1)
+            pp = slice(qb[i], qb[j])
+            src = _ranges(src0[pp], cnt[pp])
+            qq = pq[qb[i:j]]
+            diff = [np.take(pos[k], src) - np.repeat(pts[qq, k], np.diff(cb[i : j + 1])) for k in range(d)]
+            cells = np.flatnonzero(src >= n)
+            for k in range(d):
+                diff[k][cells] += mu[k, src[cells] - n]
+            out[qq] += _accumulate(diff, np.take(wts, src), kernel.profile, sigma, r2cap, cb[i:j] - cb[i])
+            i = j
         a = b
     return out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MASS_TOL = 1e-12
-# rows per chunk that write_csv formats and writes at once
+# rows per chunk that write_csv formats and writes, and load_measure parses, at once
 _CSV_ROWS = 8192
 
 
@@ -517,9 +517,10 @@ def load_measure(path):
     """Load a WeightedMeasure or LabeledDataset from CSV, whatever the suffix.
 
     Returns a LabeledDataset when the last CSV header name is ``label``.
-    One ``np.loadtxt`` call parses the CSV rows as they are read from the
-    file, with no list of lines (int64 labels, so ``1.5`` or ``3.0`` is no
-    label); only a row it rejects makes a second pass, to name the line.
+    A first pass counts the data rows; ``np.loadtxt`` then parses them
+    ``_CSV_ROWS`` at a time into the measure's own arrays (int64 labels, so
+    ``1.5`` or ``3.0`` is no label), with no list of lines; only a row it
+    rejects makes another pass, to name the line.
     A file with no data row, a malformed row or a weight that is not
     positive (NaN included) raises
     :class:`MeasureFormatError` naming the line; blank lines are skipped and
@@ -537,21 +538,30 @@ def load_measure(path):
         d = len(header) - 1 - has_label
         if d < 1:
             raise MeasureFormatError("line 1: no coordinate columns")
-        row1 = next(rows, None)
-        if row1 is None:
+        n = sum(1 for _ in rows)
+        if n == 0:
             raise MeasureFormatError("no data rows after the header")
+        fh.seek(0)
+        rows = _data_lines(fh)
+        next(rows)
         fields = [("values", float, (d + 1,))] + ([("label", np.int64)] if has_label else [])
+        atoms, weights = np.empty((n, d)), np.empty(n)
+        labels = np.empty(n if has_label else 0, dtype=np.int64)
         try:
-            table = np.loadtxt(itertools.chain([row1], rows), dtype=fields, delimiter=",",
-                               comments=None, ndmin=1)
+            for s in range(0, n, _CSV_ROWS):
+                table = np.loadtxt(itertools.islice(rows, _CSV_ROWS), dtype=fields, delimiter=",",
+                                   comments=None, ndmin=1)
+                chunk, values = slice(s, s + _CSV_ROWS), table["values"]
+                atoms[chunk], weights[chunk] = values[:, :d], values[:, d]
+                if has_label:
+                    labels[chunk] = table["label"]
         except ValueError as exc:  # read the file again for the line number
             with open(path) as again:
                 rows = _data_lines(again)
                 next(rows)
                 raise _first_bad_row(rows, d, has_label) or MeasureFormatError(str(exc)) from None
-    values = table["values"]
-    bad = np.flatnonzero(~(values[:, d] > 0))
+    bad = np.flatnonzero(~(weights > 0))
     if bad.size:
         raise MeasureFormatError(f"line {bad[0] + 2}: weights must be positive")
-    m = WeightedMeasure(values[:, :d], values[:, d])
-    return LabeledDataset(m, table["label"]) if has_label else m
+    m = WeightedMeasure(atoms, weights)
+    return LabeledDataset(m, labels) if has_label else m

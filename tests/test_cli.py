@@ -538,6 +538,22 @@ class TestErrorPaths:
         assert code == 3
         assert json.loads(capsys.readouterr().err.strip())["error"] == "numerical"
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array", ""])
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch, message):
+        from covfields import cli, empirical_measure
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "ctf_grid", exhausted)
+        a = tmp_path / "a.csv"
+        save_measure(empirical_measure([[0.0, 0.0]]), a)
+        code = run_cli("--out", str(tmp_path), "ctf", "--input", str(a), "--sigma", "1.0", "--grid=-1:1:3")
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().split("\n")) == 1
+        assert json.loads(err) == {"error": "memory", "message": message or "out of memory"}
+
     def test_indexed_full_support_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure
 

@@ -39,6 +39,13 @@ def random_measure(rng, n, d, spread=1.0):
     return WeightedMeasure(pts, w / w.sum())
 
 
+PROPERTY_KERNELS = {
+    "gaussian": builtin_gaussian(),
+    "truncation": builtin_truncation(),
+    "tabulated": tabulated_kernel([0.0, 0.5, 2.0], [1.0, 0.8, 0.1]),
+}
+
+
 @st.composite
 def grid_problems(draw):
     """Weighted atoms and queries on a 1/8 grid, so atoms land exactly on supports."""
@@ -203,32 +210,47 @@ class TestCtfGrid:
             got = ctf_grid(WeightedMeasure(atoms, w), kernel, queries, sigma).tensors
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * max(1.0, np.abs(want).max()))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(1, 3),
         n=st.integers(1, 90),
-        m=st.integers(1, 30),
+        m=st.integers(2, 30),
         seed=st.integers(0, 2**32 - 1),
         sigma=st.floats(0.05, 3.0),
-        budget=st.sampled_from([1, 7, fields._PAIR_BUDGET]),
+        kernel_name=st.sampled_from(sorted(PROPERTY_KERNELS)),
+        budget=st.sampled_from([1, 7, 1 << 16]),
         data=st.data(),
     )
-    def test_gaussian_rows_bitwise_independent_of_block(self, d, n, m, seed, sigma, budget, data):
+    def test_rows_bitwise_independent_of_block(self, d, n, m, seed, sigma, kernel_name, budget, data):
         rng = np.random.default_rng(seed)
         measure = WeightedMeasure(rng.normal(size=(n, d)), rng.uniform(0.1, 2.0, size=n))
         queries = rng.normal(size=(m, d))
-        kernel = builtin_gaussian()
+        kernel = PROPERTY_KERNELS[kernel_name]
         order = data.draw(st.permutations(range(m)))
-        keep = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+        # two queries at least: a single one skips the cell list
+        keep = data.draw(st.lists(st.sampled_from(order), min_size=2, unique=True))
+        reference = ctf_grid(measure, kernel, queries, sigma).tensors
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fields, "_PAIR_BUDGET", budget)
             full = ctf_grid(measure, kernel, queries, sigma).tensors
             shuffled = ctf_grid(measure, kernel, queries[order], sigma).tensors
             subset = ctf_grid(measure, kernel, queries[keep], sigma).tensors
             alone = [ctf_at(measure, kernel, x, sigma).entries for x in queries]
-        assert np.array_equal(full, np.array(alone))
+        assert np.array_equal(full, reference)
         assert np.array_equal(shuffled, full[order])
         assert np.array_equal(subset, full[keep])
+        if kernel.compact_support_radius_sq is None:
+            assert np.array_equal(full, np.array(alone))
+
+    def test_gaussian_rows_are_ctf_at_over_many_atoms(self):
+        # past 8192 atoms numpy's einsum reduces a row in buffered chunks whose
+        # bits depend on the rows beside it, so such a block holds one row
+        rng = np.random.default_rng(27)
+        measure = WeightedMeasure(rng.normal(size=(20_000, 2)), rng.uniform(0.1, 2.0, size=20_000))
+        queries = rng.normal(size=(4, 2))
+        full = ctf_grid(measure, builtin_gaussian(), queries, 0.7).tensors
+        alone = [ctf_at(measure, builtin_gaussian(), x, 0.7).entries for x in queries]
+        assert np.array_equal(full, np.array(alone))
 
     def test_large_gaussian_field_matches_fsum(self):
         rng = np.random.default_rng(40)
@@ -312,13 +334,6 @@ class TestCtfGrid:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x_1,x_2,sigma,S_11,S_12,S_22,V,lambda_1,lambda_2"
         assert len(lines) == 5
-
-
-PROPERTY_KERNELS = {
-    "gaussian": builtin_gaussian(),
-    "truncation": builtin_truncation(),
-    "tabulated": tabulated_kernel([0.0, 0.5, 2.0], [1.0, 0.8, 0.1]),
-}
 
 
 def central_difference_gradient(measure, kernel, x, sigma, step):
@@ -508,11 +523,11 @@ class TestCellList:
         assert t.trace > 0
         assert min(times) < 0.05  # about 4 ms on a 2-core VM
 
-    # sha256 of the tensors' and traces' bytes, recorded before the cell list was
-    # built one coordinate row at a time
+    # sha256 of the tensors' and traces' bytes, recorded once each query's candidates
+    # became one segment, whose bits no longer depend on _PAIR_BUDGET
     FROZEN = {
-        "circle_truncation": "c60a18450d094e331e81e7e4c71f683b0a5a1c8207a4ef82047cfce5c597b210",
-        "tabulated_flat_3d": "75e04bfb97d468920531b9b4c73708cfce360c739d11f0696c0c3ed5fda9f21a",
+        "circle_truncation": "2482f7848478d9b59229750468571747d55f5c63b11eb70ec1ac400015412290",
+        "tabulated_flat_3d": "2ebb7f916bb29983a0ea341c3c2ab1b8ee86445111e187d0302523d7a793c9b1",
     }
 
     @pytest.mark.parametrize("case", list(FROZEN))
@@ -535,23 +550,32 @@ class TestCellList:
         digest = hashlib.sha256(fg.tensors.tobytes() + fg.frechet_values.tobytes()).hexdigest()
         assert digest == self.FROZEN[case]
 
-    def test_peak_memory_per_atom(self):
-        # the build holds no (n, d, d) product and no sorted key once the cells are known
-        def peak(n):
-            rng = np.random.default_rng(26)
-            theta = rng.uniform(0.0, 2.0 * math.pi, n)
-            atoms = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (n, 2))
-            w = np.full(n, 1.0 / n)
-            axis = np.linspace(-1.3, 1.3, 24)
-            queries = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
-            tracemalloc.start()
-            try:
-                fields._cell_sum(atoms, w, queries, builtin_truncation(), 0.6, 0.36)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def circle_peak(n, sigma):
+        """tracemalloc peak of _cell_sum on n atoms of a noisy circle, 24 x 24 queries."""
+        rng = np.random.default_rng(26)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        atoms = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (n, 2))
+        w = np.full(n, 1.0 / n)
+        axis = np.linspace(-1.3, 1.3, 24)
+        queries = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            fields._cell_sum(atoms, w, 1.0, queries, builtin_truncation(), sigma, sigma * sigma)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        assert (peak(200_000) - peak(50_000)) / 150_000 <= 80  # about 125 with an (n, d, d) product
+    def test_peak_memory_per_atom(self):
+        # the build holds no (n, d, d) product and no sorted key once the cells are known; its
+        # peak is the sorted atoms, weights, their deviations and two n-sized temporaries
+        per_atom = (self.circle_peak(200_000, 0.6) - self.circle_peak(50_000, 0.6)) / 150_000
+        assert per_atom <= 56  # about 125 with an (n, d, d) product
+
+    def test_peak_memory_is_a_small_multiple_of_the_measure(self):
+        # candidate blocks padded to their first query's count took 6.2 times the measure's bytes
+        n = 100_000
+        assert self.circle_peak(n, 0.3) <= 3 * n * 3 * 8
 
 
 class TestSpectrum:
