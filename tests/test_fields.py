@@ -880,6 +880,21 @@ class TestBatchedFlow:
         # one attractor per cluster
         assert sorted(np.round(attractors[:, 0])) == [-2.0, 2.0]
 
+    # sha256 of the labels, converged flags, every flow's attractor (escaped ones included),
+    # the basin attractors and the path lengths on the benchmark's sample and start grid
+    ESCAPED_FROZEN = "01648f10f536b2a432acdcfef7e6663590dda8ae59992ca135f9067eba106762"
+
+    def test_frozen_escaped_flows(self):
+        labels, attractors, results = basin_labels(two_cluster_sample(0), builtin_gaussian(),
+                                                   start_grid(-4.0, 4.0, 20), self.SIGMA)
+        assert np.mean(labels == -1) > 0.5  # most starts escape
+        digest = hashlib.sha256(labels.tobytes())
+        digest.update(np.array([res.converged for res in results]).tobytes())
+        digest.update(np.stack([res.attractor for res in results]).tobytes())
+        digest.update(attractors.tobytes())
+        digest.update(np.array([len(res.path) for res in results], dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.ESCAPED_FROZEN
+
     @settings(max_examples=25, deadline=None)
     @given(
         starts=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(2)),
