@@ -313,8 +313,8 @@ def score(labels: np.ndarray, truth: np.ndarray) -> float:
     """
     labels = np.asarray(labels, dtype=np.int64).ravel()
     truth = np.asarray(truth, dtype=np.int64).ravel()
-    if labels.shape != truth.shape:
-        raise ValueError("label vectors must have equal length")
+    if labels.shape != truth.shape or labels.size == 0:
+        raise ValueError("label vectors must be non-empty and of equal length")
     (ia, ka), (ib, kb) = _codes(labels), _codes(truth)
     conf = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb)
     rows, cols = linear_sum_assignment(-conf)

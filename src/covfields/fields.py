@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel
-from .measures import WeightedMeasure, write_csv
+from .measures import WeightedMeasure, _points, write_csv
 
 SYM_TOL = 1e-12
 # (query, atom) pairs per block, (query, cell) pairs per chunk; at most 2 * 8192, so a block over more
@@ -136,15 +136,9 @@ def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: floa
     coordinates' squares in order, as the flow's pass does, so the two give
     the same bits.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != measure.dim:
-        raise ValueError(f"dimension mismatch: measure dim {measure.dim}, point dim {x.size}")
+    x = _points(np.reshape(x, (1, -1)), measure.dim)[0]
     c_d = kernel.normalizer(sigma, measure.dim)
-    diff = (measure.atoms - x).T
-    r2 = diff[0] * diff[0]
-    for dk in diff[1:]:
-        r2 += dk * dk
-    u = r2 * (1.0 / (sigma * sigma))
+    u = _r2((measure.atoms - x).T) * (1.0 / (sigma * sigma))
     f = kernel.profile(u) * (measure.weights / c_d)
     return float(sigma * sigma * np.einsum("i,i->", f, u))
 
@@ -210,18 +204,12 @@ def ctf_grid(
     compactly supported kernel.
     """
     d = measure.dim
-    pts = np.atleast_2d(np.asarray(query_points, dtype=float))
-    if pts.shape[1] == 0:  # [] names no points and no dimension
-        pts = pts.reshape(0, d)
-    if pts.shape[1] != d:
-        raise ValueError(f"dimension mismatch: measure dim {d}, points dim {pts.shape[1]}")
+    pts = _points(query_points, d)
     if acceleration not in ("exact", "indexed"):
         raise ValueError("acceleration must be 'exact' or 'indexed'")
     css = kernel.compact_support_radius_sq
     if acceleration == "indexed" and css is None:
         raise ValueError("indexed acceleration requires a compactly supported kernel")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("query points must be finite")
     c_d = kernel.normalizer(sigma, d)
     r2cap = math.inf if css is None else css * sigma * sigma
     if math.isfinite(r2cap) and len(pts) > 1:
@@ -246,15 +234,21 @@ def _blocks(atoms, pts):
         yield rows, [col - pts[rows, k, None] for k, col in enumerate(cols)]
 
 
+def _r2(diff):
+    """sum_k diff[k]^2 in a new array, the squares added in coordinate order."""
+    r2 = diff[0] * diff[0]
+    for dk in diff[1:]:
+        r2 += dk * dk
+    return r2
+
+
 def _kernel_weights(diff, w, profile, sigma: float, r2cap: float):
     """u = r^2 / sigma^2 and w f(u) [r^2 <= r2cap] from the per-coordinate differences ``diff``.
 
     Only elementwise operations, in place where they can be, so each row's
     bits do not depend on the other rows of its block.
     """
-    u = diff[0] * diff[0]
-    for dk in diff[1:]:
-        u += dk * dk
+    u = _r2(diff)
     inside = u <= r2cap if math.isfinite(r2cap) else None
     u *= 1.0 / (sigma * sigma)
     f = profile(u)
@@ -382,28 +376,28 @@ def _cell_sum(atoms, weights, c_d: float, pts, kernel: RadialKernel, sigma: floa
 
 
 def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: float, grad=False):
-    """V at each row of ``pts``; with ``grad``, also grad V and min_i ||y_i - x||^2 / sigma^2.
+    """V at each row of ``pts`` and, with ``grad`` (Gaussian kernel only), grad V.
 
-    V multiplies as :func:`frechet_value` does.  The gradient is the
-    Gaussian one (see :func:`frechet_gradient`).  The points go in the
-    blocks of :func:`_blocks`, and only elementwise operations and row
-    reductions touch them, so each row's bits do not depend on the other
-    rows of its block.  No |y|^2 - 2 y.x + |x|^2 expansion: the flow's
-    stopping rule needs the digits it would cancel.
+    V multiplies as :func:`frechet_value` does; the gradient is that of
+    :func:`frechet_gradient`.  The points go in the blocks of
+    :func:`_blocks`, and only elementwise operations and row reductions
+    touch them, so each row's bits do not depend on the other rows of its
+    block.  No |y|^2 - 2 y.x + |x|^2 expansion: the flow's stopping rule
+    needs the digits it would cancel.
     """
+    if grad and kernel.name != "gaussian":
+        raise ValueError("analytic gradient is only available for the gaussian kernel")
     w = measure.weights / kernel.normalizer(sigma, measure.dim)
-    d = measure.dim
-    v, g, near = np.empty(len(pts)), np.empty((len(pts), d)), np.empty(len(pts))
+    v, g = np.empty(len(pts)), np.empty((len(pts), measure.dim))
     for rows, diff in _blocks(measure.atoms, pts):
         u, f = _kernel_weights(diff, w, kernel.profile, sigma, math.inf)
         v[rows] = sigma * sigma * np.einsum("bk,bk->b", f, u)
         if grad:
-            near[rows] = np.min(u, axis=1)
             u -= 2.0
             f *= u
             for k, dk in enumerate(diff):
                 g[rows, k] = np.einsum("bk,bk->b", dk, f)
-    return v, g, near
+    return v, g
 
 
 def frechet_gradient(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> np.ndarray:
@@ -413,12 +407,8 @@ def frechet_gradient(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: f
     grad V = sum_i w_i G(x, y_i, sigma) (y_i - x)(r_i^2/sigma^2 - 2) with
     r_i = ||y_i - x||, a one-point pass of the flow's evaluator.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != measure.dim:
-        raise ValueError("dimension mismatch")
-    if kernel.name != "gaussian":
-        raise ValueError("analytic gradient is only available for the gaussian kernel")
-    return _frechet_pass(measure, kernel, x[None, :], sigma, grad=True)[1][0]
+    x = _points(np.reshape(x, (1, -1)), measure.dim)
+    return _frechet_pass(measure, kernel, x, sigma, grad=True)[1][0]
 
 
 # the gradient flow (see flow_to_attractor and basin_labels); the step and
@@ -445,29 +435,21 @@ _ESCAPE_SIGMAS = 3.0
 
 
 def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float):
-    """Descend V from every row of ``starts`` together (see :func:`flow_to_attractor`).
+    """Descend V from a copy of every row of ``starts`` together (see :func:`flow_to_attractor`).
 
     Each iteration makes one V and grad V pass over the active starts, then
-    V-only passes over the starts whose line search is still trying a step.
-    Returns the attractors, the paths, the converged flags (False for an
-    escaped flow) and the escaped mask.
+    V-only passes over the starts whose line search is still trying a step;
+    one last pass finds the escaped attractors.  Returns the attractors, the
+    paths, the converged flags (False for an escaped flow) and the escaped mask.
     """
-    if kernel.name != "gaussian":
-        raise ValueError("gradient flow requires the gaussian kernel")
-    d = measure.dim
-    x = np.array(starts, dtype=float)
-    if x.shape[1] != d:
-        raise ValueError(f"dimension mismatch: measure dim {d}, start dim {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("starts must be finite")
+    x = starts.copy()
     step0 = sigma / _FLOW_STEP_DIV
     paths = [[row.copy()] for row in x]
     steps = np.zeros(len(x), dtype=np.int64)
     converged = np.zeros(len(x), dtype=bool)
-    near = np.empty(len(x))
     active = np.arange(len(x))
     while active.size:
-        v, g, near[active] = _frechet_pass(measure, kernel, x[active], sigma, grad=True)
+        v, g = _frechet_pass(measure, kernel, x[active], sigma, grad=True)
         gn = np.sqrt(np.sum(g * g, axis=1))
         stop = steps[active] >= _FLOW_MAX_STEPS
         small = ~stop & (gn < _FLOW_GRAD_TOL * np.maximum(1.0, v))
@@ -493,7 +475,9 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float):
         steps[active] += 1
         for i in active:
             paths[i].append(x[i].copy())
-    escaped = near > _ESCAPE_SIGMAS**2
+    escaped = np.empty(len(x), dtype=bool)
+    for rows, diff in _blocks(measure.atoms, x):  # min_i r_i^2 / sigma^2, as the passes scale r^2
+        escaped[rows] = np.min(_r2(diff) * (1.0 / (sigma * sigma)), axis=1) > _ESCAPE_SIGMAS**2
     return x, [np.asarray(path) for path in paths], converged & ~escaped, escaped
 
 
@@ -515,8 +499,9 @@ def flow_to_attractor(
     this one start.  Requires the Gaussian kernel (a smooth V) and a finite
     start.
     """
-    x, paths, converged, _ = _flow(measure, kernel, np.reshape(start, (1, -1)), sigma)
-    return FlowResult(np.asarray(start, dtype=float), x[0], paths[0], bool(converged[0]))
+    start = _points(np.reshape(start, (1, -1)), measure.dim)
+    x, paths, converged, _ = _flow(measure, kernel, start, sigma)
+    return FlowResult(start[0], x[0], paths[0], bool(converged[0]))
 
 
 def basin_labels(
@@ -536,9 +521,7 @@ def basin_labels(
     as the inputs.
     """
     merge_r = sigma / _FLOW_MERGE_DIV
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if starts.shape[1] == 0:  # [] names no starts and no dimension
-        starts = starts.reshape(0, measure.dim)
+    starts = _points(starts, measure.dim)
     x, paths, converged, escaped = _flow(measure, kernel, starts, sigma)
     results = [FlowResult(*row) for row in zip(starts, x, paths, converged.tolist())]
     reps: list[np.ndarray] = []

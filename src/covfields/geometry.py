@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import CovTensor, ctf_at
 from .kernels import _check_sigma, builtin_truncation, unit_ball_volume
-from .measures import NumericalError, WeightedMeasure, _check_positive
+from .measures import NumericalError, WeightedMeasure, _check_positive, _points
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -155,7 +155,7 @@ def sphere_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, fl
 
 def circle_tensor(radius: float, x, sigma: float) -> CovTensor:
     """Assemble the circle's closed-form tensor at a point of R^2."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = _points(np.reshape(x, (1, -1)), 2)[0]
     r = float(np.linalg.norm(x))
     lam_n, lam_t = circle_eigenvalues(radius, r, sigma)
     if lam_n == 0.0 and lam_t == 0.0:
@@ -197,6 +197,23 @@ class SurfaceCurvatureEstimate:
     residual_det: float
 
 
+def _ladder_tensors(measure: WeightedMeasure, x, sigma_ladder, d: int, what: str):
+    """(x, the ladder sorted descending, the truncation tensor at x per scale) in R^d."""
+    ladder = np.sort(np.asarray(sigma_ladder, dtype=float))[::-1]
+    if np.unique(ladder).size < 3:
+        raise ValueError("sigma ladder needs at least 3 scales, all distinct")
+    if measure.dim != d:
+        raise ValueError(f"{what} requires dim {d}")
+    x = _points(np.reshape(x, (1, -1)), d)[0]
+    return x, ladder, [ctf_at(measure, builtin_truncation(), x, s) for s in ladder]
+
+
+def _through_origin(x, y, floor: float = -math.inf) -> tuple[float, float]:
+    """The least-squares slope b of y = b x and the RMS residual of y - max(b, floor) x."""
+    b = float(x @ y / (x @ x))
+    return b, float(np.sqrt(np.mean((y - max(b, floor) * x) ** 2)))
+
+
 def curve_curvature(
     measure: WeightedMeasure,
     x_on_curve,
@@ -206,24 +223,14 @@ def curve_curvature(
 
     Computes tr Sigma(x, sigma) under the truncation kernel for each ladder
     scale and fits tr - 2 sigma/(3 pi) = kappa^2 sigma^3/(20 pi) by least
-    squares in the single unknown kappa^2; the ladder (>= 3 descending
+    squares in the single unknown kappa^2; the ladder (>= 3 distinct
     scales) suppresses the O(sigma^4) remainder.  A negative fit is clamped
     to zero and flagged.
     """
-    ladder = np.sort(np.asarray(sigma_ladder, dtype=float))[::-1]
-    if ladder.size < 3:
-        raise ValueError("sigma ladder needs at least 3 scales")
-    if measure.dim != 2:
-        raise ValueError("plane-curve curvature requires dim 2")
-    x = np.asarray(x_on_curve, dtype=float).ravel()
-    traces = np.array([ctf_at(measure, builtin_truncation(), x, s).trace for s in ladder])
-    yv = traces - 2.0 * ladder / (3.0 * math.pi)
-    xv = ladder**3 / (20.0 * math.pi)
-    k2 = float(xv @ yv / (xv @ xv))
-    clamped = k2 < 0.0
-    k2 = max(k2, 0.0)
-    residual = float(np.sqrt(np.mean((yv - k2 * xv) ** 2)))
-    return CurveCurvatureEstimate(x, ladder, math.sqrt(k2), residual, clamped)
+    x, ladder, tensors = _ladder_tensors(measure, x_on_curve, sigma_ladder, 2, "plane-curve curvature")
+    yv = np.array([t.trace for t in tensors]) - 2.0 * ladder / (3.0 * math.pi)
+    k2, residual = _through_origin(ladder**3 / (20.0 * math.pi), yv, floor=0.0)
+    return CurveCurvatureEstimate(x, ladder, math.sqrt(max(k2, 0.0)), residual, k2 < 0.0)
 
 
 def surface_curvatures(
@@ -242,25 +249,11 @@ def surface_curvatures(
     :class:`NumericalError` when the two fits are inconsistent
     ((kappa1+kappa2)^2 fitted below -5% of its scale).
     """
-    ladder = np.sort(np.asarray(sigma_ladder, dtype=float))[::-1]
-    if ladder.size < 3:
-        raise ValueError("sigma ladder needs at least 3 scales")
-    if measure.dim != 3:
-        raise ValueError("surface curvature requires dim 3")
-    p = np.asarray(p_on_surface, dtype=float).ravel()
-    traces = np.empty(ladder.size)
-    dets = np.empty(ladder.size)
-    for i, s in enumerate(ladder):
-        t = ctf_at(measure, builtin_truncation(), p, s)
-        traces[i] = t.trace
-        dets[i] = float(np.linalg.det(t.entries))
-    yt = traces - 3.0 * ladder / 8.0
-    xt = ladder**3 / 64.0
-    s_fit = float(xt @ yt / (xt @ xt))
-    res_t = float(np.sqrt(np.mean((yt - s_fit * xt) ** 2)))
-    xd = 9.0 * ladder**5 / 32768.0
-    q_fit = float(xd @ dets / (xd @ xd))
-    res_d = float(np.sqrt(np.mean((dets - q_fit * xd) ** 2)))
+    p, ladder, tensors = _ladder_tensors(measure, p_on_surface, sigma_ladder, 3, "surface curvature")
+    traces = np.array([t.trace for t in tensors])
+    dets = np.array([np.linalg.det(t.entries) for t in tensors])
+    s_fit, res_t = _through_origin(ladder**3 / 64.0, traces - 3.0 * ladder / 8.0)
+    q_fit, res_d = _through_origin(9.0 * ladder**5 / 32768.0, dets)
     s_clamped = max(s_fit, 0.0)
     prod = (q_fit - 3.0 * s_clamped) / 8.0
     sum_sq = s_clamped + 4.0 * prod

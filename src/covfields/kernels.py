@@ -24,6 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .measures import _points
+
 
 def _check_sigma(sigma: float) -> None:
     """Require sigma > 0 with sigma^2 a finite, normal float (kernels divide by sigma^2)."""
@@ -214,11 +216,9 @@ def kernel_by_name(name: str) -> RadialKernel:
 
 
 def eval_kernel(kernel: RadialKernel, x, y, sigma: float) -> float:
-    """K(x, y, sigma) = f(||y-x||^2 / sigma^2) / C_d(sigma)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same dimension")
+    """K(x, y, sigma) = f(||y-x||^2 / sigma^2) / C_d(sigma); y must have x's dimension."""
+    x = _points(np.reshape(x, (1, -1)), np.size(x))[0]
+    y = _points(np.reshape(y, (1, -1)), x.size)[0]
     c_d = kernel.normalizer(sigma, x.size)
     r = float(np.sum((y - x) ** 2)) / (sigma * sigma)
     return float(kernel.profile(np.asarray(r))) / c_d
@@ -270,6 +270,6 @@ def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:
 
 def q_tensor(kernel: RadialKernel, z, sigma: float) -> np.ndarray:
     """The tensor map Q_sigma(z) = (z (x) z) K(z, 0, sigma)."""
-    z = np.asarray(z, dtype=float).ravel()
+    z = _points(np.reshape(z, (1, -1)), np.size(z))[0]
     k = eval_kernel(kernel, np.zeros_like(z), z, sigma)
     return np.outer(z, z) * k

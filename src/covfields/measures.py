@@ -36,6 +36,19 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _points(x, d: int) -> np.ndarray:
+    """``x`` as an (m, d) float array (``x`` itself if it is one), ``[]`` as no point; ValueError
+    on another dimension, on d < 1 or on a NaN or infinite coordinate.  One point goes in as
+    ``np.reshape(x, (1, -1))``, so ``[]`` is then a point of dimension 0."""
+    pts = np.asarray(x, dtype=float)
+    pts = pts.reshape(0, d) if pts.shape == (0,) else np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != d or d < 1:
+        raise ValueError(f"dimension mismatch: points need dimension {d} >= 1, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite (no NaN/Inf coordinates)")
+    return pts
+
+
 def _check_non_negative(name: str, value: float) -> None:
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")

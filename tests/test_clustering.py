@@ -268,6 +268,11 @@ class TestScore:
         with pytest.raises(ValueError):
             score([0, 1], [0, 1, 2])
 
+    def test_empty_raises(self):
+        # no point to misclassify: no rate, rather than 0 / 0
+        with pytest.raises(ValueError, match="non-empty"):
+            score([], [])
+
 
 class TestTensorizedDistances:
     def test_gamma_zero_pseudo_metric(self):

@@ -230,6 +230,13 @@ class TestCurveCurvature:
         with pytest.raises(ValueError, match="3 scales"):
             curve_curvature(seg, [0.5, 0.0], [0.05, 0.04])
 
+    def test_rejects_repeated_scales(self):
+        # one abscissa fits any slope: three equal scales once gave kappa = 0, clamped
+        seg = quadrature_segment([0.0, 0.0], [1.0, 0.0], 0.01)
+        for ladder in ([0.3, 0.3, 0.3], [0.05, 0.04, 0.05]):
+            with pytest.raises(ValueError, match="3 scales, all distinct"):
+                curve_curvature(seg, [0.5, 0.0], ladder)
+
     def test_full_small_scale_tensor_expansion(self):
         # on the curve y = k x^2/2 + ks x^3/6 (curvature k, curvature rate ks
         # at the origin), the tensor in the tangent/normal frame expands as
@@ -288,6 +295,12 @@ class TestSurfaceCurvatures:
         disk = quadrature_disk(0.1, 50, 40, dim=3)
         with pytest.raises(ValueError, match="3 scales"):
             surface_curvatures(disk, [0, 0, 0.0], [0.05, 0.04])
+
+    def test_rejects_repeated_scales(self):
+        disk = quadrature_disk(0.1, 50, 40, dim=3)
+        for ladder in ([0.05, 0.05, 0.05], [0.05, 0.04, 0.04, 0.05]):
+            with pytest.raises(ValueError, match="3 scales, all distinct"):
+                surface_curvatures(disk, [0, 0, 0.0], ladder)
 
 
 class TestTransferFunction:

@@ -10,15 +10,27 @@ from covfields import (
     LabeledDataset,
     MeasureFormatError,
     WeightedMeasure,
+    basin_labels,
+    builtin_gaussian,
+    circle_tensor,
+    ctf_at,
+    ctf_grid,
+    curve_curvature,
     empirical_measure,
+    eval_kernel,
+    flow_to_attractor,
+    frechet_gradient,
+    frechet_value,
     gen_arrangement_suite,
     gen_line_arrangement,
     load_measure,
+    q_tensor,
     quadrature_circle,
     quadrature_disk,
     quadrature_segment,
     quadrature_sphere,
     save_measure,
+    surface_curvatures,
 )
 from covfields import measures
 from covfields.measures import write_csv
@@ -526,3 +538,53 @@ class TestWriteCsv:
         columns = [rng.normal(size=n), rng.normal(size=n), rng.uniform(0.5, 1.5, n)]
         _, peak = traced_peak(lambda: write_csv(tmp_path / "w.csv", ["x_1", "x_2", "weight"], columns))
         assert peak <= 4e6  # a list of every row's strings would take about 70 MB
+
+
+
+def point_takers():
+    """name: (a good point, the call on one point, a point of the wrong dimension) for each of
+    the public functions that take points."""
+    plane, surface = quadrature_segment([-1.0, 0.0], [1.0, 0.0], 0.01), quadrature_disk(0.1, 20, 24, dim=3)
+    g, ladder = builtin_gaussian(), [0.05, 0.04, 0.03]
+    origin, three = [0.0, 0.0], [0.0, 0.0, 0.0]
+    return {
+        "ctf_grid": (origin, lambda x: ctf_grid(plane, g, [x], 0.5), three),
+        "ctf_at": (origin, lambda x: ctf_at(plane, g, x, 0.5), three),
+        "frechet_value": (origin, lambda x: frechet_value(plane, g, x, 0.5), [0.0]),
+        "frechet_gradient": (origin, lambda x: frechet_gradient(plane, g, x, 0.5), three),
+        "flow_to_attractor": ([0.0, 0.1], lambda x: flow_to_attractor(plane, g, x, 0.5), [0.0]),
+        "basin_labels": ([0.0, 0.1], lambda x: basin_labels(plane, g, [x], 0.5), three),
+        "eval_kernel": (origin, lambda y: eval_kernel(g, [0.0, 0.5], y, 0.5), three),
+        "q_tensor": ([0.0, 0.5], lambda z: q_tensor(g, z, 0.5), []),  # z sets its own dimension, >= 1
+        "circle_tensor": ([0.9, 0.0], lambda x: circle_tensor(1.0, x, 0.3), [0.5, 0.2, 0.1]),
+        "curve_curvature": (origin, lambda x: curve_curvature(plane, x, ladder), three),
+        "surface_curvatures": (three, lambda x: surface_curvatures(surface, x, ladder), origin),
+    }
+
+
+class TestPointCheck:
+    """Every public function that takes points checks them with measures._points."""
+
+    TAKERS = point_takers()
+
+    @pytest.mark.parametrize("name", list(TAKERS))
+    def test_shared_messages(self, name):
+        good, call, wrong = self.TAKERS[name]
+        call(good)
+        for bad in (math.nan, math.inf, -math.inf):
+            for point in ([bad] + good[1:], good[:-1] + [bad]):
+                with pytest.raises(ValueError, match=r"^points must be finite"):
+                    call(point)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: points need dimension"):
+            call(wrong)
+
+    def test_empty_list_is_no_point(self):
+        plane = quadrature_segment([-1.0, 0.0], [1.0, 0.0], 0.1)
+        fg = ctf_grid(plane, builtin_gaussian(), [], 0.5)
+        assert fg.query_points.shape == (0, 2) and fg.tensors.shape == (0, 2, 2)
+        with pytest.raises(ValueError, match="dimension"):  # one point of dimension 0
+            ctf_grid(plane, builtin_gaussian(), [[]], 0.5)
+
+    def test_no_copy(self):
+        pts = np.zeros((4, 2))
+        assert measures._points(pts, 2) is pts
