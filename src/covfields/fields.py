@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import RadialKernel
-from .measures import WeightedMeasure, _points, write_csv
+from .measures import WeightedMeasure, _point, _points, write_csv
 
 SYM_TOL = 1e-12
 # (query, atom) pairs per block, (query, cell) pairs per chunk; at most 2 * 8192, so a block over more
@@ -125,22 +125,17 @@ def ctf_at(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> C
     A one-point :func:`ctf_grid`; the zero tensor when no atom has positive
     kernel weight (e.g. an isolated query under the truncation kernel).
     """
-    return CovTensor(ctf_grid(measure, kernel, np.reshape(x, (1, -1)), sigma).tensors[0])
+    return CovTensor(ctf_grid(measure, kernel, _point(x, measure.dim)[None], sigma).tensors[0])
 
 
 def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: float) -> float:
     """Multiscale Fréchet value: sum_i w_i ||y_i - x||^2 K(x, y_i, sigma).
 
     Computed as a direct weighted sum (not via the tensor trace), so the
-    trace identity V = tr Sigma is a genuine cross-check.  r^2 adds the
-    coordinates' squares in order, as the flow's pass does, so the two give
-    the same bits.
+    trace identity V = tr Sigma is a genuine cross-check.  It is the flow's
+    pass on one row, so the flow descends these bits.
     """
-    x = _points(np.reshape(x, (1, -1)), measure.dim)[0]
-    c_d = kernel.normalizer(sigma, measure.dim)
-    u = _r2((measure.atoms - x).T) * (1.0 / (sigma * sigma))
-    f = kernel.profile(u) * (measure.weights / c_d)
-    return float(sigma * sigma * np.einsum("i,i->", f, u))
+    return float(_frechet_pass(measure, kernel, _point(x, measure.dim)[None], sigma)[0][0])
 
 
 @dataclass(frozen=True)
@@ -378,12 +373,12 @@ def _cell_sum(atoms, weights, c_d: float, pts, kernel: RadialKernel, sigma: floa
 def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: float, grad=False):
     """V at each row of ``pts`` and, with ``grad`` (Gaussian kernel only), grad V.
 
-    V multiplies as :func:`frechet_value` does; the gradient is that of
-    :func:`frechet_gradient`.  The points go in the blocks of
-    :func:`_blocks`, and only elementwise operations and row reductions
-    touch them, so each row's bits do not depend on the other rows of its
-    block.  No |y|^2 - 2 y.x + |x|^2 expansion: the flow's stopping rule
-    needs the digits it would cancel.
+    :func:`frechet_value` and :func:`frechet_gradient` are this pass on one
+    row.  The points go in the blocks of :func:`_blocks`, and only
+    elementwise operations and row reductions touch them, so each row's
+    bits do not depend on the other rows of its block.  No
+    |y|^2 - 2 y.x + |x|^2 expansion: the flow's stopping rule needs the
+    digits it would cancel.
     """
     if grad and kernel.name != "gaussian":
         raise ValueError("analytic gradient is only available for the gaussian kernel")
@@ -407,8 +402,7 @@ def frechet_gradient(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: f
     grad V = sum_i w_i G(x, y_i, sigma) (y_i - x)(r_i^2/sigma^2 - 2) with
     r_i = ||y_i - x||, a one-point pass of the flow's evaluator.
     """
-    x = _points(np.reshape(x, (1, -1)), measure.dim)
-    return _frechet_pass(measure, kernel, x, sigma, grad=True)[1][0]
+    return _frechet_pass(measure, kernel, _point(x, measure.dim)[None], sigma, grad=True)[1][0]
 
 
 # the gradient flow (see flow_to_attractor and basin_labels); the step and
@@ -499,9 +493,9 @@ def flow_to_attractor(
     this one start.  Requires the Gaussian kernel (a smooth V) and a finite
     start.
     """
-    start = _points(np.reshape(start, (1, -1)), measure.dim)
-    x, paths, converged, _ = _flow(measure, kernel, start, sigma)
-    return FlowResult(start[0], x[0], paths[0], bool(converged[0]))
+    start = _point(start, measure.dim)
+    x, paths, converged, _ = _flow(measure, kernel, start[None], sigma)
+    return FlowResult(start, x[0], paths[0], bool(converged[0]))
 
 
 def basin_labels(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import CovTensor, ctf_at
 from .kernels import _check_sigma, builtin_truncation, unit_ball_volume
-from .measures import NumericalError, WeightedMeasure, _check_positive, _points
+from .measures import NumericalError, WeightedMeasure, _check_positive, _point
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -155,7 +155,7 @@ def sphere_eigenvalues(radius: float, r: float, sigma: float) -> tuple[float, fl
 
 def circle_tensor(radius: float, x, sigma: float) -> CovTensor:
     """Assemble the circle's closed-form tensor at a point of R^2."""
-    x = _points(np.reshape(x, (1, -1)), 2)[0]
+    x = _point(x, 2)
     r = float(np.linalg.norm(x))
     lam_n, lam_t = circle_eigenvalues(radius, r, sigma)
     if lam_n == 0.0 and lam_t == 0.0:
@@ -204,7 +204,7 @@ def _ladder_tensors(measure: WeightedMeasure, x, sigma_ladder, d: int, what: str
         raise ValueError("sigma ladder needs at least 3 scales, all distinct")
     if measure.dim != d:
         raise ValueError(f"{what} requires dim {d}")
-    x = _points(np.reshape(x, (1, -1)), d)[0]
+    x = _point(x, d)
     return x, ladder, [ctf_at(measure, builtin_truncation(), x, s) for s in ladder]
 
 

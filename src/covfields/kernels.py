@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import _points
+from .measures import _point
 
 
 def _check_sigma(sigma: float) -> None:
@@ -217,8 +217,8 @@ def kernel_by_name(name: str) -> RadialKernel:
 
 def eval_kernel(kernel: RadialKernel, x, y, sigma: float) -> float:
     """K(x, y, sigma) = f(||y-x||^2 / sigma^2) / C_d(sigma); y must have x's dimension."""
-    x = _points(np.reshape(x, (1, -1)), np.size(x))[0]
-    y = _points(np.reshape(y, (1, -1)), x.size)[0]
+    x = _point(x)
+    y = _point(y, x.size)
     c_d = kernel.normalizer(sigma, x.size)
     r = float(np.sum((y - x) ** 2)) / (sigma * sigma)
     return float(kernel.profile(np.asarray(r))) / c_d
@@ -270,6 +270,6 @@ def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:
 
 def q_tensor(kernel: RadialKernel, z, sigma: float) -> np.ndarray:
     """The tensor map Q_sigma(z) = (z (x) z) K(z, 0, sigma)."""
-    z = _points(np.reshape(z, (1, -1)), np.size(z))[0]
+    z = _point(z)
     k = eval_kernel(kernel, np.zeros_like(z), z, sigma)
     return np.outer(z, z) * k

@@ -38,8 +38,7 @@ def _check_positive(name: str, value: float) -> None:
 
 def _points(x, d: int) -> np.ndarray:
     """``x`` as an (m, d) float array (``x`` itself if it is one), ``[]`` as no point; ValueError
-    on another dimension, on d < 1 or on a NaN or infinite coordinate.  One point goes in as
-    ``np.reshape(x, (1, -1))``, so ``[]`` is then a point of dimension 0."""
+    on another dimension, on d < 1 or on a NaN or infinite coordinate."""
     pts = np.asarray(x, dtype=float)
     pts = pts.reshape(0, d) if pts.shape == (0,) else np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != d or d < 1:
@@ -47,6 +46,15 @@ def _points(x, d: int) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite (no NaN/Inf coordinates)")
     return pts
+
+
+def _point(x, d: int | None = None) -> np.ndarray:
+    """One point ``x`` as a (d,) float array, checked as :func:`_points` checks a row; ValueError
+    unless ``x`` is 1-D.  ``d=None`` takes x's own length, so ``[]`` is a point of dimension 0."""
+    p = np.asarray(x, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"dimension mismatch: a point is a 1-D array of coordinates, got shape {p.shape}")
+    return _points(p[None], p.size if d is None else d)[0]
 
 
 def _check_non_negative(name: str, value: float) -> None:
@@ -158,14 +166,14 @@ def quadrature_segment(endpoint_a, endpoint_b, spacing: float) -> WeightedMeasur
     ``spacing``; each weight equals the sub-interval length (the last one is
     shortened so the total mass equals the segment length exactly).
     """
-    a = np.asarray(endpoint_a, dtype=float).ravel()
-    b = np.asarray(endpoint_b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError("endpoints must have the same dimension")
+    a = _point(endpoint_a)
+    b = _point(endpoint_b, a.size)
     _check_positive("spacing", spacing)
-    length = float(np.linalg.norm(b - a))
+    with np.errstate(over="ignore"):  # an overflowing length fails the ratio check below
+        length = float(np.linalg.norm(b - a))
     if length == 0.0:
         raise ValueError("degenerate segment: endpoints coincide")
+    _check_positive("length / spacing", length / spacing)  # inf when the count would overflow
     n = max(1, int(math.ceil(length / spacing - 1e-12)))
     edges = np.minimum(np.arange(n + 1) * spacing, length)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -324,8 +332,7 @@ def gen_line_arrangement(
             lo = points.min(axis=0)
             hi = points.max(axis=0)
         else:
-            lo = np.asarray(bounding_box[0], dtype=float)
-            hi = np.asarray(bounding_box[1], dtype=float)
+            lo, hi = _point(bounding_box[0], points.shape[1]), _point(bounding_box[1], points.shape[1])
         out = rng.uniform(lo, hi, size=(n_outliers, points.shape[1]))
         points = np.concatenate([points, out], axis=0)
         labels = np.concatenate([labels, np.full(n_outliers, len(segments), dtype=np.int64)])

@@ -96,16 +96,14 @@ class Correspondence:
         )
 
 
-def _check_pair(alpha: WeightedMeasure, beta: WeightedMeasure, max_atoms: int) -> None:
+def _check_pair(alpha: WeightedMeasure, beta: WeightedMeasure) -> None:
     pair = (("alpha", alpha), ("beta", beta))
     for label, measure in pair:
         if abs(measure.total_mass - 1.0) > MARGINAL_TOL:
             raise ValueError(f"{label} must be a normalized probability measure")
     for label, measure in pair:
-        if measure.size > max_atoms:
-            raise ValueError(
-                f"{label} has {measure.size} atoms > max {max_atoms}; subsample or raise the cap"
-            )
+        if measure.size > DEFAULT_MAX_ATOMS:
+            raise ValueError(f"{label} has {measure.size} atoms > max {DEFAULT_MAX_ATOMS}; subsample it")
     if alpha.dim != beta.dim:
         raise ValueError("measures must live in the same dimension")
 
@@ -153,7 +151,6 @@ def _lp_coupling(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray
 def w1_exact(
     alpha: WeightedMeasure,
     beta: WeightedMeasure,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> tuple[float, TransportPlan]:
     """Exact 1-Wasserstein distance and an optimal coupling.
 
@@ -164,7 +161,7 @@ def w1_exact(
     solved as a linear program with HiGHS dual simplex.  Both return a
     vertex, so the plan has at most n + m - 1 atoms of support.
     """
-    _check_pair(alpha, beta, max_atoms)
+    _check_pair(alpha, beta)
     cost = cdist(alpha.atoms, beta.atoms)
     solve = _assignment_coupling if _uniform_equal_size(alpha, beta) else _lp_coupling
     pi = solve(cost, alpha.weights, beta.weights)
@@ -339,7 +336,6 @@ def _exact_flow(edges: np.ndarray, a: list[int], b: list[int]) -> list[dict] | N
 def winf_exact(
     alpha: WeightedMeasure,
     beta: WeightedMeasure,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> tuple[float, TransportPlan]:
     """Exact infinity-Wasserstein (bottleneck) distance and a witness plan.
 
@@ -354,7 +350,7 @@ def winf_exact(
     the marginals hold to 1e-9 of mass).  The witness plan's largest support
     edge equals the returned value.
     """
-    _check_pair(alpha, beta, max_atoms)
+    _check_pair(alpha, beta)
     dist = cdist(alpha.atoms, beta.atoms)
     search = _matching_bottleneck if _uniform_equal_size(alpha, beta) else _maxflow_bottleneck
     value, pi = search(dist, alpha.weights, beta.weights)

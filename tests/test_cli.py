@@ -82,6 +82,27 @@ class TestGen:
         assert not (tmp_path / "measure.csv").exists()
 
 
+ONE_LINE = json.dumps([[[0, 0], [1, 0]]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "segment", "--b", "[1e400,0]"],
+    ["gen", "--kind", "segment", "--spacing", "1e-320"],
+    *(["gen", "--kind", "lines", "--segments", ONE_LINE, "--outliers", "3", "--box", box]
+      for box in ("[[0,0],[1e400,1]]", "[[NaN,0],[1,1]]", "[[0,0,0],[1,1,1]]")),
+    ["curvature", "--point", "[[1,0]]", "--ladder", "0.05,0.04,0.03"],
+], ids=["inf-endpoint", "tiny-spacing", "inf-corner", "nan-corner", "3d-corner", "point-row"])
+def test_bad_point_argument_exit_2(tmp_path, capsys, argv):
+    """A non-finite, wrong-dimension or 2-D point, or a segment count that overflows, exits 2
+    with one JSON line and writes nothing."""
+    if argv[0] == "curvature":
+        save_measure(quadrature_circle(1.0, 2000), tmp_path / "circ.csv")
+        argv = [*argv, "--input", str(tmp_path / "circ.csv")]
+    out = tmp_path / "out"
+    config_error(capsys, run_cli("--out", str(out), *argv))
+    assert not any(out.glob("*"))
+
+
 class TestFieldCommands:
     @pytest.fixture()
     def circle_csv(self, tmp_path):

@@ -546,7 +546,7 @@ def point_takers():
     the public functions that take points."""
     plane, surface = quadrature_segment([-1.0, 0.0], [1.0, 0.0], 0.01), quadrature_disk(0.1, 20, 24, dim=3)
     g, ladder = builtin_gaussian(), [0.05, 0.04, 0.03]
-    origin, three = [0.0, 0.0], [0.0, 0.0, 0.0]
+    origin, three, line = [0.0, 0.0], [0.0, 0.0, 0.0], [(([0.0, 0.0], [1.0, 0.0]), 5)]
     return {
         "ctf_grid": (origin, lambda x: ctf_grid(plane, g, [x], 0.5), three),
         "ctf_at": (origin, lambda x: ctf_at(plane, g, x, 0.5), three),
@@ -554,18 +554,27 @@ def point_takers():
         "frechet_gradient": (origin, lambda x: frechet_gradient(plane, g, x, 0.5), three),
         "flow_to_attractor": ([0.0, 0.1], lambda x: flow_to_attractor(plane, g, x, 0.5), [0.0]),
         "basin_labels": ([0.0, 0.1], lambda x: basin_labels(plane, g, [x], 0.5), three),
+        "eval_kernel x": (origin, lambda x: eval_kernel(g, x, [0.0, 0.5], 0.5), []),  # x sets the dimension
         "eval_kernel": (origin, lambda y: eval_kernel(g, [0.0, 0.5], y, 0.5), three),
         "q_tensor": ([0.0, 0.5], lambda z: q_tensor(g, z, 0.5), []),  # z sets its own dimension, >= 1
         "circle_tensor": ([0.9, 0.0], lambda x: circle_tensor(1.0, x, 0.3), [0.5, 0.2, 0.1]),
         "curve_curvature": (origin, lambda x: curve_curvature(plane, x, ladder), three),
         "surface_curvatures": (three, lambda x: surface_curvatures(surface, x, ladder), origin),
+        "quadrature_segment a": (origin, lambda a: quadrature_segment(a, [1.0, 0.0], 0.1), []),  # a sets it
+        "quadrature_segment b": ([1.0, 0.0], lambda b: quadrature_segment(origin, b, 0.1), three),
+        "box lo": (origin, lambda c: gen_line_arrangement(line, n_outliers=3, bounding_box=(c, [1.0, 1.0])),
+                   three),
+        "box hi": ([1.0, 1.0], lambda c: gen_line_arrangement(line, n_outliers=3, bounding_box=(origin, c)),
+                   three),
     }
 
 
 class TestPointCheck:
-    """Every public function that takes points checks them with measures._points."""
+    """Every public function that takes points checks them with measures._points, and every
+    single point with measures._point."""
 
     TAKERS = point_takers()
+    SINGLE_POINT_TAKERS = [name for name in TAKERS if name not in ("ctf_grid", "basin_labels")]
 
     @pytest.mark.parametrize("name", list(TAKERS))
     def test_shared_messages(self, name):
@@ -577,6 +586,13 @@ class TestPointCheck:
                     call(point)
         with pytest.raises(ValueError, match=r"^dimension mismatch: points need dimension"):
             call(wrong)
+
+    @pytest.mark.parametrize("name", SINGLE_POINT_TAKERS)
+    def test_single_point_is_1d(self, name):
+        good, call, _ = self.TAKERS[name]
+        for point in (np.reshape(good, (1, -1)), np.reshape(good, (-1, 1)), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"^dimension mismatch"):
+                call(point)
 
     def test_empty_list_is_no_point(self):
         plane = quadrature_segment([-1.0, 0.0], [1.0, 0.0], 0.1)

@@ -96,10 +96,10 @@ class TestW1:
 
     def test_size_cap(self):
         rng = np.random.default_rng(4)
-        a = uniform_on(rng.normal(size=(40, 2)))
+        a = uniform_on(rng.normal(size=(transport.DEFAULT_MAX_ATOMS + 1, 2)))
         b = uniform_on(rng.normal(size=(8, 2)))
         with pytest.raises(ValueError, match="subsample"):
-            w1_exact(a, b, max_atoms=30)
+            w1_exact(a, b)
 
 
 class TestWinf:
