@@ -21,9 +21,9 @@ cfg = cf.ConvergeConfig(
     n_values=(10, 100, 1000, 10_000),
     replicates=10,
     seed=0,
-    out_dir=OUT,
 )
 report = cf.run_converge(cfg)
+report.save(OUT)
 print("n        mean sup-grid error")
 for n, e in zip(report.n_values, report.mean_errors):
     print(f"{n:<8d} {e:.4e}")

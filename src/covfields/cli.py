@@ -4,8 +4,8 @@ Subcommands: gen, ctf, frechet, flow, curvature, cluster, stability,
 converge, bench.  Global flags: --config (JSON object whose "converge" and
 "bench" sections set those commands' settings, overridden by explicit
 flags; any other section or setting, or one of the wrong type, is a
-configuration error), --seed, --out (default: the section's out_dir, else
-"."), --threads.  Exit codes: 0 success, 2 configuration error,
+configuration error), --seed, --out (every command's output directory,
+default "."), --threads.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure or memory exhausted; errors print a single-line JSON
 object on stderr.
 """
@@ -100,9 +100,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _outpath(args, name: str) -> str:
-    out = args.out if args.out is not None else "."
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _load_plain_measure(path):
@@ -148,15 +147,16 @@ def _cmd_frechet(args) -> int:
     measure = _load_plain_measure(args.input)
     kernel = _resolve_kernel(args.kernel)
     grid = _parse_grid(args.grid)
+    if args.heatmap and (os.path.exists(args.grid) or len(grid) == 0):
+        raise ValueError(f"--heatmap draws a lo:hi:n grid with n >= 1, got --grid {args.grid!r}")
     fg = ctf_grid(measure, kernel, grid, args.sigma)
     path = _outpath(args, args.output)
     header = [f"x_{i + 1}" for i in range(grid.shape[1])] + ["sigma", "V"]
     write_csv(path, header, [*fg.query_points.T, np.full(len(grid), args.sigma), fg.frechet_values])
-    if args.heatmap:
+    if args.heatmap:  # an n x n grid, x_1 the slow index
         n = int(round(len(grid) ** 0.5))
-        if n * n == len(grid):
-            axis = np.unique(grid[:, 0])
-            plots.heatmap_svg(axis, axis, fg.frechet_values.reshape(n, n).T, _outpath(args, args.heatmap))
+        axis = grid[::n, 0]
+        plots.heatmap_svg(axis, axis, fg.frechet_values.reshape(n, n).T, _outpath(args, args.heatmap))
     print(path)
     return 0
 
@@ -252,10 +252,9 @@ def _cmd_stability(args) -> int:
 
 
 def _settings(cls, section: dict, args, **flags):
-    """``cls`` from a --config section, overridden by each flag given; the
-    output directory is --out, else the section's ``out_dir``, else "."."""
-    flags.update(seed=args.seed, threads=args.threads, out_dir=args.out)
-    return cls(**{"out_dir": ".", **section, **{k: v for k, v in flags.items() if v is not None}})
+    """``cls`` from a --config section, overridden by each flag given."""
+    flags.update(seed=args.seed, threads=args.threads)
+    return cls(**{**section, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _cmd_converge(args, section: dict) -> int:
@@ -264,14 +263,14 @@ def _cmd_converge(args, section: dict) -> int:
         n_values = tuple(int(v) for v in n_values.split(",")) if n_values else ()
     cfg = _settings(experiments.ConvergeConfig, section, args, n_values=n_values,
                     replicates=args.replicates)
-    print(experiments.run_converge(cfg).to_json())
+    print(experiments.run_converge(cfg).save(args.out))
     return 0
 
 
 def _cmd_bench(args, section: dict) -> int:
     cfg = _settings(experiments.BenchmarkConfig, section, args, kind=args.kind,
                     n_samples=args.n_samples, n_train=args.n_train)
-    print(experiments.run_cluster_benchmark(cfg).to_json())
+    print(experiments.run_cluster_benchmark(cfg).save(args.out))
     return 0
 
 
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="covfields")
     p.add_argument("--config", help="JSON file with converge and bench settings")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help='output directory (default: a section\'s out_dir, else ".")')
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

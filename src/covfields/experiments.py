@@ -3,7 +3,7 @@
 Everything here is reproducible from (config, seed): replicate r draws from
 a counter-based Philox stream keyed ``seed XOR r``, and results are gathered
 in input order regardless of the execution pool, so two runs with the same
-config produce identical outputs.
+config produce identical outputs.  The harnesses write no file; reports do.
 """
 
 from __future__ import annotations
@@ -39,6 +39,22 @@ def _map(fn, items, threads: int) -> list:
     return [fn(x) for x in items]
 
 
+class _Report:
+    """A harness's result: strict JSON, written with one table by :meth:`_write`."""
+
+    def to_json(self) -> str:
+        return json_dumps(asdict(self), indent=2)
+
+    def _write(self, directory, stem: str, header, columns) -> str:
+        """Write ``stem``.json and the table ``stem``.csv into ``directory``; return the JSON."""
+        text = self.to_json()  # a non-finite value fails here, before any file is written
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, f"{stem}.json"), "w") as fh:
+            fh.write(text + "\n")
+        write_csv(os.path.join(directory, f"{stem}.csv"), header, columns)
+        return text
+
+
 # ---------------------------------------------------------------------------
 # convergence of empirical covariance fields on the circle
 # ---------------------------------------------------------------------------
@@ -54,11 +70,10 @@ class ConvergeConfig:
     replicates: int = 30
     seed: int = 0
     threads: int = 1
-    out_dir: str | None = None
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(_Report):
     """Mean sup-grid errors by sample size with rate fits.
 
     epsilon_n is the mean over replicates of the grid maximum of the
@@ -81,11 +96,17 @@ class ConvergenceReport:
     fit_power_residual: float | None
     monotone_decreasing: bool
 
-    def to_json(self) -> str:
-        return json_dumps(asdict(self), indent=2)
-
-    def save_csv(self, path) -> None:
-        write_csv(path, ["n", "mean_error"], [self.n_values, self.mean_errors])
+    def save(self, directory) -> str:
+        """Write converge.json, converge.csv and the log-log plot converge.svg; return the JSON."""
+        text = self._write(directory, "converge", ["n", "mean_error"], [self.n_values, self.mean_errors])
+        nv = np.asarray(self.n_values, dtype=float)
+        series = [
+            ("observed", self.mean_errors),
+            ("C*ln(n)^0.75/sqrt(n)", self.fit_lograte_constant * np.log(nv) ** 0.75 / np.sqrt(nv)),
+            ("C/sqrt(n)", self.fit_sqrt_constant / np.sqrt(nv)),
+        ]
+        loglog_svg(nv, series, os.path.join(directory, "converge.svg"))
+        return text
 
 
 def _exact_circle_field(cfg: ConvergeConfig, grid: np.ndarray) -> np.ndarray:
@@ -103,6 +124,8 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         raise ValueError("n_values: empty n ladder")
     if cfg.replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {cfg.replicates}")
+    if cfg.grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {cfg.grid_n}")
     n_values = sorted(int(n) for n in cfg.n_values)
     if n_values[0] < 2:  # the log-rate model takes ln ln n
         raise ValueError(f"every n in the ladder must be at least 2, got {n_values[0]}")
@@ -141,7 +164,7 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         fit_power = (float(np.exp(logc)), float(p),
                      float(np.sqrt(np.mean((le - (logc + p * ln)) ** 2))))
 
-    report = ConvergenceReport(
+    return ConvergenceReport(
         n_values=n_values,
         mean_errors=[float(e) for e in eps],
         rep_errors=per_n.T.tolist(),
@@ -154,20 +177,6 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         fit_power_residual=fit_power[2],
         monotone_decreasing=bool(np.all(np.diff(eps) < 0)),
     )
-    if cfg.out_dir:
-        text = report.to_json()  # a non-finite fit fails here, before any file is written
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        report.save_csv(os.path.join(cfg.out_dir, "converge.csv"))
-        with open(os.path.join(cfg.out_dir, "converge.json"), "w") as fh:
-            fh.write(text + "\n")
-        nv = np.asarray(n_values, dtype=float)
-        series = [
-            ("observed", eps),
-            ("C*ln(n)^0.75/sqrt(n)", c_r2 * np.log(nv) ** 0.75 / np.sqrt(nv)),
-            ("C/sqrt(n)", c_sq / np.sqrt(nv)),
-        ]
-        loglog_svg(nv, series, os.path.join(cfg.out_dir, "converge.svg"))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +189,7 @@ _SUITE_DEFAULTS = {
     "mixed_curves2d": (100, (0.025, 0.04, 0.06), (0.0, 0.002, 0.006)),
     "planes3d": (225, (0.1, 0.15, 0.2), (0.0, 0.002, 0.008)),
 }
+_CUTOFF_WIDTH_STDS = 2.0  # the cutoff offsets span this many cophenetic stds about the mean
 
 
 @dataclass
@@ -194,9 +204,7 @@ class BenchmarkConfig:
     sigma_grid: tuple | None = None  # kind default when None
     gamma_grid: tuple | None = None
     cutoff_steps: int = 50
-    cutoff_width_stds: float = 2.0
     threads: int = 1
-    out_dir: str | None = None
 
     def resolved(self) -> "BenchmarkConfig":
         defaults = zip(("points_per_component", "sigma_grid", "gamma_grid"), _SUITE_DEFAULTS[self.kind])
@@ -204,7 +212,7 @@ class BenchmarkConfig:
 
 
 @dataclass
-class BenchmarkResult:
+class BenchmarkResult(_Report):
     kind: str
     ae: float  # mean error rate over test samples
     me: float  # median error rate over test samples
@@ -214,8 +222,10 @@ class BenchmarkResult:
     train_error: float
     test_errors: list
 
-    def to_json(self) -> str:
-        return json_dumps(asdict(self), indent=2)
+    def save(self, directory) -> str:
+        """Write bench_<kind>.json and bench_<kind>.csv (one row per test sample); return the JSON."""
+        return self._write(directory, f"bench_{self.kind}", ["sample", "error"],
+                           [np.arange(len(self.test_errors)), self.test_errors])
 
 
 def _sample_errors(dataset, params, offsets, k_true):
@@ -309,7 +319,7 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     k_true = int(suite[0].labels.max()) + 1  # components are labelled 0..k-1, with no outliers
     kernel = kernel_by_name(cfg.kernel)
     train, test = suite[: cfg.n_train], suite[cfg.n_train :]
-    offsets = np.linspace(-cfg.cutoff_width_stds, cfg.cutoff_width_stds, cfg.cutoff_steps)
+    offsets = np.linspace(-_CUTOFF_WIDTH_STDS, _CUTOFF_WIDTH_STDS, cfg.cutoff_steps)
 
     combos = [cl.TensorizedMetricParams(gamma=g, sigma=s, kernel=kernel)
               for s in cfg.sigma_grid for g in cfg.gamma_grid]
@@ -318,7 +328,7 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     c, j = np.unravel_index(np.argmin(mean_errs), mean_errs.shape)
     params, u = combos[c], float(offsets[j])
     test_errs = _map(lambda ds: _sample_errors(ds, [params], [u], k_true)[0][0], test, cfg.threads)
-    result = BenchmarkResult(
+    return BenchmarkResult(
         kind=cfg.kind,
         ae=float(np.mean(test_errs)),
         me=float(np.median(test_errs)),
@@ -328,10 +338,3 @@ def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         train_error=float(mean_errs[c, j]),
         test_errors=[float(e) for e in test_errs],
     )
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, f"bench_{cfg.kind}.json"), "w") as fh:
-            fh.write(result.to_json() + "\n")
-        write_csv(os.path.join(cfg.out_dir, f"bench_{cfg.kind}.csv"), ["sample", "error"],
-                  [np.arange(len(result.test_errors)), result.test_errors])
-    return result

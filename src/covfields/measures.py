@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-MASS_TOL = 1e-12
 # rows per chunk that write_csv formats and writes, and load_measure parses, at once
 _CSV_ROWS = 8192
 
@@ -71,14 +70,12 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
 class WeightedMeasure:
     """Finite positive Borel measure given by atoms and positive weights.
 
-    Atoms are an (n, d) array, weights an (n,) array.  ``normalized`` is
-    True iff the total mass is 1 within 1e-12.  Instances are immutable
-    (arrays are marked read-only) and safe to share across threads.
+    Atoms are an (n, d) array, weights an (n,) array.  Instances are
+    immutable (arrays are marked read-only) and safe to share across threads.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
-    normalized: bool = field(init=False)
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(np.atleast_2d(np.asarray(self.atoms, dtype=float)))
@@ -99,7 +96,6 @@ class WeightedMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "normalized", abs(weights.sum() - 1.0) <= MASS_TOL)
 
     @property
     def dim(self) -> int:
@@ -536,7 +532,7 @@ def _data_lines(fh):
 def load_measure(path):
     """Load a WeightedMeasure or LabeledDataset from CSV, whatever the suffix.
 
-    Returns a LabeledDataset when the last CSV header name is ``label``.
+    The header is ``x_1,..,x_d,weight``, and a LabeledDataset's ends in ``label``.
     A first pass counts the data rows; ``np.loadtxt`` then parses them
     ``_CSV_ROWS`` at a time into the measure's own arrays (int64 labels, so
     ``1.5`` or ``3.0`` is no label), with no list of lines; only a row it
@@ -558,6 +554,8 @@ def load_measure(path):
         d = len(header) - 1 - has_label
         if d < 1:
             raise MeasureFormatError("line 1: no coordinate columns")
+        if header[: d + 1] != [f"x_{i + 1}" for i in range(d)] + ["weight"]:
+            raise MeasureFormatError(f"line 1: header must be x_1..x_d,weight[,label], got {header_line!r}")
         n = sum(1 for _ in rows)
         if n == 0:
             raise MeasureFormatError("no data rows after the header")

@@ -123,7 +123,19 @@ class TestFieldCommands:
                        "--kernel", "gaussian", "--sigma", "0.5",
                        "--grid=-1.5:1.5:8", "--heatmap", "hm.svg") == 0
         assert (tmp_path / "frechet.csv").exists()
-        assert (tmp_path / "hm.svg").exists()
+        assert (tmp_path / "hm.svg").read_text().count("<rect") == 1 + 8 * 8  # background, cells
+
+    @pytest.mark.parametrize("grid", [4, 3, "-1:1:0"])  # a count stands for a points file
+    def test_frechet_heatmap_without_a_drawable_grid_exit_2(self, tmp_path, capsys, circle_csv, grid):
+        if isinstance(grid, int):
+            path = tmp_path / "grid.csv"
+            save_measure(WeightedMeasure(np.random.default_rng(1).normal(size=(grid, 2)), np.ones(grid)), path)
+            grid = str(path)
+        out = tmp_path / "out"
+        code = run_cli("--out", str(out), "frechet", "--input", circle_csv, "--sigma", "0.5",
+                       f"--grid={grid}", "--heatmap", "hm.svg")
+        assert "--heatmap" in config_error(capsys, code)
+        assert not out.exists()
 
     def test_flow(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -405,11 +417,13 @@ class TestExperimentsCommands:
 class TestConfigFile:
     @pytest.fixture()
     def settings(self, monkeypatch):
-        """Capture the settings converge and bench run with, without running them."""
+        """Capture the settings converge and bench run with, and the directory
+        their report is saved to, without running them."""
         seen = {}
 
         class Report:
-            def to_json(self):
+            def save(self, directory):
+                seen["out_dir"] = directory
                 return "{}"
 
         def record(cfg):
@@ -451,7 +465,7 @@ class TestConfigFile:
         doc = {"bench": {"kind": "planes3d", "threads": 2, "n_samples": 5}}
         assert self.run_with(tmp_path, doc, "bench") == 0
         cfg = settings["cfg"]
-        assert (cfg.kind, cfg.threads, cfg.n_samples, cfg.out_dir) == ("planes3d", 2, 5, str(tmp_path))
+        assert (cfg.kind, cfg.threads, cfg.n_samples, settings["out_dir"]) == ("planes3d", 2, 5, str(tmp_path))
         assert self.run_with(tmp_path, doc, "--threads", "1", "bench", "--kind", "lines2d") == 0
         assert (settings["cfg"].kind, settings["cfg"].threads) == ("lines2d", 1)
         assert self.run_with(tmp_path, {"converge": {"threads": 3}}, "converge") == 0
@@ -479,25 +493,25 @@ class TestConfigFile:
         cfg = settings["cfg"]
         assert (cfg.noise_sd, cfg.points_per_component, cfg.sigma_grid) == (0, None, [0.04, 1])
 
-    def test_out_dir_from_flag_else_section_else_working_directory(self, tmp_path, monkeypatch, settings):
+    def test_out_dir_from_flag_else_working_directory(self, tmp_path, monkeypatch, settings):
         monkeypatch.chdir(tmp_path)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"converge": {"out_dir": "elsewhere"}}))
-        assert run_cli("--config", str(path), "converge") == 0
-        assert settings["cfg"].out_dir == "elsewhere"
-        assert run_cli("--config", str(path), "--out", "given", "converge") == 0
-        assert settings["cfg"].out_dir == "given"
+        assert run_cli("--out", "given", "converge") == 0
+        assert settings["out_dir"] == "given"
         assert run_cli("bench") == 0
-        assert settings["cfg"].out_dir == "."
+        assert settings["out_dir"] == "."
 
-    def test_section_out_dir_receives_the_files(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command, setting, value", [
+        ("converge", "out_dir", "elsewhere"), ("bench", "out_dir", "elsewhere"),
+        ("bench", "cutoff_width_stds", 1.0),
+    ])
+    def test_removed_setting_exit_2(self, tmp_path, capsys, monkeypatch, command, setting, value):
+        # the output directory is --out alone, and the cutoff span is fixed
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"converge": {"out_dir": "elsewhere", "n_values": [10], "replicates": 1}}))
-        assert run_cli("--config", str(path), "converge") == 0
-        assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == [
-            "converge.csv", "converge.json", "converge.svg"]
-        assert not (tmp_path / "converge.csv").exists()
+        path.write_text(json.dumps({command: {setting: value}}))
+        message = config_error(capsys, run_cli("--config", str(path), command))
+        assert "unknown settings" in message and repr(setting) in message
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("argv, field", [
         (["converge", "--replicates", "0"], "replicates"),
@@ -513,6 +527,13 @@ class TestConfigFile:
     def test_empty_search_exit_2(self, tmp_path, capsys, setting):
         doc = {"bench": {"n_samples": 3, "n_train": 1, "points_per_component": 20, **setting}}
         assert next(iter(setting)) in config_error(capsys, self.run_with(tmp_path, doc, "bench"))
+
+    @pytest.mark.parametrize("grid_n", [0, -2])
+    def test_empty_converge_grid_exit_2(self, tmp_path, capsys, grid_n):
+        doc = {"converge": {"n_values": [10], "replicates": 1, "grid_n": grid_n}}
+        message = config_error(capsys, self.run_with(tmp_path, doc, "converge"))
+        assert message == f"grid_n must be at least 1, got {grid_n}"
+        assert not (tmp_path / "converge.csv").exists()
 
     @pytest.mark.parametrize("setting", [
         {"points_per_component": 0}, {"points_per_component": 1}, {"noise_sd": -1}, {"noise_sd": math.nan},
@@ -546,6 +567,15 @@ class TestErrorPaths:
         code = run_cli("--out", str(tmp_path), "ctf", "--input", str(data),
                        "--sigma", "0.5", "--grid=-1:1:3")
         assert config_error(capsys, code) == "line 1: header must contain a 'weight' column"
+
+    @pytest.mark.parametrize("header", ["weight,x_1,x_2", "x_1,label,weight"])
+    def test_misplaced_weight_column_exit_2(self, tmp_path, capsys, header):
+        data = tmp_path / "m.csv"
+        data.write_text(f"{header}\n0.5,1.0,2.0\n1.5,3.0,4.0\n")
+        out = tmp_path / "out"
+        code = run_cli("--out", str(out), "ctf", "--input", str(data), "--sigma", "0.5", "--grid=-1:1:3")
+        assert config_error(capsys, code) == f"line 1: header must be x_1..x_d,weight[,label], got {header!r}"
+        assert not out.exists()
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # a straight segment in 3-D is no surface: its quadratic fit has no
@@ -705,9 +735,10 @@ class TestCsvBytesFrozen:
 
         if name == "converge":
             report = experiments.ConvergenceReport(
-                [10, 1000, 100000], _seeded(16, 3, positive=True).tolist(), [], *[0.0] * 7, True)
-            report.save_csv(tmp_path / "converge.csv")
-            return tmp_path / "converge.csv"
+                [10, 1000, 100000], _seeded(16, 3, positive=True).tolist(), [], *[1.0] * 7, True)
+            monkeypatch.setattr(experiments, "run_converge", lambda cfg: report)
+            assert run_cli("--out", str(out), "converge") == 0
+            return out / "converge.csv"
         if name == "bench_lines2d":
             assert run_cli("--out", str(out), "--seed", "1", "bench", "--kind", "lines2d",
                            "--n-samples", "6", "--n-train", "2") == 0

@@ -16,6 +16,7 @@ from covfields import clustering
 from covfields import (
     BenchmarkConfig,
     ConvergeConfig,
+    NumericalError,
     builtin_gaussian,
     dendrogram_svg,
     heatmap_svg,
@@ -63,22 +64,44 @@ class TestConverge:
         with pytest.raises(ValueError, match="replicates"):
             run_converge(ConvergeConfig(n_values=(10,), replicates=replicates))
 
+    @pytest.mark.parametrize("grid_n", [0, -1])
+    def test_empty_grid(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            run_converge(ConvergeConfig(n_values=(10,), replicates=1, grid_n=grid_n))
+
     def test_one_value_ladder_leaves_power_fit_null(self, tmp_path):
-        cfg = ConvergeConfig(n_values=(100,), replicates=2, seed=0, out_dir=str(tmp_path))
+        cfg = ConvergeConfig(n_values=(100,), replicates=2, seed=0)
         rep = run_converge(cfg)
         assert rep.fit_power_constant is rep.fit_power_exponent is rep.fit_power_residual is None
+        rep.save(tmp_path)
         doc = json.loads((tmp_path / "converge.json").read_text())
         assert doc["fit_power_exponent"] is None and doc["fit_lograte_residual"] == 0.0
         assert "nan" not in (tmp_path / "converge.svg").read_text()
 
     def test_outputs_written(self, tmp_path):
-        cfg = ConvergeConfig(n_values=(10, 100), replicates=2, seed=0, out_dir=str(tmp_path))
+        cfg = ConvergeConfig(n_values=(10, 100), replicates=2, seed=0)
         rep = run_converge(cfg)
-        assert (tmp_path / "converge.csv").exists()
-        assert (tmp_path / "converge.svg").exists()
-        doc = json.loads((tmp_path / "converge.json").read_text())
+        rep.save(tmp_path / "new")
+        assert (tmp_path / "new" / "converge.csv").exists()
+        assert (tmp_path / "new" / "converge.svg").exists()
+        doc = json.loads((tmp_path / "new" / "converge.json").read_text())
         assert doc["n_values"] == [10, 100]
         assert rep.fit_power_exponent < 0
+
+    def test_non_finite_report_writes_no_file(self, tmp_path):
+        rep = run_converge(ConvergeConfig(n_values=(10, 100), replicates=1, seed=0))
+        rep.fit_sqrt_constant = float("nan")
+        with pytest.raises(NumericalError, match="non-finite"):
+            rep.save(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
+def test_harnesses_write_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_converge(ConvergeConfig(n_values=(10,), replicates=1, grid_n=4))
+    run_cluster_benchmark(BenchmarkConfig(kind="lines2d", n_samples=2, n_train=1, points_per_component=20,
+                                          sigma_grid=(0.04,), gamma_grid=(0.0,), cutoff_steps=3))
+    assert not any(tmp_path.iterdir())
 
 
 class TestBenchmark:

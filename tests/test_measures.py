@@ -51,7 +51,7 @@ class TestWeightedMeasure:
     def test_invariants(self):
         m = WeightedMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         assert m.dim == 2 and m.size == 2
-        assert m.normalized
+        assert m.total_mass == 1.0
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="positive"):
@@ -65,11 +65,11 @@ class TestWeightedMeasure:
         with pytest.raises(ValueError, match="finite"):
             WeightedMeasure([[np.inf, 0.0]], [1.0])
 
-    def test_normalized_flag_tolerance(self):
+    def test_total_mass_is_the_weight_sum(self):
         m = WeightedMeasure([[0.0]], [1.0 + 5e-13])
-        assert m.normalized
-        m = WeightedMeasure([[0.0]], [1.0 + 1e-10])
-        assert not m.normalized
+        assert m.total_mass == 1.0 + 5e-13
+        m = WeightedMeasure([[0.0], [1.0]], [1.0 + 1e-10, 2.0])
+        assert m.total_mass == 3.0 + 1e-10 and m.normalize().total_mass == 1.0
 
     def test_immutable(self):
         m = WeightedMeasure([[0.0, 1.0]], [1.0])
@@ -234,7 +234,7 @@ class TestLineArrangement:
         assert ds.measure.size == 600
         counts = np.bincount(ds.labels)
         np.testing.assert_array_equal(counts, [200, 200, 200])
-        assert ds.measure.normalized
+        assert abs(ds.measure.total_mass - 1.0) <= 1e-12
 
     def test_noisy_with_outliers(self):
         ds = gen_line_arrangement(
@@ -436,12 +436,19 @@ class TestIO:
         with pytest.raises(MeasureFormatError, match="line 2: weights must be positive"):
             load_measure(p)
 
+    LAYOUT = r"^line 1: header must be x_1\.\.x_d,weight\[,label\], got "
+
     @pytest.mark.parametrize("text, message", [
         ("", "^empty file$"),
         ("\n  \n\n", "^empty file$"),
         ("x_1,x_2\n0.0,1.0\n", "^line 1: header must contain a 'weight' column$"),
         ("weight\n1.0\n", "^line 1: no coordinate columns$"),
         ("weight,label\n1.0,0\n", "^line 1: no coordinate columns$"),
+        ("weight,x_1,x_2\n0.5,1.0,2.0\n", LAYOUT),
+        ("x_1,label,weight\n0.5,1,2.0\n", LAYOUT),
+        ("x_1,weight,x_2\n0.5,1.0,2.0\n", LAYOUT),
+        ("y,x_1,weight\n0.5,1.0,2.0\n", LAYOUT),
+        ("label,weight\n1,2.0\n", LAYOUT),
         ("\nx_1,weight\n\n  \n", "^no data rows after the header$"),
     ])
     def test_file_level_errors_keep_their_messages(self, tmp_path, text, message):
