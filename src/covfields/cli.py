@@ -89,14 +89,17 @@ def _json_fits(value, types: tuple) -> bool:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Grid spec lo:hi:n (2-D square grid) or a measure CSV of points."""
+    """Grid spec lo:hi:n (2-D square grid, n >= 1) or a measure CSV of points."""
     if os.path.exists(spec):
         return _load_plain_measure(spec).atoms
     try:
         lo, hi, n = spec.split(":")
-        return experiments.square_grid(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ValueError(f"grid must be 'lo:hi:n' or an existing points file, got {spec!r}")
+    if n < 1:  # an empty grid: a table of no row, a stability check over no point
+        raise ValueError(f"grid 'lo:hi:n' needs n >= 1, got {spec!r}")
+    return experiments.square_grid(lo, hi, n)
 
 
 def _outpath(args, name: str) -> str:
@@ -147,8 +150,8 @@ def _cmd_frechet(args) -> int:
     measure = _load_plain_measure(args.input)
     kernel = _resolve_kernel(args.kernel)
     grid = _parse_grid(args.grid)
-    if args.heatmap and (os.path.exists(args.grid) or len(grid) == 0):
-        raise ValueError(f"--heatmap draws a lo:hi:n grid with n >= 1, got --grid {args.grid!r}")
+    if args.heatmap and os.path.exists(args.grid):
+        raise ValueError(f"--heatmap draws a lo:hi:n grid, got the points file --grid {args.grid!r}")
     fg = ctf_grid(measure, kernel, grid, args.sigma)
     path = _outpath(args, args.output)
     header = [f"x_{i + 1}" for i in range(grid.shape[1])] + ["sigma", "V"]

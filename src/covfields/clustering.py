@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.cluster.hierarchy import leaves_list, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
 
@@ -163,13 +163,18 @@ def _checked_metric(metric: np.ndarray) -> tuple[np.ndarray, int]:
 def _nearest_kept(y: np.ndarray, n: int, dropped: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, ...]:
     """(distance, index) of each dropped point's nearest point among the
     increasing, disjoint ``kept`` under the condensed metric y of n points;
-    distance ties go to the lowest index."""
+    distance ties go to the lowest index.  The entries are gathered in
+    blocks of dropped points, 2^14 entries (or one row) at most."""
     i = np.arange(n)
     start = i * n - i * (i + 3) // 2 - 1  # y[start[i] + j] is d(i, j) for i < j
-    lo, hi = np.minimum.outer(dropped, kept), np.maximum.outer(dropped, kept)
-    block = y[start[lo] + hi]
-    j = np.argmin(block, axis=1)  # the first, so the lowest index, among ties
-    return block[np.arange(dropped.size), j], kept[j]
+    dist, near = np.empty(dropped.size), np.empty(dropped.size, dtype=np.int64)
+    step = max(1, (1 << 14) // max(kept.size, 1))
+    for s in range(0, dropped.size, step):
+        rows = dropped[s : s + step]
+        block = y[start[np.minimum.outer(rows, kept)] + np.maximum.outer(rows, kept)]
+        j = np.argmin(block, axis=1)  # the first, so the lowest index, among ties
+        dist[s : s + step], near[s : s + step] = block[np.arange(rows.size), j], kept[j]
+    return dist, near
 
 
 def single_linkage(metric: np.ndarray) -> Dendrogram:
@@ -179,10 +184,11 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
     of length n(n-1)/2, and goes to scipy as it is; a square matrix must
     equal its transpose.  The merges are the rows of scipy's
     ``linkage(..., method="single")`` (the sorted MST, smaller cluster id
-    first in each row).  The leaf order is scipy's ``leaves_list``:
-    cluster_a's leaves before cluster_b's, so each merge height is the gap
-    after cluster_a's last leaf.  NaN or infinite entries, a negative entry,
-    an asymmetric square and a vector of any other length are rejected.
+    first in each row).  The leaf order is scipy's ``leaves_list``, built
+    in the merge loop as a list of next-leaf links: cluster_a's leaves
+    before cluster_b's, so each merge height is the gap after cluster_a's
+    last leaf.  NaN or infinite entries, a negative entry, an asymmetric
+    square and a vector of any other length are rejected.
     """
     y, n = _checked_metric(metric)
     if n < 2:
@@ -190,13 +196,17 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
     z = linkage(y, method="single")
     ids = z[:, :2].astype(np.int64)
     sizes = np.concatenate([np.ones(n), z[:, 3]])
-    order = leaves_list(z)
-    last = list(range(n))  # the last leaf of each cluster, appended as it forms
-    gap_after = [0.0] * n
+    first, last = list(range(n)), list(range(n))  # each cluster's first and last leaf, appended as it forms
+    after = [(0, 0.0)] * n  # the leaf after each leaf in the order, and the gap between them
     for (a, b), height in zip(ids.tolist(), z[:, 2].tolist()):
-        gap_after[last[a]] = height
+        after[last[a]] = (first[b], height)
+        first.append(first[a])
         last.append(last[b])
-    return Dendrogram(z[:, :3], n, sizes[ids[:, 0]] * sizes[ids[:, 1]], order, np.array(gap_after)[order[:-1]])
+    order = [first[-1]]  # the root's first leaf
+    for _ in range(n - 1):
+        order.append(after[order[-1]][0])
+    gaps = np.array([after[leaf][1] for leaf in order[:-1]])
+    return Dendrogram(z[:, :3], n, sizes[ids[:, 0]] * sizes[ids[:, 1]], np.array(order), gaps)
 
 
 @dataclass(frozen=True)

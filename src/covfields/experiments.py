@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist
 
 from . import clustering as cl
@@ -250,45 +251,57 @@ def _offset_errors(dataset, y, offsets, k_true):
     """Error rate at each cutoff offset (in cophenetic stds) under the
     condensed metric y.
 
-    A height-h cut's partition is keyed by the number of gaps <= h: each
-    distinct key is cut, reassigned and scored once, in increasing height.
-    The reassignment is ``topk_reassign``'s (the k_true largest clusters
-    kept, each other point joins its nearest kept point, distance ties to
-    the lowest index), through the same search.  The cuts are nested, so
-    each dropped point's nearest kept point is carried from cut to cut:
-    while the kept set only grows, the dropped points are compared with the
-    newly kept points alone; when a kept point drops out, with all of it.
+    A height-h cut's partition is keyed by the number of gaps <= h; the K
+    distinct ones are evaluated in one pass, in increasing height.  Row r of
+    a (K, n) cumulative sum of breaks along the leaf order numbers the runs;
+    one lexsort on (size descending, lowest leaf ascending) ranks each row's
+    runs, and the k_true first are kept, as ``largest_clusters`` keeps them.
+    Each other point joins its nearest kept point (``topk_reassign``'s rule,
+    distance ties to the lowest index), carried from row to row since the
+    cuts are nested: compared with the newly kept points alone, and searched
+    among all kept points only when just dropped or when its nearest kept
+    point dropped out.  Each error is ``score``'s 1 - matched / n, from a
+    ``bincount`` confusion matrix and ``linear_sum_assignment``.
     """
     dend = cl.single_linkage(y)
     n = dend.n_leaves
     h0, sd = cl.mean_cophenetic(dend), cl.cophenetic_std(dend)
     heights = np.maximum(h0 + np.asarray(offsets, dtype=float) * sd, 0.0)
     keys = np.searchsorted(np.sort(dend.gaps), heights, side="right")
-    distinct, first = np.unique(keys, return_index=True)
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    starts = np.ones((distinct.size, n), dtype=bool)  # a run of the leaf order starts here
+    starts[:, 1:] = dend.gaps > heights[first, None]
+    at = np.flatnonzero(starts)  # the runs of all rows, row by row
+    row = at // n
+    size = np.diff(np.append(at, starts.size))
+    lowest = np.minimum.reduceat(np.tile(dend.order, distinct.size), at)
+    rank = np.argsort(np.lexsort((lowest, -size, row))) - np.searchsorted(row, row)  # 0: a row's largest
+    labels = np.empty(starts.shape, dtype=np.int64)
+    labels[:, dend.order] = np.where(rank < k_true, rank, -1)[np.cumsum(starts).reshape(starts.shape) - 1]
+
     kept = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)  # a dropped point's distance to its nearest kept point
     nearest = np.zeros(n, dtype=np.int64)
-    errs = {}
-    for key, h in zip(distinct.tolist(), heights[first].tolist()):
-        assignment = cl.cut(dend, height=h)
-        labels = assignment.labels
-        if assignment.k >= k_true:
-            labels = cl.largest_clusters(labels, k_true)
-            now = labels >= 0
-            if (kept & ~now).any():  # a kept point dropped out: start over
-                kept[:] = False
-                best[:] = np.inf
-            dropped, fresh = np.flatnonzero(~now), np.flatnonzero(now & ~kept)
-            if dropped.size and fresh.size:
-                dist, cand = cl._nearest_kept(y, n, dropped, fresh)
-                old = best[dropped]
-                closer = (dist < old) | ((dist == old) & (cand < nearest[dropped]))
-                best[dropped[closer]] = dist[closer]
-                nearest[dropped[closer]] = cand[closer]
-            kept = now
-            labels[dropped] = labels[nearest[dropped]]
-        errs[key] = cl.score(labels, dataset.labels)
-    return [errs[key] for key in keys.tolist()]
+    for lab in labels[: np.count_nonzero(np.bincount(row) >= k_true)]:  # runs only merge as h grows
+        now = lab >= 0
+        if (kept & ~now).any():  # a kept point dropped out
+            again = np.flatnonzero(~now & (kept | ~now[nearest]))
+            best[again], nearest[again] = cl._nearest_kept(y, n, again, np.flatnonzero(now))
+        dropped, fresh = np.flatnonzero(~now), np.flatnonzero(now & ~kept)
+        if dropped.size and fresh.size:
+            dist, cand = cl._nearest_kept(y, n, dropped, fresh)
+            old = best[dropped]
+            closer = (dist < old) | ((dist == old) & (cand < nearest[dropped]))
+            best[dropped[closer]] = dist[closer]
+            nearest[dropped[closer]] = cand[closer]
+        kept = now
+        lab[dropped] = lab[nearest[dropped]]
+
+    truth, kb = cl._codes(np.asarray(dataset.labels, dtype=np.int64).ravel())
+    cells = ((np.arange(distinct.size)[:, None] * k_true + labels) * kb + truth).ravel()
+    confusion = np.bincount(cells, minlength=distinct.size * k_true * kb).reshape(-1, k_true, kb)
+    errs = [1.0 - conf[linear_sum_assignment(-conf)].sum() / n for conf in confusion]
+    return [errs[i] for i in inverse.tolist()]
 
 
 def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:

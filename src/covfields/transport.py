@@ -430,10 +430,13 @@ class StabilityReport:
 
 def _grid_sup_diff(alpha, beta, kernel, sigma, grid) -> float:
     ga = ctf_grid(alpha, kernel, grid, sigma).tensors
-    gb = ctf_grid(beta, kernel, grid, sigma).tensors
     if ga.shape[0] == 0:
-        return 0.0
+        raise ValueError("the grid has no point: a sup over no point certifies nothing")
+    gb = ctf_grid(beta, kernel, grid, sigma).tensors
     return float(np.linalg.norm(ga - gb, axis=(1, 2)).max())
+
+
+_w1_memo = (None, 0.0)  # (key, W1) of the last pair check_stability_smooth solved
 
 
 def check_stability_smooth(
@@ -445,13 +448,23 @@ def check_stability_smooth(
 ) -> StabilityReport:
     """Certify sup_x ||Sigma_a - Sigma_b|| <= sigma A_f / C_d(sigma) * W1(a, b).
 
-    Requires a smooth-stability-eligible kernel (finite A1).
+    Requires a smooth-stability-eligible kernel (finite A1) and a grid of
+    at least one point.  W1 does not depend on sigma, so a sweep over sigma
+    solves it once: a one-entry memo keeps the last pair's W1, keyed on the
+    ordered pair's shapes and atom and weight bytes and swapped in one
+    assignment (threads may share it; a race only solves again).  Every
+    report is the one a fresh solve gives.
     """
+    global _w1_memo
     consts = derive_constants(kernel, alpha.dim)
     if not consts.smooth_stability_eligible:
         raise ValueError("kernel is not smooth-stability eligible (no finite A1)")
     factor = sigma * consts.a_f / consts.c_d(sigma)  # checks sigma before the transport solve
-    w1, _ = w1_exact(alpha, beta)
+    key = tuple((m.atoms.shape, m.atoms.tobytes(), m.weights.tobytes()) for m in (alpha, beta))
+    last, w1 = _w1_memo
+    if last != key:
+        w1 = w1_exact(alpha, beta)[0]
+        _w1_memo = (key, w1)
     lhs = _grid_sup_diff(alpha, beta, kernel, sigma, grid)
     rhs = factor * w1
     return StabilityReport(
@@ -485,7 +498,8 @@ def check_stability_trunc(
     ``lam`` is a caller-supplied density-bound certificate: the first
     measure must satisfy alpha(A) <= lam * Lebesgue(A) (e.g. max weight /
     min quadrature cell volume for a quadrature measure).  Purely atomic
-    measures have no such bound, so runs on them are heuristic.
+    measures have no such bound, so runs on them are heuristic.  The grid
+    needs at least one point.
     """
     if lam is None or not 0 < lam < math.inf:
         raise ValueError(f"a finite, positive density bound lam is required, got {lam!r}")

@@ -127,14 +127,27 @@ class TestFieldCommands:
 
     @pytest.mark.parametrize("grid", [4, 3, "-1:1:0"])  # a count stands for a points file
     def test_frechet_heatmap_without_a_drawable_grid_exit_2(self, tmp_path, capsys, circle_csv, grid):
+        want = "--heatmap"
         if isinstance(grid, int):
             path = tmp_path / "grid.csv"
             save_measure(WeightedMeasure(np.random.default_rng(1).normal(size=(grid, 2)), np.ones(grid)), path)
             grid = str(path)
+        else:  # an empty grid is refused by every command before --heatmap is read
+            want = "n >= 1"
         out = tmp_path / "out"
         code = run_cli("--out", str(out), "frechet", "--input", circle_csv, "--sigma", "0.5",
                        f"--grid={grid}", "--heatmap", "hm.svg")
-        assert "--heatmap" in config_error(capsys, code)
+        assert want in config_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("ctf", "--grid"), ("frechet", "--grid"), ("flow", "--starts"),
+                                               ("stability", "--grid")])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_grid_exit_2(self, tmp_path, capsys, circle_csv, command, flag, n):
+        inputs = ["--alpha", circle_csv, "--beta", circle_csv] if command == "stability" else ["--input", circle_csv]
+        out = tmp_path / "out"
+        code = run_cli("--out", str(out), command, *inputs, "--sigma", "0.5", f"{flag}=-1:1:{n}")
+        assert "n >= 1" in config_error(capsys, code)
         assert not out.exists()
 
     def test_flow(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.cluster.hierarchy import cophenet, fcluster, linkage
+from scipy.cluster.hierarchy import cophenet, fcluster, leaves_list, linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -716,6 +716,19 @@ def grid_metrics(draw):
     n = draw(st.integers(2, 12))
     pts = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(-4, 4))) / 2.0
     return cdist(pts, pts)
+
+
+class TestLeafOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(grid_metrics())
+    def test_order_is_scipy_leaves_list(self, d):
+        # the 1/2 grid ties merge heights, so several merges share a height
+        dend = single_linkage(d)
+        z = linkage(squareform(d, checks=False), method="single")
+        want = leaves_list(z)
+        np.testing.assert_array_equal(dend.order, want)
+        u = squareform(cophenet(z))  # scipy's merge height of each pair
+        np.testing.assert_array_equal(dend.gaps, u[want[:-1], want[1:]])
 
 
 class TestUltrametricProperties:

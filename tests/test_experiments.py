@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.spatial.distance import cdist, squareform
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import covfields.experiments as ex
 from covfields import clustering
@@ -206,18 +208,23 @@ class TestSweep:
         d = clustering.tensorized_distances(ds.measure, params)
         offsets = np.linspace(-2.0, 2.0, 61)
         expected = per_offset_errors(ds, d, offsets, 3)
-        calls = {"cut": 0, "score": 0}
-        for name in calls:
-            def counted(*args, _original=getattr(clustering, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(clustering, name, counted)
+        matched = []  # each confusion matrix scored, one per evaluated partition
+
+        def counted(conf):
+            matched.append(-conf)
+            return linear_sum_assignment(conf)
+
+        monkeypatch.setattr(ex, "linear_sum_assignment", counted)
         assert ex._offset_errors(ds, squareform(d, checks=False), offsets, 3) == expected
         dend = clustering.single_linkage(d)
         heights = np.maximum(clustering.mean_cophenetic(dend) + offsets * clustering.cophenetic_std(dend), 0.0)
-        n_partitions = len({int((dend.gaps <= h).sum()) for h in heights})
-        assert n_partitions < len(offsets)  # the offsets repeat partitions
-        assert calls == {"cut": n_partitions, "score": n_partitions}
+        partitions = {}  # number of gaps <= h -> the cut's labels
+        for h in heights:
+            partitions.setdefault(int((dend.gaps <= h).sum()), clustering.cut(dend, height=h).labels)
+        assert len(partitions) < len(offsets)  # the offsets repeat partitions
+        assert len(matched) == len(partitions)
+        for conf, labels in zip(matched, (partitions[key] for key in sorted(partitions))):
+            assert conf.sum() == ds.labels.size and np.count_nonzero(conf.sum(axis=1)) == min(labels.max() + 1, 3)
 
     @pytest.mark.parametrize("x, truth, cut_heights, want", [
         # A (5 points), B (4), C (3) and D (3) at height 0.2, so A and B are
@@ -240,6 +247,22 @@ class TestSweep:
         offsets = [(h - h0) / sd for h in cut_heights]
         got = ex._offset_errors(dataset, squareform(d, checks=False), offsets, 2)
         assert got == per_offset_errors(dataset, d, offsets, 2) == pytest.approx(want)
+
+    def test_peak_memory_of_a_planes3d_sweep(self):
+        ds = ex.gen_arrangement_suite("planes3d", 1, seed=0, points_per_component=225)[0]
+        points = ds.measure.atoms
+        features = clustering.tensor_features(points, builtin_gaussian(), 0.15)
+        y = clustering.lifted_condensed(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), 0.002)
+        offsets = np.linspace(-2.0, 2.0, 25)
+        ex._offset_errors(ds, y, offsets, 3)
+        tracemalloc.start()
+        try:
+            ex._offset_errors(ds, y, offsets, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 0.85 MB; the (dropped, kept) entries of the 675 points gathered at once took 3.4 MB
+        assert peak <= 1.5e6
 
     def test_benchmark_builds_no_square_metric(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -538,6 +538,58 @@ class TestTruncStability:
             check_stability_trunc(m, m, 0.5, 1.0, None, [[0.0, 0.0]])
 
 
+class TestW1Memo:
+    """check_stability_smooth keeps the last pair's W1 (it does not depend on
+    sigma): every report must be the one a fresh solve gives, and a pair
+    that differs from the last one in anything must be solved again."""
+
+    @staticmethod
+    def same(p, q):
+        return all(x.atoms.shape == y.atoms.shape and np.array_equal(x.atoms, y.atoms)
+                   and np.array_equal(x.weights, y.weights) for x, y in zip(p, q))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ms=measure_triples(), sigmas=st.lists(st.sampled_from([0.3, 0.7, 1.0, 2.5]), min_size=1, max_size=4))
+    def test_reports_match_a_fresh_solve(self, ms, sigmas):
+        a, b, c = ms
+        a2 = WeightedMeasure(a.atoms, a.weights * np.arange(1, a.size + 1))  # reweighted
+        a2 = WeightedMeasure(a.atoms, a2.weights / a2.weights.sum())
+        # each pair differs from the one before only in its weights, only in
+        # beta, only in its order, and then not at all
+        pairs = [(a, b), (a2, b), (a2, c), (c, a2), (c, a2)]
+        g, grid = builtin_gaussian(), square_grid(-2, 2, 3)
+        fresh = {}
+        for i, (p, q) in enumerate(pairs):
+            for s in sigmas:
+                with mock.patch.object(transport, "_w1_memo", (None, 0.0)):
+                    fresh[i, s] = check_stability_smooth(p, q, g, s, grid)
+        want_solves = 1 + sum(not self.same(p, q) for p, q in zip(pairs, pairs[1:]))
+        with mock.patch.object(transport, "_w1_memo", (None, 0.0)), \
+                mock.patch.object(transport, "w1_exact", wraps=transport.w1_exact) as solve:
+            for i, (p, q) in enumerate(pairs):
+                for s in sigmas:
+                    rep = check_stability_smooth(p, q, g, s, grid)
+                    assert rep.to_dict() == fresh[i, s].to_dict()
+        assert solve.call_count == want_solves
+
+    def test_pair_that_differs_in_weights_only(self):
+        pts = [[0.0, 0.0], [2.0, 0.0]]
+        a, b = WeightedMeasure(pts, [0.5, 0.5]), WeightedMeasure(pts, [0.25, 0.75])
+        c = uniform_on([[0.0, 0.0]])
+        g, grid = builtin_gaussian(), square_grid(-1, 1, 3)
+        assert check_stability_smooth(a, c, g, 1.0, grid).transport_cost == 1.0
+        assert check_stability_smooth(b, c, g, 1.0, grid).transport_cost == 1.5
+
+
+@pytest.mark.parametrize("grid", [np.zeros((0, 2)), []])
+def test_stability_rejects_an_empty_grid(grid):
+    m = uniform_on([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="no point"):
+        check_stability_smooth(m, m, builtin_gaussian(), 1.0, grid)
+    with pytest.raises(ValueError, match="no point"):
+        check_stability_trunc(m, m, 0.5, 1.0, 1.0, grid)
+
+
 @pytest.mark.parametrize("bad", [math.nan, 0.0])
 def test_stability_checks_sigma_before_transport_solve(bad, monkeypatch):
     def refuse(*args):
