@@ -159,6 +159,47 @@ class TestWinf:
             row, col = plan.marginal_errors()
             assert row <= 1e-12 and col <= 1e-12
 
+    # W∞ of histogram pairs, counts over primes near 1e5 (a joint denominator
+    # near 1e10), as computed by an Edmonds-Karp flow in Python integers
+    HISTOGRAM_WINF = {
+        (31, 40, 99991, 50, 99989): 2.0890472153892516,
+        (32, 60, 99971, 30, 99961): 1.8708851011252907,
+    }
+
+    @pytest.mark.parametrize("case", sorted(HISTOGRAM_WINF))
+    def test_histogram_pairs_beyond_int32(self, case):
+        seed, n, n_total, m, m_total = case
+        rng = np.random.default_rng(seed)
+
+        def histogram(k, total):  # k atoms, every count positive, counts summing to total
+            counts = rng.multinomial(total - k, rng.dirichlet(np.ones(k))) + 1
+            return WeightedMeasure(rng.normal(size=(k, 2)), counts / total)
+
+        a, b = histogram(n, n_total), histogram(m, m_total)
+        assert transport._scaled_capacities(a.weights, b.weights)[2] > 2**33
+        value, plan = winf_exact(a, b)
+        assert value == self.HISTOGRAM_WINF[case] and plan.max_edge() == value
+        assert plan.coupling.min() >= 0.0
+        row, col = plan.marginal_errors()
+        assert row <= 1e-12 and col <= 1e-12
+
+    def test_79_bit_joint_denominator(self):
+        # masses 1/2 - 1/(2p), 1/(2p), 1/2 - 1/(2r), 1/(2r) against the same in
+        # s and t, primes near 7e5: each atom 0 and 2 of alpha lacks about 6e-11
+        # of beta's mass there, which only the atom one step away can supply;
+        # at scale 1e9 both sides round to equal masses, which would give 0
+        p, r, s, t = 700001, 700027, 700057, 700067
+        line = [[0.0], [1.0], [2.0], [3.0]]
+        a, b = (WeightedMeasure(line, [(u - 1) / (2 * u), 1 / (2 * u), (v - 1) / (2 * v), 1 / (2 * v)])
+                for u, v in ((p, r), (s, t)))
+        assert transport._scaled_capacities(a.weights, b.weights)[2].bit_length() == 79
+        for x, y in ((a, b), (b, a)):
+            value, plan = winf_exact(x, y)
+            assert value == 1.0 and plan.max_edge() == 1.0
+            assert plan.coupling.min() >= 0.0
+            row, col = plan.marginal_errors()
+            assert row <= 1e-15 and col <= 1e-15
+
     # SHA-256 of repr((a, b, denominator)) as Python ints, recorded before
     # the per-side and the joint common denominators became one math.lcm
     CAPACITY_DIGESTS = {
