@@ -9,13 +9,14 @@ every atom needs to reach the other side, then binary) with a
 perfect-matching feasibility test (itself an assignment on 0/1 costs).
 Every other pair (weighted or unequal sizes) takes the general solvers: W1
 as the transportation linear program (HiGHS dual simplex, an exact vertex
-method) and W-infinity by the same search with a max-flow
-feasibility test.  The solvers are exact — certifying an inequality against
-an approximate transport cost would invalidate its direction — except that
-weighted W-infinity rounds weights that are not near-rational (see
-:func:`_scaled_capacities`) to integer capacities at scale 1e9.
-Couplings induce correspondences between supports, whose metric distortion
-upper-bounds twice the Gromov-Hausdorff distance.
+method) and W-infinity by the same search with a max-flow feasibility test
+(scipy's int32 ``maximum_flow``, in capacity-scaling phases when the
+integer capacities outgrow int32).  The solvers are exact — certifying an
+inequality against an approximate transport cost would invalidate its
+direction — except that weighted W-infinity rounds weights that are not
+near-rational (see :func:`_scaled_capacities`) to integer capacities at
+scale 1e9.  Couplings induce correspondences between supports, whose metric
+distortion upper-bounds twice the Gromov-Hausdorff distance.
 
 The certificates implemented here:
 
@@ -251,86 +252,50 @@ def _matching_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tu
 def _maxflow_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[float, np.ndarray]:
     """Bottleneck of any marginals: a max flow on edges <= t that saturates the mass.
 
-    ``maximum_flow`` holds capacities and flows as 32-bit integers, so a
-    common denominator above ``_MAX_CAPACITY`` takes :func:`_exact_flow`.
+    ``maximum_flow`` holds capacities and flows as int32, and its flow is wrong
+    once an arc and its reverse together exceed ``_MAX_CAPACITY``, so a larger
+    total moves by capacity scaling (Ahuja, Magnanti & Orlin, *Network Flows*,
+    sec. 7.3): phase 1 on the forward capacities in units of 2^k, the least k
+    that fits the total within ``_MAX_CAPACITY``; after a phase at unit 2^k the
+    residual max flow is at most E (2^k - 1) for E arcs, so the next drops as
+    many bits as keep E 2^bits within ``_MAX_CAPACITY // 2``, a cap on residual
+    forward and reverse capacities alike that thus never binds.  Flows are
+    int64 below 2^53, where quotients round correctly, else Python integers.
     """
     n, m = dist.shape
     a, b, denom = _scaled_capacities(wa, wb)
-    if denom > _MAX_CAPACITY:
-        value, flow = _bottleneck_search(dist, lambda edges: _exact_flow(edges, a, b))
-        pi = np.zeros((n, m))
-        for i, row in enumerate(flow):
-            for j, f in row.items():
-                pi[i, j] = f / denom  # an exact quotient of Python integers, correctly rounded
-        return value, pi
-    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    total = int(a.sum())
-    src, snk = 0, n + m + 1
+    total = sum(a)
+    a, b = (np.array(v, dtype=np.int64 if total < 2**53 else object) for v in (a, b))
+    first_shift = max(0, total.bit_length() - _MAX_CAPACITY.bit_length())
+    half, snk = _MAX_CAPACITY // 2, n + m + 1  # the source is node 0
 
     def saturating_flow(edges):
         ii, jj = np.nonzero(edges)
-        rows = np.concatenate([np.zeros(n, dtype=np.int64), 1 + ii, 1 + n + np.arange(m)])
-        cols = np.concatenate([1 + np.arange(n), 1 + n + jj, np.full(m, snk, dtype=np.int64)])
+        tails = np.concatenate([np.zeros(n, dtype=np.int64), 1 + ii, 1 + n + np.arange(m)])
+        heads = np.concatenate([1 + np.arange(n), 1 + n + jj, np.full(m, snk, dtype=np.int64)])
         caps = np.concatenate([a, np.minimum(a[ii], b[jj]), b])
-        graph = sparse.csr_matrix((caps, (rows, cols)), shape=(n + m + 2, n + m + 2))
-        result = maximum_flow(graph, src, snk)
-        return result.flow if result.flow_value == total else None
+        drop = half.bit_length() - 1 - caps.size.bit_length()
+        flow, sent, shift = np.zeros(caps.size, caps.dtype), 0, first_shift
+        caps_k, arcs_k = caps >> shift, (tails, heads)  # forward arcs only, within the cap by the choice of k
+        while True:
+            graph = sparse.csr_matrix((caps_k.astype(np.int32), arcs_k), shape=(snk + 1, snk + 1))
+            result = maximum_flow(graph, 0, snk)
+            sent += int(result.flow_value) << shift
+            if sent == total:
+                return ii, jj, flow, result, shift
+            if shift == 0 or sent + caps.size * ((1 << shift) - 1) < total:
+                return None  # after a phase at unit 2^k the residual max flow is at most E (2^k - 1)
+            flow = flow + (np.asarray(result.flow[tails, heads]).ravel().astype(a.dtype) << shift)
+            shift = max(0, shift - drop)
+            caps_k = np.minimum(np.concatenate([caps - flow, flow]) >> shift, half)  # residual forward, reverse
+            arcs_k = (np.concatenate([tails, heads]), np.concatenate([heads, tails]))
 
-    value, flow = _bottleneck_search(dist, saturating_flow)
-    return value, flow.tocsr()[1 : 1 + n, 1 + n : 1 + n + m].toarray() / denom
-
-
-def _exact_flow(edges: np.ndarray, a: list[int], b: list[int]) -> list[dict] | None:
-    """A flow moving supplies ``a`` to demands ``b`` (equal totals) along the
-    allowed ``edges``, in Python integers, or None when no flow moves it all.
-
-    Shortest augmenting paths (Edmonds-Karp) on the bipartite graph; the
-    edges themselves are uncapacitated.  Returns ``flow[i][j]`` for i's
-    positive flows.
-    """
-    n, m = edges.shape
-    supply, demand = list(a), list(b)
-    flow = [{} for _ in range(n)]
-    senders = [set() for _ in range(m)]  # senders[j]: the sources with flow into j
-    targets = [np.flatnonzero(row).tolist() for row in edges]
-    while True:
-        came_from = {i: None for i in range(n) if supply[i]}  # source -> sink it was reached from
-        reached_by = {}  # sink -> source
-        queue, end = list(came_from), None
-        for i in queue:  # breadth first; the queue grows while it is read
-            for j in targets[i]:
-                if j not in reached_by:
-                    reached_by[j] = i
-                    if demand[j]:
-                        end = j
-                        break
-                    for k in senders[j]:
-                        if k not in came_from:
-                            came_from[k] = j
-                            queue.append(k)
-            if end is not None:
-                break
-        if end is None:
-            return None if any(supply) else flow
-        steps, j = [], end  # (source, sink, +1 forward / -1 cancelled flow), back to the root
-        while j is not None:
-            i = reached_by[j]
-            steps.append((i, j, 1))
-            j = came_from[i]
-            if j is not None:
-                steps.append((i, j, -1))
-        root = steps[-1][0]
-        delta = min([supply[root], demand[end]] + [flow[i][j] for i, j, s in steps if s < 0])
-        for i, j, s in steps:
-            f = flow[i].get(j, 0) + s * delta
-            if f:
-                flow[i][j] = f
-                senders[j].add(i)
-            else:
-                del flow[i][j]
-                senders[j].discard(i)
-        supply[root] -= delta
-        demand[end] -= delta
+    value, (ii, jj, earlier, last, shift) = _bottleneck_search(dist, saturating_flow)
+    flows = last.flow[1 : n + 1, n + 1 : snk].toarray()  # the last phase's net flows, sources to sinks
+    if first_shift:  # in units of 2^shift, after the earlier phases' flows
+        flows = flows.astype(a.dtype) << shift
+        flows[ii, jj] += earlier[n : n + ii.size]
+    return value, np.asarray(flows / denom, dtype=float)  # correctly rounded quotients
 
 
 def winf_exact(

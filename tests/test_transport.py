@@ -102,6 +102,27 @@ class TestW1:
             w1_exact(a, b)
 
 
+def _histogram_pair(seed, n, n_total, m, m_total):
+    """n and m atoms whose positive counts sum to n_total and m_total."""
+    rng = np.random.default_rng(seed)
+
+    def histogram(k, total):
+        counts = rng.multinomial(total - k, rng.dirichlet(np.ones(k))) + 1
+        return WeightedMeasure(rng.normal(size=(k, 2)), counts / total)
+
+    return histogram(n, n_total), histogram(m, m_total)
+
+
+def _halves_pair():
+    """Masses 1/2 - 1/(2p), 1/(2p), 1/2 - 1/(2r), 1/(2r) on 0, 1, 2, 3 against
+    the same in s and t, for primes p, r, s, t near 7e5: a 79-bit joint
+    denominator."""
+    p, r, s, t = 700001, 700027, 700057, 700067
+    line = [[0.0], [1.0], [2.0], [3.0]]
+    return tuple(WeightedMeasure(line, [(u - 1) / (2 * u), 1 / (2 * u), (v - 1) / (2 * v), 1 / (2 * v)])
+                 for u, v in ((p, r), (s, t)))
+
+
 class TestWinf:
     def test_identical(self):
         m = uniform_on([[0.0, 1.0], [2.0, 0.0]])
@@ -168,14 +189,7 @@ class TestWinf:
 
     @pytest.mark.parametrize("case", sorted(HISTOGRAM_WINF))
     def test_histogram_pairs_beyond_int32(self, case):
-        seed, n, n_total, m, m_total = case
-        rng = np.random.default_rng(seed)
-
-        def histogram(k, total):  # k atoms, every count positive, counts summing to total
-            counts = rng.multinomial(total - k, rng.dirichlet(np.ones(k))) + 1
-            return WeightedMeasure(rng.normal(size=(k, 2)), counts / total)
-
-        a, b = histogram(n, n_total), histogram(m, m_total)
+        a, b = _histogram_pair(*case)
         assert transport._scaled_capacities(a.weights, b.weights)[2] > 2**33
         value, plan = winf_exact(a, b)
         assert value == self.HISTOGRAM_WINF[case] and plan.max_edge() == value
@@ -184,14 +198,10 @@ class TestWinf:
         assert row <= 1e-12 and col <= 1e-12
 
     def test_79_bit_joint_denominator(self):
-        # masses 1/2 - 1/(2p), 1/(2p), 1/2 - 1/(2r), 1/(2r) against the same in
-        # s and t, primes near 7e5: each atom 0 and 2 of alpha lacks about 6e-11
-        # of beta's mass there, which only the atom one step away can supply;
-        # at scale 1e9 both sides round to equal masses, which would give 0
-        p, r, s, t = 700001, 700027, 700057, 700067
-        line = [[0.0], [1.0], [2.0], [3.0]]
-        a, b = (WeightedMeasure(line, [(u - 1) / (2 * u), 1 / (2 * u), (v - 1) / (2 * v), 1 / (2 * v)])
-                for u, v in ((p, r), (s, t)))
+        # each atom 0 and 2 of alpha lacks about 6e-11 of beta's mass there,
+        # which only the atom one step away can supply; at scale 1e9 both
+        # sides round to equal masses, which would give 0
+        a, b = _halves_pair()
         assert transport._scaled_capacities(a.weights, b.weights)[2].bit_length() == 79
         for x, y in ((a, b), (b, a)):
             value, plan = winf_exact(x, y)
@@ -248,9 +258,11 @@ class TestWinf:
         with pytest.raises(ValueError, match="weights too small to scale to integer capacities"):
             transport._scaled_capacities(np.array([math.pi * 1e-11, 1 - math.pi * 1e-11]), np.full(2, 0.5))
 
-    def test_exact_flow_matches_maximum_flow(self, monkeypatch):
-        """Forced onto the Python-integer flow, the max-flow path gives the
-        same bottleneck and a plan with the same marginals."""
+    def test_scaling_phases_match_one_phase(self, monkeypatch):
+        """With capacities of 10 bits, flows take several scaling phases and
+        give the one-phase bottleneck and a plan with the same marginals.  The
+        cases have at most 7 x 7 atoms, 63 arcs, so each later phase's flow
+        stays within the half cap of 511."""
         rng = np.random.default_rng(13)
         cases = []
         for _ in range(80):
@@ -258,13 +270,38 @@ class TestWinf:
             pts_a, pts_b = rng.integers(-4, 5, size=(n, 2)) / 2.0, rng.integers(-4, 5, size=(m, 2)) / 2.0
             wa, wb = rng.integers(1, 6, size=n).astype(float), rng.integers(1, 6, size=m).astype(float)
             cases.append((cdist(pts_a, pts_b), wa / wa.sum(), wb / wb.sum()))
+        line = np.arange(4.0)
+        cases.append((np.abs(np.subtract.outer(line, line)), np.array([0.5 - 1 / 1998, 1 / 1998, 0.25, 0.25]),
+                      np.array([0.5 - 1 / 2002, 1 / 2002, 0.25, 0.25])))  # a 22-bit denominator
+        calls = _counting(monkeypatch, "maximum_flow")
         expected = [transport._maxflow_bottleneck(*case)[0] for case in cases]
-        monkeypatch.setattr(transport, "_MAX_CAPACITY", 0)
+        one_phase = len(calls)
+        monkeypatch.setattr(transport, "_MAX_CAPACITY", 1023)
         for (dist, wa, wb), value in zip(cases, expected):
             got, pi = transport._maxflow_bottleneck(dist, wa, wb)
             assert got == value and dist[pi > 0].max() == value and pi.min() >= 0.0
             np.testing.assert_allclose(pi.sum(axis=1), wa, rtol=0, atol=1e-12)
             np.testing.assert_allclose(pi.sum(axis=0), wb, rtol=0, atol=1e-12)
+        assert len(calls) - one_phase > one_phase  # the same probes, in more phases
+
+    def test_graphs_keep_int32_headroom(self, monkeypatch):
+        """Every graph handed to maximum_flow is int32, and no arc and its
+        reverse together exceed 2^31 - 1, past which scipy's flow overflows."""
+        largest = []
+        original = transport.maximum_flow
+
+        def checked(graph, source, sink):
+            assert graph.dtype == np.int32
+            caps = graph.astype(np.int64)
+            largest.append((caps + caps.T).max())
+            assert largest[-1] <= 2**31 - 1
+            return original(graph, source, sink)
+
+        monkeypatch.setattr(transport, "maximum_flow", checked)
+        for a, b in [_halves_pair(), *(_histogram_pair(*case) for case in self.HISTOGRAM_WINF)]:
+            winf_exact(a, b)
+            winf_exact(b, a)
+        assert max(largest) > 2**30  # the pairs come near the limit
 
     def test_metric_symmetry(self):
         rng = np.random.default_rng(6)
