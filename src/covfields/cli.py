@@ -112,6 +112,19 @@ def _load_plain_measure(path):
     return m.measure if isinstance(m, LabeledDataset) else m
 
 
+def _point_pairs(flag: str, text: str, ndim: int, form: str) -> np.ndarray:
+    """The JSON ``text`` of ``flag`` as a float array of ``ndim`` axes whose
+    next-to-last has length 2 (pairs of points); a ValueError naming the flag
+    and its ``form`` otherwise."""
+    try:
+        pairs = np.asarray(json.loads(text), dtype=float)
+    except (ValueError, TypeError):  # not JSON, ragged, or not numbers
+        pairs = np.empty(0)
+    if pairs.ndim != ndim or pairs.shape[-2] != 2:
+        raise ValueError(f"{flag} must be {form}, got {text!r}")
+    return pairs
+
+
 def _cmd_gen(args) -> int:
     if args.kind == "segment":
         obj = quadrature_segment(json.loads(args.a), json.loads(args.b), args.spacing)
@@ -120,8 +133,9 @@ def _cmd_gen(args) -> int:
     elif args.kind == "sphere":
         obj = quadrature_sphere(args.radius, args.n, args.n)
     elif args.kind == "lines":
-        segments = [(tuple(seg), args.points_per_line) for seg in json.loads(args.segments)]
-        box = json.loads(args.box) if args.box else None
+        segments = _point_pairs("--segments", args.segments, 3, "a non-empty JSON list of segments [[a...],[b...]]")
+        box = _point_pairs("--box", args.box, 2, "a JSON pair of corners [[lo...],[hi...]]") if args.box else None
+        segments = [((a, b), args.points_per_line) for a, b in segments]
         obj = gen_line_arrangement(
             segments, noise_sd=args.noise_sd, n_outliers=args.outliers,
             bounding_box=box, seed=0 if args.seed is None else args.seed,
@@ -204,20 +218,23 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    mode, _, value = args.cut.partition(":")
+    try:
+        if mode not in ("k", "h"):
+            raise ValueError
+        cut = {"k": int(value)} if mode == "k" else {"height": float(value)}
+    except ValueError:
+        raise ValueError(f"--cut must be 'k:<count>' or 'h:<height>', got {args.cut!r}") from None
+    if args.topk is not None and args.topk < 1:
+        raise ValueError(f"--topk must be at least 1, got {args.topk}")
     ds = load_measure(args.input)
     measure = ds.measure if isinstance(ds, LabeledDataset) else ds
     kernel = _resolve_kernel(args.kernel)
     params = cl.TensorizedMetricParams(gamma=args.gamma, sigma=args.sigma, kernel=kernel)
     dist = cl.tensorized_condensed(measure, params)
     dend = cl.single_linkage(dist)
-    mode, value = args.cut.split(":")
-    if mode == "k":
-        assignment = cl.cut(dend, k=int(value))
-    elif mode == "h":
-        assignment = cl.cut(dend, height=float(value))
-    else:
-        raise ValueError("cut must be 'k:<count>' or 'h:<height>'")
-    if args.topk:
+    assignment = cl.cut(dend, **cut)
+    if args.topk is not None:
         assignment = cl.topk_reassign(assignment, dist, args.topk)
     labeled = LabeledDataset(measure, assignment.labels)
     out_points = _outpath(args, args.output)

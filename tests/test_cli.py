@@ -618,6 +618,30 @@ class TestErrorPaths:
         assert out == "" and len(err.strip().split("\n")) == 1
         assert json.loads(err) == {"error": "memory", "message": message or "out of memory"}
 
+    @pytest.mark.parametrize("flags", [
+        ("--segments", ONE_LINE, "--outliers", "3", "--box", "[[0,0]]"),
+        ("--segments", ONE_LINE, "--outliers", "3", "--box", "5"),
+        ("--segments", "7"),
+        ("--segments", "[[[0,0]]]"),
+    ], ids=["box-one-corner", "box-number", "segments-number", "segment-one-end"])
+    def test_malformed_gen_json_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        message = config_error(capsys, run_cli("--out", str(out), "gen", "--kind", "lines", *flags))
+        assert message.startswith(f"{flags[-2]} must be a ") and not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--cut", "k:2", "--topk", "0"), "--topk must be at least 1, got 0"),
+        (("--cut", "k8"), "--cut must be 'k:<count>' or 'h:<height>', got 'k8'"),
+    ])
+    def test_bad_cluster_flags_exit_2(self, tmp_path, capsys, flags, message):
+        from covfields import empirical_measure
+
+        data = tmp_path / "m.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]), data)
+        code = run_cli("--out", str(tmp_path), "cluster", "--input", str(data), "--sigma", "0.5", *flags)
+        assert config_error(capsys, code) == message
+        assert not (tmp_path / "clusters.csv").exists()
+
     def test_indexed_full_support_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure
 
