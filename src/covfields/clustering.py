@@ -19,7 +19,10 @@ number of gaps at or below the level.  Cuts and the cophenetic mean and std
 need no n x n matrix; ``Dendrogram.cophenetic`` builds it on demand.  The
 distances are built from the condensed (``pdist``) squared parts, and
 ``single_linkage`` and ``topk_reassign`` condense a square metric: a caller
-that never needs the square (the CLI, the benchmark sweep) never builds it.
+that never needs the square (the CLI, the benchmark) never builds it.  Run
+numbering, the k-largest keep rule, nearest-kept reassignment and the score
+are each one stage over the rows of a (K, n) label array: ``cut``,
+``topk_reassign`` and ``score`` run one row, ``offset_errors`` many cuts.
 """
 
 from __future__ import annotations
@@ -160,23 +163,6 @@ def _checked_metric(metric: np.ndarray) -> tuple[np.ndarray, int]:
     return (d if d.ndim == 1 else squareform(d, checks=False)), n
 
 
-def _nearest_kept(y: np.ndarray, n: int, dropped: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(distance, index) of each dropped point's nearest point among the
-    increasing, disjoint ``kept`` under the condensed metric y of n points;
-    distance ties go to the lowest index.  The entries are gathered in
-    blocks of dropped points, 2^14 entries (or one row) at most."""
-    i = np.arange(n)
-    start = i * n - i * (i + 3) // 2 - 1  # y[start[i] + j] is d(i, j) for i < j
-    dist, near = np.empty(dropped.size), np.empty(dropped.size, dtype=np.int64)
-    step = max(1, (1 << 14) // max(kept.size, 1))
-    for s in range(0, dropped.size, step):
-        rows = dropped[s : s + step]
-        block = y[start[np.minimum.outer(rows, kept)] + np.maximum.outer(rows, kept)]
-        j = np.argmin(block, axis=1)  # the first, so the lowest index, among ties
-        dist[s : s + step], near[s : s + step] = block[np.arange(rows.size), j], kept[j]
-    return dist, near
-
-
 def single_linkage(metric: np.ndarray) -> Dendrogram:
     """Single-linkage dendrogram of a (pseudo-)metric, square or condensed.
 
@@ -241,13 +227,23 @@ def cut(dendrogram: Dendrogram, k: int | None = None, height: float | None = Non
         breaks = np.zeros(n - 1, dtype=bool)
         cutoff = float(dendrogram.heights[-1]) if n > 1 else 0.0
     else:
-        cutoff = float(np.sort(dendrogram.heights)[-(k - 1)])
+        cutoff = float(dendrogram.heights[-(k - 1)])
         breaks = dendrogram.gaps >= cutoff
-    run = np.zeros(n, dtype=np.int64)
-    run[dendrogram.order[1:]] = np.cumsum(breaks)
-    # runs are 0..r-1; number them in the order of their lowest leaf index
-    first = np.minimum.reduceat(dendrogram.order, np.concatenate([[0], np.flatnonzero(breaks) + 1]))
-    return ClusterAssignment(np.argsort(np.argsort(first))[run], first.size, cutoff)
+    labels = np.unique(_cut_rows(dendrogram, breaks[None])[0], return_inverse=True)[1]
+    return ClusterAssignment(labels, int(breaks.sum()) + 1, cutoff)
+
+
+def _cut_rows(dendrogram: Dendrogram, breaks: np.ndarray) -> np.ndarray:
+    """Labels (K, n) of the cuts splitting the leaf order where the rows of
+    ``breaks`` (K, n-1) are set: each run is labelled by its lowest leaf."""
+    rows, n = breaks.shape[0], dendrogram.n_leaves
+    starts = np.ones((rows, n), dtype=bool)  # a run of the leaf order starts here
+    starts[:, 1:] = breaks
+    at = np.flatnonzero(starts)  # the runs of all rows, row by row
+    lowest = np.minimum.reduceat(np.tile(dendrogram.order, rows), at)
+    labels = np.empty((rows, n), dtype=np.int64)
+    labels[:, dendrogram.order] = lowest[np.cumsum(starts).reshape(rows, n) - 1]
+    return labels
 
 
 def _cophenetic_moments(dendrogram: Dendrogram) -> tuple[float, float]:
@@ -271,28 +267,64 @@ def cophenetic_std(dendrogram: Dendrogram) -> float:
 
 
 def _codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """(codes, r): labels as codes 0..r-1.  Labels already in 0..n-1 (as
+    """(codes, r): labels (..., n) as codes 0..r-1.  Labels in 0..n-1 (as
     from ``cut``) are their own codes, r their maximum + 1, and a code no
-    point carries stands for an empty cluster; other labels are ranked."""
-    if labels.size and 0 <= labels.min() and labels.max() < labels.size:
+    point carries is an empty cluster; other labels are ranked."""
+    if labels.size and 0 <= labels.min() and labels.max() < labels.shape[-1]:
         return labels, int(labels.max()) + 1
     ids, codes = np.unique(labels, return_inverse=True)
-    return codes, ids.size
+    return codes.reshape(labels.shape), ids.size
 
 
-def largest_clusters(labels: np.ndarray, k: int) -> np.ndarray:
-    """The k largest clusters' labels renumbered 0..k-1 in id order, -1 on
-    every other point.  Size ties are broken toward the lower cluster id."""
-    codes, r = _codes(np.asarray(labels))
-    counts = np.bincount(codes, minlength=r)
-    n_ids = np.count_nonzero(counts)  # codes are in id order; a code may be empty
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if k > n_ids:
-        raise ValueError(f"k={k} exceeds the number of clusters {n_ids}")
-    rank = np.full(r, -1)
-    rank[np.sort(np.argsort(-counts, kind="stable")[:k])] = np.arange(k)
-    return rank[codes]
+def _keep_largest(labels: np.ndarray, k: int) -> np.ndarray:
+    """Labels (K, n), codes 0..n-1, with each row's k largest clusters
+    renumbered 0..k-1 in id order and -1 elsewhere; size ties go to the lower
+    id (a stable lexsort).  A row of at most k clusters keeps them all."""
+    rows, n = labels.shape
+    cells = labels + n * np.arange(rows)[:, None]  # (row, id) as one index
+    counts = np.bincount(cells.ravel(), minlength=rows * n)
+    ids = np.flatnonzero(counts)  # each row's clusters, in id order
+    row = ids // n
+    kept = ids[np.sort(np.lexsort((-counts[ids], row))[np.arange(ids.size) - np.searchsorted(row, row) < k])]
+    rank = np.full(rows * n, -1)
+    rank[kept] = np.arange(kept.size) - np.searchsorted(kept // n, kept // n)
+    return rank[cells]
+
+
+def _reassign_rows(y: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Fill each -1 of labels (K, n) in place with the label of the nearest
+    kept point in its row under the condensed metric y, ties to the lowest
+    index.  Row to row, a dropped point keeps its nearest and checks only the
+    newly kept points, unless it or its nearest was just dropped."""
+    n = labels.shape[1]
+    i = np.arange(n)
+    start = i * n - i * (i + 3) // 2 - 1  # y[start[i] + j] is d(i, j) for i < j
+
+    def search(dropped, kept):  # in blocks of 2^14 entries (or one row) at most
+        dist, near = np.empty(dropped.size), np.empty(dropped.size, dtype=np.int64)
+        step = max(1, (1 << 14) // kept.size)
+        for s in range(0, dropped.size, step):
+            rows = dropped[s : s + step]
+            block = y[start[np.minimum.outer(rows, kept)] + np.maximum.outer(rows, kept)]
+            j = np.argmin(block, axis=1)  # the first, so the lowest index, among ties
+            dist[s : s + step], near[s : s + step] = block[np.arange(rows.size), j], kept[j]
+        return dist, near
+
+    kept = np.zeros(n, dtype=bool)
+    best, nearest = np.full(n, np.inf), np.zeros(n, dtype=np.int64)  # a dropped point's nearest kept point
+    for lab in labels:
+        now = lab >= 0
+        if (kept & ~now).any():  # a kept point dropped out
+            again = np.flatnonzero(~now & (kept | ~now[nearest]))
+            best[again], nearest[again] = search(again, np.flatnonzero(now))
+        dropped, fresh = np.flatnonzero(~now), np.flatnonzero(now & ~kept)
+        if dropped.size and fresh.size:
+            dist, cand = search(dropped, fresh)
+            closer = (dist < best[dropped]) | ((dist == best[dropped]) & (cand < nearest[dropped]))
+            best[dropped[closer]], nearest[dropped[closer]] = dist[closer], cand[closer]
+        kept = now
+        lab[dropped] = lab[nearest[dropped]]
+    return labels
 
 
 def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> ClusterAssignment:
@@ -308,28 +340,45 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
     y, n = _checked_metric(metric)
     if n != assignment.labels.size:
         raise ValueError(f"metric has {n} points for the {assignment.labels.size} labels")
-    new_labels = largest_clusters(assignment.labels, k)
-    dropped = np.flatnonzero(new_labels < 0)
-    new_labels[dropped] = new_labels[_nearest_kept(y, n, dropped, np.flatnonzero(new_labels >= 0))[1]]
-    return ClusterAssignment(new_labels, k, assignment.cutoff_height)
+    codes, _ = _codes(np.asarray(assignment.labels))
+    n_ids = np.unique(codes).size
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > n_ids:
+        raise ValueError(f"k={k} exceeds the number of clusters {n_ids}")
+    return ClusterAssignment(_reassign_rows(y, _keep_largest(codes[None], k))[0], k, assignment.cutoff_height)
+
+
+def _errors(labels: np.ndarray, truth) -> list:
+    """1 - matched / n for each row of labels (K, n) against truth (n,), the
+    confusion matrix of the codes matched optimally (Hungarian); codes no
+    point carries hold zeros and leave the matched total as it is."""
+    truth = np.asarray(truth, dtype=np.int64).ravel()
+    if labels.shape[1:] != truth.shape or truth.size == 0:
+        raise ValueError("label vectors must be non-empty and of equal length")
+    (ia, ka), (ib, kb) = _codes(labels), _codes(truth)
+    cells = ((np.arange(len(ia))[:, None] * ka + ia) * kb + ib).ravel()
+    confusion = np.bincount(cells, minlength=len(ia) * ka * kb).reshape(-1, ka, kb)
+    return [1.0 - conf[linear_sum_assignment(-conf)].sum() / truth.size for conf in confusion]
 
 
 def score(labels: np.ndarray, truth: np.ndarray) -> float:
-    """Misclassification rate under the best label bijection.
+    """Misclassification rate 1 - matched / n under the best (Hungarian) label bijection."""
+    return _errors(np.asarray(labels, dtype=np.int64).reshape(1, -1), truth)[0]
 
-    The confusion matrix of the two labellings' codes is matched optimally
-    (Hungarian); the returned rate is 1 - matched / n.  Rows or columns of
-    codes no point carries hold zeros and leave the matched total as it is.
-    """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    truth = np.asarray(truth, dtype=np.int64).ravel()
-    if labels.shape != truth.shape or labels.size == 0:
-        raise ValueError("label vectors must be non-empty and of equal length")
-    (ia, ka), (ib, kb) = _codes(labels), _codes(truth)
-    conf = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb)
-    rows, cols = linear_sum_assignment(-conf)
-    matched = conf[rows, cols].sum()
-    return 1.0 - matched / labels.size
+
+def offset_errors(y: np.ndarray, truth: np.ndarray, offsets, k: int) -> list:
+    """:func:`score` against ``truth`` of the single-linkage cut of the
+    condensed metric y at each offset (in cophenetic stds) from the mean
+    cophenetic distance, after :func:`topk_reassign` to k clusters if it has
+    more.  The distinct cuts (keyed by the number of gaps <= h) are the rows
+    of (K, n) labels, in increasing height, that each stage takes at once."""
+    dend = single_linkage(y)
+    heights = np.maximum(mean_cophenetic(dend) + np.asarray(offsets, dtype=float) * cophenetic_std(dend), 0.0)
+    keys = np.searchsorted(dend.heights, heights, side="right")  # the heights are the sorted gaps
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    labels = _keep_largest(_cut_rows(dend, dend.gaps > heights[first, None]), k)
+    return np.array(_errors(_reassign_rows(y, labels), truth))[inverse].tolist()
 
 
 def dendrogram_distortion_check(

@@ -4,6 +4,7 @@ Everything here is reproducible from (config, seed): replicate r draws from
 a counter-based Philox stream keyed ``seed XOR r``, and results are gathered
 in input order regardless of the execution pool, so two runs with the same
 config produce identical outputs.  The harnesses write no file; reports do.
+The benchmark is the train/test protocol around ``clustering.offset_errors``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist
 
 from . import clustering as cl
@@ -127,6 +127,8 @@ def run_converge(cfg: ConvergeConfig) -> ConvergenceReport:
         raise ValueError(f"replicates must be at least 1, got {cfg.replicates}")
     if cfg.grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {cfg.grid_n}")
+    if not all(float(n).is_integer() for n in cfg.n_values):
+        raise ValueError(f"n_values: every n must be a whole number, got {list(cfg.n_values)}")
     n_values = sorted(int(n) for n in cfg.n_values)
     if n_values[0] < 2:  # the log-rate model takes ln ln n
         raise ValueError(f"every n in the ladder must be at least 2, got {n_values[0]}")
@@ -231,9 +233,8 @@ class BenchmarkResult(_Report):
 
 def _sample_errors(dataset, params, offsets, k_true):
     """Error rates for each of ``params`` (one kernel) on one sample (rows)
-    at each cutoff offset (columns).  The metric stays condensed: it is
-    built from condensed squared distances, the points' once, the tensors'
-    once per run of equal sigma (one held at a time)."""
+    at each cutoff offset (columns), from condensed squared distances: the
+    points' once, the tensors' once per run of equal sigma."""
     points = dataset.measure.atoms
     point_d2 = pdist(points, "sqeuclidean")
     sigma = feature_d2 = None
@@ -243,65 +244,8 @@ def _sample_errors(dataset, params, offsets, k_true):
             sigma = p.sigma
             feature_d2 = pdist(cl.tensor_features(points, p.kernel, sigma), "sqeuclidean")
         y = cl.lifted_condensed(feature_d2, point_d2, p.gamma)
-        table.append(_offset_errors(dataset, y, offsets, k_true))
+        table.append(cl.offset_errors(y, dataset.labels, offsets, k_true))
     return table
-
-
-def _offset_errors(dataset, y, offsets, k_true):
-    """Error rate at each cutoff offset (in cophenetic stds) under the
-    condensed metric y.
-
-    A height-h cut's partition is keyed by the number of gaps <= h; the K
-    distinct ones are evaluated in one pass, in increasing height.  Row r of
-    a (K, n) cumulative sum of breaks along the leaf order numbers the runs;
-    one lexsort on (size descending, lowest leaf ascending) ranks each row's
-    runs, and the k_true first are kept, as ``largest_clusters`` keeps them.
-    Each other point joins its nearest kept point (``topk_reassign``'s rule,
-    distance ties to the lowest index), carried from row to row since the
-    cuts are nested: compared with the newly kept points alone, and searched
-    among all kept points only when just dropped or when its nearest kept
-    point dropped out.  Each error is ``score``'s 1 - matched / n, from a
-    ``bincount`` confusion matrix and ``linear_sum_assignment``.
-    """
-    dend = cl.single_linkage(y)
-    n = dend.n_leaves
-    h0, sd = cl.mean_cophenetic(dend), cl.cophenetic_std(dend)
-    heights = np.maximum(h0 + np.asarray(offsets, dtype=float) * sd, 0.0)
-    keys = np.searchsorted(np.sort(dend.gaps), heights, side="right")
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    starts = np.ones((distinct.size, n), dtype=bool)  # a run of the leaf order starts here
-    starts[:, 1:] = dend.gaps > heights[first, None]
-    at = np.flatnonzero(starts)  # the runs of all rows, row by row
-    row = at // n
-    size = np.diff(np.append(at, starts.size))
-    lowest = np.minimum.reduceat(np.tile(dend.order, distinct.size), at)
-    rank = np.argsort(np.lexsort((lowest, -size, row))) - np.searchsorted(row, row)  # 0: a row's largest
-    labels = np.empty(starts.shape, dtype=np.int64)
-    labels[:, dend.order] = np.where(rank < k_true, rank, -1)[np.cumsum(starts).reshape(starts.shape) - 1]
-
-    kept = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)  # a dropped point's distance to its nearest kept point
-    nearest = np.zeros(n, dtype=np.int64)
-    for lab in labels[: np.count_nonzero(np.bincount(row) >= k_true)]:  # runs only merge as h grows
-        now = lab >= 0
-        if (kept & ~now).any():  # a kept point dropped out
-            again = np.flatnonzero(~now & (kept | ~now[nearest]))
-            best[again], nearest[again] = cl._nearest_kept(y, n, again, np.flatnonzero(now))
-        dropped, fresh = np.flatnonzero(~now), np.flatnonzero(now & ~kept)
-        if dropped.size and fresh.size:
-            dist, cand = cl._nearest_kept(y, n, dropped, fresh)
-            old = best[dropped]
-            closer = (dist < old) | ((dist == old) & (cand < nearest[dropped]))
-            best[dropped[closer]] = dist[closer]
-            nearest[dropped[closer]] = cand[closer]
-        kept = now
-        lab[dropped] = lab[nearest[dropped]]
-
-    truth, kb = cl._codes(np.asarray(dataset.labels, dtype=np.int64).ravel())
-    cells = ((np.arange(distinct.size)[:, None] * k_true + labels) * kb + truth).ravel()
-    confusion = np.bincount(cells, minlength=distinct.size * k_true * kb).reshape(-1, k_true, kb)
-    errs = [1.0 - conf[linear_sum_assignment(-conf)].sum() / n for conf in confusion]
-    return [errs[i] for i in inverse.tolist()]
 
 
 def run_cluster_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -203,7 +204,11 @@ def tabulated_kernel(r_knots, f_values) -> RadialKernel:
 
 def load_profile_csv(path) -> RadialKernel:
     """Read a two-column CSV of (r, f(r)) samples into a tabulated kernel."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # a header with no row warns; it is rejected below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"kernel profile {path} must be a header and rows r,f(r), got shape {data.shape}")
     return tabulated_kernel(data[:, 0], data[:, 1])
 
 

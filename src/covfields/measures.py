@@ -63,6 +63,8 @@ def _check_non_negative(name: str, value: float) -> None:
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG (Philox4x64-10); streams derived as seed XOR stream."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(stream)))
 
 

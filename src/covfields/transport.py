@@ -205,29 +205,29 @@ def _bottleneck_search(dist: np.ndarray, feasible) -> tuple[float, object]:
     None when the mass cannot move along those edges.  Every atom carries
     positive mass, so each row and each column needs an allowed edge: no
     level below the floor max(max_i min_j d_ij, max_j min_i d_ij) is
-    feasible.  The floor is probed first, and only when it is infeasible
-    does a binary search run over the sorted distinct distances above it.
+    feasible.  The floor, itself a distance, is probed first; only when it
+    is infeasible are the distinct distances above it sorted and searched.
     Returns (t, witness at t).  When t is the floor, the row or column that
     sets the floor has no edge below t: an O(nm)-checkable witness that the
     level below t is infeasible.
     """
-    levels = np.unique(dist)
-    lo = int(np.searchsorted(levels, max(dist.min(axis=1).max(), dist.min(axis=0).max())))
-    hi, best = lo, feasible(dist <= levels[lo])
+    value = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    best = feasible(dist <= value)
     if best is None:
-        lo, hi = lo + 1, levels.size - 1
+        levels = np.unique(dist[dist > value])
+        lo, hi = 0, levels.size - 1
         while lo < hi:
             mid = (lo + hi) // 2
             witness = feasible(dist <= levels[mid])
             if witness is None:
                 lo = mid + 1
             else:
-                hi, best = mid, witness
-        if best is None:  # no level below the maximum was feasible
-            best = feasible(dist <= levels[hi])
+                hi, best, value = mid, witness, levels[mid]
+        if best is None and levels.size:  # no level below the maximum was feasible
+            value, best = levels[-1], feasible(dist <= levels[-1])
     if best is None:
         raise RuntimeError("bottleneck search failed at the maximal distance")
-    return float(levels[hi]), best
+    return float(value), best
 
 
 def _matching_bottleneck(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[float, np.ndarray]:

@@ -541,6 +541,13 @@ class TestConfigFile:
         doc = {"bench": {"n_samples": 3, "n_train": 1, "points_per_component": 20, **setting}}
         assert next(iter(setting)) in config_error(capsys, self.run_with(tmp_path, doc, "bench"))
 
+    @pytest.mark.parametrize("n_values", [[10.5, 100], [10, 1e2, 2.000001]])
+    def test_fractional_n_exit_2(self, tmp_path, capsys, n_values):
+        # a fractional n is refused, not truncated; an integral float such as 1e2 is an n
+        message = config_error(capsys, self.run_with(tmp_path, {"converge": {"n_values": n_values}}, "converge"))
+        assert message == f"n_values: every n must be a whole number, got {n_values}"
+        assert not (tmp_path / "converge.csv").exists()
+
     @pytest.mark.parametrize("grid_n", [0, -2])
     def test_empty_converge_grid_exit_2(self, tmp_path, capsys, grid_n):
         doc = {"converge": {"n_values": [10], "replicates": 1, "grid_n": grid_n}}
@@ -641,6 +648,27 @@ class TestErrorPaths:
         code = run_cli("--out", str(tmp_path), "cluster", "--input", str(data), "--sigma", "0.5", *flags)
         assert config_error(capsys, code) == message
         assert not (tmp_path / "clusters.csv").exists()
+
+    @pytest.mark.parametrize("seed, argv", [
+        ("-1", ["converge", "--n-values", "10", "--replicates", "1"]),
+        (str(2**64), ["gen", "--kind", "lines", "--segments", "[[[0, 0], [1, 0]]]"]),
+    ])
+    def test_seed_out_of_range_exit_2(self, tmp_path, capsys, seed, argv):
+        out = tmp_path / "out"
+        message = config_error(capsys, run_cli("--out", str(out), "--seed", seed, *argv))
+        assert message == f"seed must be in [0, 2^64), got {seed}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["r,f\n", "r\n0.0\n1.0\n", "r,f,g\n0,1,2\n1,0,3\n", ""])
+    def test_kernel_profile_not_two_columns_exit_2(self, tmp_path, capsys, text):
+        from covfields import empirical_measure
+
+        data, profile = tmp_path / "m.csv", tmp_path / "profile.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [1.0, 1.0]]), data)
+        profile.write_text(text)
+        code = run_cli("--out", str(tmp_path / "out"), "ctf", "--input", str(data), "--kernel", str(profile),
+                       "--sigma", "0.5", "--grid=-1:1:3")
+        assert config_error(capsys, code).startswith(f"kernel profile {profile} must be a header and rows r,f(r)")
 
     def test_indexed_full_support_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure

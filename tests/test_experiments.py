@@ -1,7 +1,9 @@
+import ast
 import hashlib
+import inspect
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,6 +62,13 @@ class TestConverge:
     def test_empty_ladder(self):
         with pytest.raises(ValueError, match="ladder"):
             run_converge(ConvergeConfig(n_values=()))
+
+    def test_fractional_n_rejected(self):
+        # 10.5 is refused rather than run as n = 10; an integral float is an n
+        with pytest.raises(ValueError, match=r"whole number, got \[10.5, 100\]"):
+            run_converge(ConvergeConfig(n_values=(10.5, 100), replicates=1))
+        cfg = ConvergeConfig(n_values=(10.0, 1e2), replicates=1, grid_n=3)
+        assert asdict(run_converge(cfg)) == asdict(run_converge(replace(cfg, n_values=(10, 100))))
 
     @pytest.mark.parametrize("replicates", [0, -1])
     def test_no_replicates(self, replicates):
@@ -200,7 +209,8 @@ class TestSweep:
     def test_matches_per_offset_loop(self, case):
         d, offsets, dataset, k_true = case
         y = squareform(d, checks=False)
-        assert ex._offset_errors(dataset, y, offsets, k_true) == per_offset_errors(dataset, d, offsets, k_true)
+        want = per_offset_errors(dataset, d, offsets, k_true)
+        assert clustering.offset_errors(y, dataset.labels, offsets, k_true) == want
 
     def test_one_cut_and_score_per_partition(self, monkeypatch):
         ds = ex.gen_arrangement_suite("lines2d", 1, seed=0, points_per_component=40)[0]
@@ -214,8 +224,8 @@ class TestSweep:
             matched.append(-conf)
             return linear_sum_assignment(conf)
 
-        monkeypatch.setattr(ex, "linear_sum_assignment", counted)
-        assert ex._offset_errors(ds, squareform(d, checks=False), offsets, 3) == expected
+        monkeypatch.setattr(clustering, "linear_sum_assignment", counted)
+        assert clustering.offset_errors(squareform(d, checks=False), ds.labels, offsets, 3) == expected
         dend = clustering.single_linkage(d)
         heights = np.maximum(clustering.mean_cophenetic(dend) + offsets * clustering.cophenetic_std(dend), 0.0)
         partitions = {}  # number of gaps <= h -> the cut's labels
@@ -245,8 +255,21 @@ class TestSweep:
         dend = clustering.single_linkage(d)
         h0, sd = clustering.mean_cophenetic(dend), clustering.cophenetic_std(dend)
         offsets = [(h - h0) / sd for h in cut_heights]
-        got = ex._offset_errors(dataset, squareform(d, checks=False), offsets, 2)
+        got = clustering.offset_errors(squareform(d, checks=False), dataset.labels, offsets, 2)
         assert got == per_offset_errors(dataset, d, offsets, 2) == pytest.approx(want)
+
+    def test_experiments_reads_no_private_clustering_name(self):
+        # the cut, keep, reassign and score rules live in clustering alone:
+        # experiments reaches clustering through its public names only
+        tree = ast.parse(inspect.getsource(ex))
+        aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and node.module is None for a in node.names if a.name == "clustering"}
+        assert aliases == {"cl"}
+        private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases and node.attr.startswith("_")]
+        private += [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "clustering" for a in node.names if a.name.startswith("_")]
+        assert private == []
 
     def test_peak_memory_of_a_planes3d_sweep(self):
         ds = ex.gen_arrangement_suite("planes3d", 1, seed=0, points_per_component=225)[0]
@@ -254,10 +277,10 @@ class TestSweep:
         features = clustering.tensor_features(points, builtin_gaussian(), 0.15)
         y = clustering.lifted_condensed(pdist(features, "sqeuclidean"), pdist(points, "sqeuclidean"), 0.002)
         offsets = np.linspace(-2.0, 2.0, 25)
-        ex._offset_errors(ds, y, offsets, 3)
+        clustering.offset_errors(y, ds.labels, offsets, 3)
         tracemalloc.start()
         try:
-            ex._offset_errors(ds, y, offsets, 3)
+            clustering.offset_errors(y, ds.labels, offsets, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +263,22 @@ def test_load_profile_csv(tmp_path):
     assert k.name == "tabulated"
     assert k.compact_support_radius_sq == 3.0
     assert float(k.profile(np.asarray(1.0))) == pytest.approx(math.exp(-1.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("text, shape", [
+    ("r,f\n", (0, 1)),  # a header with no row
+    ("r\n0.0\n1.0\n", (2, 1)),
+    ("r,f,g\n0.0,1.0,2.0\n1.0,0.0,3.0\n", (2, 3)),
+])
+def test_load_profile_csv_needs_two_columns(tmp_path, text, shape):
+    from covfields import load_profile_csv
+
+    path = tmp_path / "prof.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no warning on the way
+        with pytest.raises(ValueError, match=re.escape(f"must be a header and rows r,f(r), got shape {shape}")):
+            load_profile_csv(path)
 
 
 def test_kernel_without_constants_rejected():

@@ -296,6 +296,15 @@ class TestArrangementSuite:
         with pytest.raises(ValueError, match="unknown"):
             gen_arrangement_suite("circles9d", 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        # the Philox key is a uint64: a seed outside [0, 2^64) is named, not an OverflowError
+        for call in (lambda: gen_arrangement_suite("lines2d", 1, seed=seed, points_per_component=10),
+                     lambda: measures._philox(seed)):
+            with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^64\), got {seed}$"):
+                call()
+        assert measures._philox(2**64 - 1).integers(2**32) == measures._philox(2**64 - 1).integers(2**32)
+
     def test_full_size_suite(self):
         suite = gen_arrangement_suite("lines2d", 250, seed=1, points_per_component=12)
         assert len(suite) == 250

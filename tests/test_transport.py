@@ -463,6 +463,31 @@ class TestBottleneckFloor:
         assert want >= max(dist.min(axis=1).max(), dist.min(axis=0).max())  # no level below the floor
 
 
+    def test_sorts_only_above_a_failed_floor(self, monkeypatch):
+        # the floor max(max_i min_j, max_j min_i) = 2 is itself a distance: it is
+        # probed before anything is sorted, and when it fails only the
+        # distances above it are sorted for the binary search
+        dist = np.array([[1.0, 5.0, 7.0], [4.0, 2.0, 6.0], [3.0, 8.0, 2.0]])
+        sorted_inputs, unique = [], np.unique
+
+        def recorded(values, *args, **kwargs):
+            sorted_inputs.append(np.array(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recorded)
+        for least, probes in ((2.0, [2.0]), (5.0, [2.0, 5.0, 4.0]), (8.0, [2.0, 5.0, 7.0, 8.0])):
+            sorted_inputs.clear()
+            seen = []
+
+            def feasible(edges):
+                seen.append(dist[edges].max())
+                return "witness" if seen[-1] >= least else None
+
+            assert transport._bottleneck_search(dist, feasible) == (least, "witness")
+            assert seen == probes
+            assert len(sorted_inputs) == (least > 2.0) and all((v > 2.0).all() for v in sorted_inputs)
+
+
 class TestTransportProperties:
     @settings(max_examples=60, deadline=None)
     @given(ms=measure_triples())
