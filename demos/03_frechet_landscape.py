@@ -5,8 +5,10 @@ the covariance tensor).  At small scales each cluster carves out its own
 local minimum; as sigma grows the minima merge — the bifurcation is visible
 in a sequence of heat maps.  The negative gradient flow labels each start
 point with the attractor (local minimum) it falls into, giving scale-space
-clusters; a flow that ends with no atom within 3 sigma has escaped the data
-and gets basin -1.
+clusters.  A flow that comes farther than sqrt(2) sigma from the data's
+bounding box has escaped the data by proof (from there every step moves
+away from it), and so has one that stops anywhere else with no atom within
+3 sigma; either gets basin -1.
 
 Run:  python3 demos/03_frechet_landscape.py
 Writes demos/output/frechet_sigma_*.svg
@@ -46,6 +48,7 @@ for k, a in enumerate(attractors):
     print(f"  attractor at ({a[0]:+.2f}, {a[1]:+.2f}) collects starts x in "
           f"[{members.min():+.1f}, {members.max():+.1f}]")
 escaped = starts[labels == -1][:, 0]
-print(f"  {len(escaped)} starts escaped (basin -1: no atom within 3 sigma of where the flow "
-      f"stopped, since V decays to 0 away from the data)"
+print(f"  {len(escaped)} starts escaped (basin -1: the flow came farther than sqrt(2) sigma from the "
+      f"data's bounding box, beyond which V only falls away from the data, or stopped with no atom "
+      f"within 3 sigma)"
       + (f": x in {np.round(escaped, 1).tolist()}" if len(escaped) else ""))

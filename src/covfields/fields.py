@@ -32,9 +32,12 @@ from .kernels import RadialKernel
 from .measures import WeightedMeasure, _point, _points, write_csv
 
 SYM_TOL = 1e-12
-# (query, atom) pairs per block, (query, cell) pairs per chunk; at most 2 * 8192, so a block over more
-# than 8192 atoms holds one row: past numpy's 8192-element buffer einsum's row sums depend on the others
+# (query, atom) pairs per block, (query, cell) pairs per chunk; at most 2 * _ATOM_CHUNK, so a block's
+# rows are never longer than numpy's einsum buffer, past which its row sums depend on the other rows
 _PAIR_BUDGET = 1 << 14
+# atoms per block of a full-support pass: numpy's 8192-element einsum buffer, so adding the blocks'
+# sums in atom order gives the bits of one einsum over all the atoms, which adds its buffers so
+_ATOM_CHUNK = 8192
 # cells per support radius along each axis of ctf_grid's cell list, at most
 _CELLS_PER_RADIUS = 8
 # atoms in the mean atom's cell below which ctf_grid coarsens its cells
@@ -189,8 +192,9 @@ def ctf_grid(
     equal to 1 on its support (``"flat"`` in ``kernel.analytic``), adds its
     weight M0, centroid g and scatter S as S + M0 (g - x)(g - x)^T; every
     other cell tests its atoms one by one.  Each query's candidates are one
-    segment, in cell order (under full support, one row of all the atoms),
-    and each of the d(d+1)/2 tensor entries is one reduction per segment.
+    segment, in cell order (under full support, one row of all the atoms,
+    reduced in spans of ``_ATOM_CHUNK`` whose sums add in atom order), and
+    each of the d(d+1)/2 tensor entries is one reduction per segment.
     Segments go in blocks of whole queries with at most ``_PAIR_BUDGET``
     candidates, or of one query, so under every kernel a row's bits depend
     on its query alone, not on the other queries or on the blocking (under
@@ -212,21 +216,34 @@ def ctf_grid(
     else:
         tensors = np.empty((len(pts), d, d))
         weights = measure.weights / c_d
-        for rows, diff in _blocks(measure.atoms, pts):
-            tensors[rows] = _accumulate(diff, weights, kernel.profile, sigma, r2cap)
+        for rows, span, diff in _blocks(measure.atoms, pts):
+            _fold(tensors, rows, span, _accumulate(diff, weights[span], kernel.profile, sigma, r2cap))
     tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
     traces = np.trace(tensors, axis1=1, axis2=2)
     return FieldGrid(pts, sigma, tensors, traces)
 
 
 def _blocks(atoms, pts):
-    """(rows, [contiguous (rows, atoms) array y_k - x_k per coordinate k]) per block of
-    at most ``_PAIR_BUDGET`` (point, atom) pairs, or of one point."""
+    """(rows, span, [contiguous (rows, atoms[span]) array y_k - x_k per coordinate k]) per block.
+
+    The atoms go in spans of at most ``_ATOM_CHUNK``, in atom order (one
+    span of all of them when there are no more), and each span in blocks of
+    at most ``_PAIR_BUDGET`` (point, atom) pairs, or of one point.  A pass
+    combines each row's per-span reductions with :func:`_fold`.
+    """
     cols = np.ascontiguousarray(atoms.T)
-    per = max(1, _PAIR_BUDGET // len(atoms))
+    width = min(len(atoms), _ATOM_CHUNK)
+    per = max(1, _PAIR_BUDGET // width)
     for s in range(0, len(pts), per):
         rows = slice(s, s + per)
-        yield rows, [col - pts[rows, k, None] for k, col in enumerate(cols)]
+        for a in range(0, len(atoms), width):
+            span = slice(a, a + width)
+            yield rows, span, [col[span] - pts[rows, k, None] for k, col in enumerate(cols)]
+
+
+def _fold(out, key, span, value, op=np.add) -> None:
+    """Store a block's reduction over its first span in ``out[key]`` and combine later spans' with ``op``."""
+    out[key] = op(out[key], value) if span.start else value
 
 
 def _r2(diff):
@@ -376,7 +393,8 @@ def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: fl
     :func:`frechet_value` and :func:`frechet_gradient` are this pass on one
     row.  The points go in the blocks of :func:`_blocks`, and only
     elementwise operations and row reductions touch them, so each row's
-    bits do not depend on the other rows of its block.  No
+    bits do not depend on the other rows of its block; a row's sums over
+    the spans of atoms add in atom order, and V takes its sigma^2 last.  No
     |y|^2 - 2 y.x + |x|^2 expansion: the flow's stopping rule needs the
     digits it would cancel.
     """
@@ -384,14 +402,15 @@ def _frechet_pass(measure: WeightedMeasure, kernel: RadialKernel, pts, sigma: fl
         raise ValueError("analytic gradient is only available for the gaussian kernel")
     w = measure.weights / kernel.normalizer(sigma, measure.dim)
     v, g = np.empty(len(pts)), np.empty((len(pts), measure.dim))
-    for rows, diff in _blocks(measure.atoms, pts):
-        u, f = _kernel_weights(diff, w, kernel.profile, sigma, math.inf)
-        v[rows] = sigma * sigma * np.einsum("bk,bk->b", f, u)
+    for rows, span, diff in _blocks(measure.atoms, pts):
+        u, f = _kernel_weights(diff, w[span], kernel.profile, sigma, math.inf)
+        _fold(v, rows, span, np.einsum("bk,bk->b", f, u))
         if grad:
             u -= 2.0
             f *= u
             for k, dk in enumerate(diff):
-                g[rows, k] = np.einsum("bk,bk->b", dk, f)
+                _fold(g, (rows, k), span, np.einsum("bk,bk->b", dk, f))
+    v *= sigma * sigma
     return v, g
 
 
@@ -424,25 +443,41 @@ class FlowResult:
     basin_id: int = -1
 
 
-# a flow whose attractor has no atom within this many sigma has escaped the data
+# a flow that stops with no atom within this many sigma has escaped the data
 _ESCAPE_SIGMAS = 3.0
 
 
 def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float):
     """Descend V from a copy of every row of ``starts`` together (see :func:`flow_to_attractor`).
 
-    Each iteration makes one V and grad V pass over the active starts, then
-    V-only passes over the starts whose line search is still trying a step;
-    one last pass finds the escaped attractors.  Returns the attractors, the
-    paths, the converged flags (False for an escaped flow) and the escaped mask.
+    Each iteration first drops the active starts farther than sqrt(2) sigma
+    from the atoms' bounding box K (with the cell list's 1e-9 relative
+    margin): there every r_i > sqrt(2) sigma, so -grad V = sum_i c_i (x - y_i)
+    with every c_i = w_i G_i (r_i^2 / sigma^2 - 2) >= 0, and with p the
+    point of K nearest x, (x - y_i).(x - p) >= |x - p|^2 for every atom;
+    each step moves away from K and no critical point is ever reached.
+    Such a flow is escaped by proof where it stands.  Then one V and grad V
+    pass goes over the other active starts, and V-only passes over the
+    starts whose line search is still trying a step.  A flow that stops in
+    any other way is escaped if no atom lies within ``_ESCAPE_SIGMAS``
+    sigma of its end, which one last pass over those flows finds.  Returns
+    the attractors, the paths, the converged flags (False for an escaped
+    flow) and the escaped mask.
     """
     x = starts.copy()
     step0 = sigma / _FLOW_STEP_DIV
+    lo, hi = measure.atoms.min(axis=0), measure.atoms.max(axis=0)
+    escape_r2 = 2.0 * sigma * sigma * (1.0 + 1e-9)
     paths = [[row.copy()] for row in x]
     steps = np.zeros(len(x), dtype=np.int64)
     converged = np.zeros(len(x), dtype=bool)
+    escaped = np.zeros(len(x), dtype=bool)
     active = np.arange(len(x))
     while active.size:
+        beyond = x[active] - np.clip(x[active], lo, hi)
+        proved = np.einsum("ij,ij->i", beyond, beyond) > escape_r2
+        escaped[active[proved]] = True
+        active = active[~proved]
         v, g = _frechet_pass(measure, kernel, x[active], sigma, grad=True)
         gn = np.sqrt(np.sum(g * g, axis=1))
         stop = steps[active] >= _FLOW_MAX_STEPS
@@ -469,9 +504,11 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float):
         steps[active] += 1
         for i in active:
             paths[i].append(x[i].copy())
-    escaped = np.empty(len(x), dtype=bool)
-    for rows, diff in _blocks(measure.atoms, x):  # min_i r_i^2 / sigma^2, as the passes scale r^2
-        escaped[rows] = np.min(_r2(diff) * (1.0 / (sigma * sigma)), axis=1) > _ESCAPE_SIGMAS**2
+    stopped = np.flatnonzero(~escaped)
+    near = np.empty(len(stopped))
+    for rows, span, diff in _blocks(measure.atoms, x[stopped]):  # min_i r_i^2 / sigma^2, as the passes scale r^2
+        _fold(near, rows, span, np.min(_r2(diff) * (1.0 / (sigma * sigma)), axis=1), np.minimum)
+    escaped[stopped] = near > _ESCAPE_SIGMAS**2
     return x, [np.asarray(path) for path in paths], converged & ~escaped, escaped
 
 
@@ -488,8 +525,13 @@ def flow_to_attractor(
     ||grad V|| < 1e-8 max(1, V), when no step of at least 1e-15 times the
     initial step descends (both count as converged), or after 10000 steps;
     non-convergence is reported in the result flag, never raised.  A flow
-    whose attractor has no atom within 3 sigma has escaped the data and is
-    not converged.  The result is bit for bit :func:`basin_labels` run on
+    that comes farther than sqrt(2) sigma from the atoms' bounding box has
+    escaped the data by proof (beyond it every step moves away from the
+    data and no critical point is reached): it stops there, that point is
+    its attractor and its path is the start of the one it would have run.
+    A flow that stops in any other way with no atom within 3 sigma has
+    escaped too.  An escaped flow is not converged.  The result is bit for
+    bit :func:`basin_labels` run on
     this one start.  Requires the Gaussian kernel (a smooth V) and a finite
     start.
     """
@@ -507,8 +549,10 @@ def basin_labels(
     """Flow every start to its attractor and group attractors into basins.
 
     All starts descend together, each as :func:`flow_to_attractor` would
-    take it.  A flow whose attractor has no atom within 3 sigma has escaped
-    (far from the data V decays to 0, so such flows run outward): it gets
+    take it.  A flow escapes the data (far from it V decays to 0, so such
+    flows run outward) once it comes farther than sqrt(2) sigma from the
+    atoms' bounding box, which proves it never returns and stops it there,
+    or when it stops in any other way with no atom within 3 sigma: it gets
     basin -1 and ``converged`` False, and its attractor is not returned.
     The other attractors closer than sigma/100 are identified.  Returns
     (labels, attractor positions (k, d), flow results) with results ordered

@@ -203,7 +203,18 @@ def tabulated_kernel(r_knots, f_values) -> RadialKernel:
 
 
 def load_profile_csv(path) -> RadialKernel:
-    """Read a two-column CSV of (r, f(r)) samples into a tabulated kernel."""
+    """Read a two-column CSV of (r, f(r)) samples into a tabulated kernel.
+
+    Line 1 is a header and is skipped; a line 1 of two numbers is a knot,
+    so it raises ``ValueError`` instead of being lost."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+    try:
+        knot = [float(cell) for cell in first.split(",")]
+    except ValueError:
+        knot = []
+    if len(knot) == 2:
+        raise ValueError(f"kernel profile {path} must be a header and rows r,f(r), got the row {first!r} on line 1")
     with warnings.catch_warnings():  # a header with no row warns; it is rejected below
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

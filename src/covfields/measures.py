@@ -467,9 +467,11 @@ def write_csv(path, header, columns) -> None:
     int as an int, and a string (such as a ``;``-joined cell) unchanged.
 
     Rows go out ``_CSV_ROWS`` at a time, so memory beyond the columns does
-    not grow with the row count.  Columns of unequal length raise
-    ``ValueError`` before the file is opened, leaving an existing file as
-    it was."""
+    not grow with the row count, each block as one ``"%s,...\n"`` format
+    over its cells in row order.  A float column whose block holds a
+    single bit pattern (such as a constant sigma) is formatted once, into
+    the format itself.  Columns of unequal length raise ``ValueError``
+    before the file is opened, leaving an existing file as it was."""
     columns = [np.asarray(column) for column in columns]
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
@@ -478,8 +480,15 @@ def write_csv(path, header, columns) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for s in range(0, n, _CSV_ROWS):
-            cells = [map(str, column[s : s + _CSV_ROWS].tolist()) for column in columns]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            cells, values = [], []
+            for column in columns:
+                block = column[s : s + _CSV_ROWS]
+                if block.dtype.kind == "f" and block.tobytes() == block[:1].tobytes() * len(block):
+                    cells.append(str(block[0].item()).replace("%", "%%"))
+                else:
+                    cells.append("%s")
+                    values.append(block.tolist())
+            fh.write((",".join(cells) + "\n") * len(block) % tuple(itertools.chain.from_iterable(zip(*values))))
 
 
 def json_dumps(obj, **kwargs) -> str:
@@ -528,7 +537,7 @@ def _first_bad_row(rows, d: int, has_label: bool) -> MeasureFormatError | None:
 
 def _data_lines(fh):
     """The stripped, non-blank lines of an open text file."""
-    return (ln for ln in map(str.strip, fh) if ln)
+    return filter(None, map(str.strip, fh))
 
 
 def load_measure(path):

@@ -670,6 +670,17 @@ class TestErrorPaths:
                        "--sigma", "0.5", "--grid=-1:1:3")
         assert config_error(capsys, code).startswith(f"kernel profile {profile} must be a header and rows r,f(r)")
 
+    def test_kernel_profile_without_header_exit_2(self, tmp_path, capsys):
+        from covfields import empirical_measure
+
+        data, profile = tmp_path / "m.csv", tmp_path / "profile.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [1.0, 1.0]]), data)
+        profile.write_text("0,1\n0.5,0.5\n1,0\n")
+        code = run_cli("--out", str(tmp_path / "out"), "ctf", "--input", str(data), "--kernel", str(profile),
+                       "--sigma", "0.5", "--grid=-1:1:3")
+        assert config_error(capsys, code) == (f"kernel profile {profile} must be a header and rows r,f(r), "
+                                              "got the row '0,1' on line 1")
+
     def test_indexed_full_support_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure
 

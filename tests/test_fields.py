@@ -252,6 +252,39 @@ class TestCtfGrid:
         alone = [ctf_at(measure, builtin_gaussian(), x, 0.7).entries for x in queries]
         assert np.array_equal(full, np.array(alone))
 
+    @pytest.mark.parametrize("n", [8193, 16385, 65537, 100_000])
+    def test_atom_chunks_give_the_bits_of_one_einsum(self, n):
+        # the passes reduce 8192 atoms at a time and add the chunks in atom order,
+        # as one einsum over all the atoms adds its 8192-element buffers
+        rng = np.random.default_rng(n)
+        atoms, sigma = rng.normal(size=(n, 2)), 0.7
+        m = WeightedMeasure(atoms, rng.uniform(0.1, 2.0, size=n))
+        queries = rng.normal(size=(3, 2))
+
+        def row(a, b):
+            return np.einsum("bk,bk->b", a[None], b[None])[0]
+
+        for kernel, pts in ((builtin_gaussian(), queries), (builtin_truncation(), queries[:1])):
+            w = m.weights / kernel.normalizer(sigma, 2)
+            got = ctf_grid(m, kernel, pts, sigma).tensors
+            for x, tensor in zip(pts, got):
+                diff = [np.ascontiguousarray(atoms[:, k]) - x[k] for k in range(2)]
+                r2 = diff[0] * diff[0] + diff[1] * diff[1]
+                f = kernel.profile(r2 * (1.0 / (sigma * sigma))) * w
+                if kernel.compact_support_radius_sq is not None:
+                    f *= r2 <= kernel.compact_support_radius_sq * sigma * sigma
+                upper = [[row(f * diff[j], diff[k]) for k in range(2)] for j in range(2)]  # mirrored below
+                assert np.array_equal(tensor, [[upper[min(j, k)][max(j, k)] for k in range(2)] for j in range(2)])
+        g = builtin_gaussian()
+        w = m.weights / g.normalizer(sigma, 2)
+        v, grad = fields._frechet_pass(m, g, queries, sigma, grad=True)
+        for x, vx, gx in zip(queries, v, grad):
+            diff = [np.ascontiguousarray(atoms[:, k]) - x[k] for k in range(2)]
+            u = (diff[0] * diff[0] + diff[1] * diff[1]) * (1.0 / (sigma * sigma))
+            f = g.profile(u) * w
+            assert vx == sigma * sigma * row(f, u)
+            assert np.array_equal(gx, [row(dk, f * (u - 2.0)) for dk in diff])
+
     def test_large_gaussian_field_matches_fsum(self):
         rng = np.random.default_rng(40)
         theta = rng.uniform(0.0, 2.0 * math.pi, 100_000)
@@ -786,20 +819,24 @@ class TestFlow:
         assert not res.converged
 
 
-def reference_flow(measure, kernel, start, sigma):
-    """One start at a time, as flow_to_attractor ran before the batched flow.
+FLOW_MAX_STEPS = fields._FLOW_MAX_STEPS
+
+
+def reference_flow(measure, kernel, start, sigma, max_steps=None):
+    """One start at a time, as flow_to_attractor ran before the batched flow,
+    with no escape test.
 
     Reads the flow's constants from ``fields`` at call time, so a test that
-    patches them patches the reference too.
+    patches them patches the reference too, unless ``max_steps`` is given.
     """
     step0 = sigma / fields._FLOW_STEP_DIV
     x = np.asarray(start, dtype=float).ravel().copy()
     path = [x.copy()]
     converged = False
-    for _ in range(fields._FLOW_MAX_STEPS):
+    for _ in range(fields._FLOW_MAX_STEPS if max_steps is None else max_steps):
         v = frechet_value(measure, kernel, x, sigma)
         g = frechet_gradient(measure, kernel, x, sigma)
-        gn = float(np.linalg.norm(g))
+        gn = float(np.sqrt(np.sum(g * g)))
         if gn < fields._FLOW_GRAD_TOL * max(1.0, v):
             converged = True
             break
@@ -838,6 +875,46 @@ def nearest_atom(measure, x):
     return float(np.sqrt(((measure.atoms - x) ** 2).sum(axis=1).min()))
 
 
+def assert_flows_match_reference(measure, kernel, starts, sigma, labels, results):
+    """Every flow is reference_flow bit for bit, or the escape proof stopped it.
+
+    A flow the proof stopped ends at the first point of its reference path
+    farther than sqrt(2) sigma from the atoms' bounding box, so its path is
+    a bitwise prefix of the reference path, and the reference, run on past
+    a patched step cap, ends escaped by the 3 sigma rule.  Returns the
+    number of such flows.
+    """
+    lo, hi = measure.atoms.min(axis=0), measure.atoms.max(axis=0)
+    bound = 2.0 * sigma * sigma * (1.0 + 1e-9)
+    proved = 0
+    for start, label, res in zip(starts, labels, results):
+        x, path, converged = reference_flow(measure, kernel, start, sigma)
+        escaped = nearest_atom(measure, x) > 3.0 * sigma
+        assert res.basin_id == label
+        if len(res.path) < len(path):
+            proved += 1
+            if len(path) > fields._FLOW_MAX_STEPS:  # the step cap cut the reference: run it on
+                x = reference_flow(measure, kernel, x, sigma, FLOW_MAX_STEPS)[0]
+            assert nearest_atom(measure, x) > 3.0 * sigma
+            assert label == -1 and not res.converged
+            assert np.array_equal(res.path, path[: len(res.path)])
+            assert np.array_equal(res.attractor, res.path[-1])
+            out = res.path - np.clip(res.path, lo, hi)
+            outside = np.einsum("ij,ij->i", out, out)
+            assert outside[-1] > bound and np.all(outside[:-1] <= bound)
+        else:
+            assert np.array_equal(res.path, path) and np.array_equal(res.attractor, x)
+            assert (label == -1) == escaped
+            assert res.converged == (converged and not escaped)
+    return proved
+
+
+def box_outside(measure, x):
+    """Distance from x to the atoms' bounding box."""
+    x = np.asarray(x, dtype=float)
+    return float(np.linalg.norm(x - np.clip(x, measure.atoms.min(axis=0), measure.atoms.max(axis=0))))
+
+
 class TestBatchedFlow:
     SIGMA = 1.2
 
@@ -845,55 +922,76 @@ class TestBatchedFlow:
         m, g = two_cluster_sample(21, 100), builtin_gaussian()
         starts = start_grid(-4.0, 4.0, 7)
         labels, _, results = basin_labels(m, g, starts, self.SIGMA)
-        for start, label, res in zip(starts, labels, results):
-            x, path, converged = reference_flow(m, g, start, self.SIGMA)
-            np.testing.assert_allclose(res.attractor, x, rtol=0, atol=1e-9)
-            escaped = nearest_atom(m, x) > 3.0 * self.SIGMA
-            assert (label == -1) == escaped
-            if not escaped:
-                assert res.converged == converged
-                assert len(res.path) == len(path)
-                np.testing.assert_allclose(res.path, path, rtol=0, atol=1e-9)
-        assert 0 < np.sum(labels == -1) < len(starts)
+        proved = assert_flows_match_reference(m, g, starts, self.SIGMA, labels, results)
+        assert 0 < proved == np.sum(labels == -1) < len(starts)
 
     def test_max_iter_matches_reference(self, monkeypatch):
         m, g = two_cluster_sample(22, 40), builtin_gaussian()
         monkeypatch.setattr(fields, "_FLOW_MAX_STEPS", 3)
         starts = start_grid(-3.0, 3.0, 4)
-        _, _, results = basin_labels(m, g, starts, self.SIGMA)
-        for start, res in zip(starts, results):
-            x, path, converged = reference_flow(m, g, start, self.SIGMA)
-            np.testing.assert_allclose(res.attractor, x, rtol=0, atol=1e-9)
-            assert len(res.path) == len(path) <= 4
-            assert res.converged == (converged and nearest_atom(m, x) <= 3.0 * self.SIGMA)
+        labels, _, results = basin_labels(m, g, starts, self.SIGMA)
+        assert assert_flows_match_reference(m, g, starts, self.SIGMA, labels, results) > 0
+        assert all(len(res.path) <= 4 for res in results)
+        assert not any(res.converged for res in results)
 
     def test_bench_sample_has_two_basins(self):
         m = two_cluster_sample(0)
-        labels, attractors, results = basin_labels(m, builtin_gaussian(), start_grid(-4.0, 4.0, 20),
-                                                   self.SIGMA)
+        starts = start_grid(-4.0, 4.0, 20)
+        labels, attractors, results = basin_labels(m, builtin_gaussian(), starts, self.SIGMA)
         assert attractors.shape == (2, 2)
         assert set(labels.tolist()) == {-1, 0, 1}
+        # the proof stops every flow the 3 sigma rule would mark, and only those
+        proved = assert_flows_match_reference(m, builtin_gaussian(), starts, self.SIGMA, labels, results)
+        assert proved == np.sum(labels == -1)
         for label, res in zip(labels, results):
-            assert res.basin_id == label
             assert res.converged == (label >= 0)
-            assert (nearest_atom(m, res.attractor) <= 3.0 * self.SIGMA) == (label >= 0)
+            assert (box_outside(m, res.attractor) > math.sqrt(2.0) * self.SIGMA) == (label == -1)
         # one attractor per cluster
         assert sorted(np.round(attractors[:, 0])) == [-2.0, 2.0]
 
     # sha256 of the labels, converged flags, every flow's attractor (escaped ones included),
     # the basin attractors and the path lengths on the benchmark's sample and start grid
-    ESCAPED_FROZEN = "01648f10f536b2a432acdcfef7e6663590dda8ae59992ca135f9067eba106762"
+    ESCAPED_FROZEN = "fabd906b4217fc8fd3ff8a50dde81e24014cb05c7713ceb824f0925d5e5a55bd"
 
     def test_frozen_escaped_flows(self):
-        labels, attractors, results = basin_labels(two_cluster_sample(0), builtin_gaussian(),
-                                                   start_grid(-4.0, 4.0, 20), self.SIGMA)
-        assert np.mean(labels == -1) > 0.5  # most starts escape
+        m = two_cluster_sample(0)
+        labels, attractors, results = basin_labels(m, builtin_gaussian(), start_grid(-4.0, 4.0, 20), self.SIGMA)
+        assert np.mean(labels == -1) > 0.5  # most starts escape, each where the proof first holds
+        for res in results:
+            if res.basin_id == -1:
+                assert box_outside(m, res.attractor) > math.sqrt(2.0) * self.SIGMA
+                assert len(res.path) == 1 or box_outside(m, res.path[-2]) <= math.sqrt(2.0) * self.SIGMA
         digest = hashlib.sha256(labels.tobytes())
         digest.update(np.array([res.converged for res in results]).tobytes())
         digest.update(np.stack([res.attractor for res in results]).tobytes())
         digest.update(attractors.tobytes())
         digest.update(np.array([len(res.path) for res in results], dtype=np.int64).tobytes())
         assert digest.hexdigest() == self.ESCAPED_FROZEN
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        atoms=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=st.floats(-2.0, 2.0)),
+        data=st.data(),
+        sigma=st.floats(0.5, 1.5),
+    )
+    def test_proof_stops_only_escaping_flows(self, atoms, data, sigma):
+        weights = data.draw(hnp.arrays(np.float64, len(atoms), elements=st.floats(0.1, 2.0)))
+        starts = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)),
+                                      elements=st.floats(-5.0, 5.0)))
+        m, g = WeightedMeasure(atoms, weights), builtin_gaussian()
+        labels, _, results = basin_labels(m, g, starts, sigma)
+        assert_flows_match_reference(m, g, starts, sigma, labels, results)
+
+    def test_escape_bound_is_sqrt2_sigma(self):
+        # one atom at the origin: V = G(r) r^2 falls toward it inside r = sqrt(2) sigma, outward beyond
+        m, g, sigma = WeightedMeasure(np.zeros((1, 2)), np.ones(1)), builtin_gaussian(), 0.8
+        inside = flow_to_attractor(m, g, [1.3 * sigma, 0.0], sigma)
+        assert inside.converged and np.linalg.norm(inside.attractor) < 1e-6 * sigma
+        outside = flow_to_attractor(m, g, [0.0, 1.5 * sigma], sigma)
+        assert not outside.converged and len(outside.path) == 1
+        assert np.array_equal(outside.attractor, [0.0, 1.5 * sigma])
+        labels, attractors, _ = basin_labels(m, g, [[1.3 * sigma, 0.0], [0.0, 1.5 * sigma]], sigma)
+        assert labels.tolist() == [0, -1] and attractors.shape == (1, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -281,6 +281,19 @@ def test_load_profile_csv_needs_two_columns(tmp_path, text, shape):
             load_profile_csv(path)
 
 
+def test_load_profile_csv_needs_a_header(tmp_path):
+    from covfields import load_profile_csv
+
+    knots = "0,1\n0.5,0.5\n1,0\n"
+    path = tmp_path / "prof.csv"
+    path.write_text("r,f\n" + knots)
+    assert load_profile_csv(path).profile(np.array([0.0, 0.25])).tolist() == [1.0, 0.75]
+    path.write_text(knots)  # skipping line 1 would lose the knot (0, 1)
+    with pytest.raises(ValueError, match=re.escape(f"kernel profile {path} must be a header and rows r,f(r), "
+                                                   "got the row '0,1' on line 1")):
+        load_profile_csv(path)
+
+
 def test_kernel_without_constants_rejected():
     # nothing is integrated or searched numerically: a missing constant is named
     gauss = builtin_gaussian()

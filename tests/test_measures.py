@@ -536,6 +536,25 @@ class TestWriteCsv:
         write_csv(p, ["i", "x"], [np.arange(n), np.arange(n) / 3.0])
         assert p.read_text() == "i,x\n" + "".join(f"{i},{i / 3.0!r}\n" for i in range(n))
 
+    @staticmethod
+    def per_cell(header, columns) -> bytes:
+        """The file as ``str`` of each cell, joined row by row."""
+        rows = zip(*[map(str, np.asarray(column).tolist()) for column in columns])
+        return (",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode()
+
+    def test_same_bytes_as_per_cell_str(self, tmp_path):
+        n = measures._CSV_ROWS + 3
+        zeros = np.zeros(n)
+        zeros[5] = -0.0  # equal values, other bits: the first block is not one cell
+        strings = np.array(["a;b", "100%", "%s", "%%", ""] * n)[:n]
+        columns = [zeros, np.full(n, -0.0), np.full(n, 1.2), np.arange(n) % 7, strings, np.arange(n) / 3.0]
+        header = ["z", "neg", "sigma", "label", "s", "x"]
+        p = tmp_path / "t.csv"
+        write_csv(p, header, columns)
+        assert p.read_bytes() == self.per_cell(header, columns)
+        write_csv(p, ["a", "b"], [np.empty(0), []])
+        assert p.read_bytes() == self.per_cell(["a", "b"], [np.empty(0), []]) == b"a,b\n"
+
     # recorded before rows were written in chunks: 20 000 rows span three
     SAVE_DIGEST = "3722172b16ad682188d5199ff61c336d9f4ec4ef1f6b2cd704e4cb86aece8c73"
 
