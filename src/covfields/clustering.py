@@ -120,10 +120,13 @@ class Dendrogram:
     """
 
     merges: np.ndarray  # (n-1, 3)
-    n_leaves: int
     pair_counts: np.ndarray  # (n-1,) leaf pairs joined by each merge: |a| * |b|
     order: np.ndarray  # (n,)
     gaps: np.ndarray  # (n-1,)
+
+    @property
+    def n_leaves(self) -> int:
+        return len(self.order)
 
     @property
     def heights(self) -> np.ndarray:
@@ -178,7 +181,7 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
     """
     y, n = _checked_metric(metric)
     if n < 2:
-        return Dendrogram(np.zeros((0, 3)), n, np.zeros(0), np.arange(n), np.zeros(0))
+        return Dendrogram(np.zeros((0, 3)), np.zeros(0), np.arange(n), np.zeros(0))
     z = linkage(y, method="single")
     ids = z[:, :2].astype(np.int64)
     sizes = np.concatenate([np.ones(n), z[:, 3]])
@@ -192,16 +195,19 @@ def single_linkage(metric: np.ndarray) -> Dendrogram:
     for _ in range(n - 1):
         order.append(after[order[-1]][0])
     gaps = np.array([after[leaf][1] for leaf in order[:-1]])
-    return Dendrogram(z[:, :3], n, sizes[ids[:, 0]] * sizes[ids[:, 1]], np.array(order), gaps)
+    return Dendrogram(z[:, :3], sizes[ids[:, 0]] * sizes[ids[:, 1]], np.array(order), gaps)
 
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Flat clustering obtained by cutting a dendrogram."""
+    """Flat clustering obtained by cutting a dendrogram; ``k`` counts its distinct labels."""
 
     labels: np.ndarray
-    k: int
     cutoff_height: float
+
+    @property
+    def k(self) -> int:
+        return len(np.unique(self.labels))
 
 
 def cut(dendrogram: Dendrogram, k: int | None = None, height: float | None = None) -> ClusterAssignment:
@@ -230,7 +236,7 @@ def cut(dendrogram: Dendrogram, k: int | None = None, height: float | None = Non
         cutoff = float(dendrogram.heights[-(k - 1)])
         breaks = dendrogram.gaps >= cutoff
     labels = np.unique(_cut_rows(dendrogram, breaks[None])[0], return_inverse=True)[1]
-    return ClusterAssignment(labels, int(breaks.sum()) + 1, cutoff)
+    return ClusterAssignment(labels, cutoff)
 
 
 def _cut_rows(dendrogram: Dendrogram, breaks: np.ndarray) -> np.ndarray:
@@ -346,7 +352,7 @@ def topk_reassign(assignment: ClusterAssignment, metric: np.ndarray, k: int) -> 
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n_ids:
         raise ValueError(f"k={k} exceeds the number of clusters {n_ids}")
-    return ClusterAssignment(_reassign_rows(y, _keep_largest(codes[None], k))[0], k, assignment.cutoff_height)
+    return ClusterAssignment(_reassign_rows(y, _keep_largest(codes[None], k))[0], assignment.cutoff_height)
 
 
 def _errors(labels: np.ndarray, truth) -> list:

@@ -79,20 +79,27 @@ class CovTensor:
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Eigenvalues (ascending), orthonormal eigenvectors, trace, ratios."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors; the trace and ratios derive from them."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    trace: float
-    anisotropy_ratios: np.ndarray
+
+    @property
+    def trace(self) -> float:
+        return float(self.eigenvalues.sum())
+
+    @property
+    def anisotropy_ratios(self) -> np.ndarray:
+        """lambda_i / lambda_d for i < d, zeros for the zero tensor."""
+        vals = self.eigenvalues
+        return vals[:-1] / vals[-1] if vals[-1] > 0 else np.zeros(len(vals) - 1)
 
 
 def spectrum(t: CovTensor | np.ndarray) -> SpectrumSummary:
     """Eigen-decomposition of a covariance tensor.
 
     Eigenvalues are sorted ascending; each eigenvector column is normalized
-    so its first component of magnitude > 1e-12 is positive.  Ratios are
-    lambda_i / lambda_d for i < d (zeros for the zero tensor).
+    so its first component of magnitude > 1e-12 is positive.
     """
     m = t.entries if isinstance(t, CovTensor) else np.asarray(t, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
@@ -101,12 +108,7 @@ def spectrum(t: CovTensor | np.ndarray) -> SpectrumSummary:
         nz = np.nonzero(np.abs(col) > 1e-12)[0]
         if nz.size and col[nz[0]] < 0:
             vecs[:, j] = -col
-    top = vals[-1]
-    if top > 0:
-        ratios = vals[:-1] / top
-    else:
-        ratios = np.zeros(len(vals) - 1)
-    return SpectrumSummary(vals, vecs, float(vals.sum()), ratios)
+    return SpectrumSummary(vals, vecs)
 
 
 def dimension_estimate(s: SpectrumSummary) -> int:
@@ -143,12 +145,15 @@ def frechet_value(measure: WeightedMeasure, kernel: RadialKernel, x, sigma: floa
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Covariance tensors and Fréchet values over a list of query points."""
+    """Covariance tensors over a list of query points, and their traces, the Fréchet values."""
 
     query_points: np.ndarray
     sigma: float
     tensors: np.ndarray  # (m, d, d)
-    frechet_values: np.ndarray  # (m,), filled as tensor traces
+
+    @property
+    def frechet_values(self) -> np.ndarray:
+        return np.trace(self.tensors, axis1=1, axis2=2)
 
     def save_csv(self, path) -> None:
         """Rows: x_1..x_d, sigma, upper-triangle entries, V, eigenvalues."""
@@ -218,9 +223,7 @@ def ctf_grid(
         weights = measure.weights / c_d
         for rows, span, diff in _blocks(measure.atoms, pts):
             _fold(tensors, rows, span, _accumulate(diff, weights[span], kernel.profile, sigma, r2cap))
-    tensors = 0.5 * (tensors + np.transpose(tensors, (0, 2, 1)))
-    traces = np.trace(tensors, axis1=1, axis2=2)
-    return FieldGrid(pts, sigma, tensors, traces)
+    return FieldGrid(pts, sigma, 0.5 * (tensors + np.transpose(tensors, (0, 2, 1))))
 
 
 def _blocks(atoms, pts):
@@ -434,13 +437,20 @@ _FLOW_MAX_STEPS = 10000
 _FLOW_MERGE_DIV = 100.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowResult:
-    start: np.ndarray
-    attractor: np.ndarray
+    """A flow's path, from its start to its attractor, and whether it converged."""
+
     path: np.ndarray
     converged: bool
-    basin_id: int = -1
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.path[0]
+
+    @property
+    def attractor(self) -> np.ndarray:
+        return self.path[-1]
 
 
 # a flow that stops with no atom within this many sigma has escaped the data
@@ -464,6 +474,8 @@ def _flow(measure: WeightedMeasure, kernel: RadialKernel, starts, sigma: float):
     the attractors, the paths, the converged flags (False for an escaped
     flow) and the escaped mask.
     """
+    if kernel.name != "gaussian":  # before any pass, so that a call with no start is checked too
+        raise ValueError("analytic gradient is only available for the gaussian kernel")
     x = starts.copy()
     step0 = sigma / _FLOW_STEP_DIV
     lo, hi = measure.atoms.min(axis=0), measure.atoms.max(axis=0)
@@ -535,9 +547,8 @@ def flow_to_attractor(
     this one start.  Requires the Gaussian kernel (a smooth V) and a finite
     start.
     """
-    start = _point(start, measure.dim)
-    x, paths, converged, _ = _flow(measure, kernel, start[None], sigma)
-    return FlowResult(start, x[0], paths[0], bool(converged[0]))
+    _, paths, converged, _ = _flow(measure, kernel, _point(start, measure.dim)[None], sigma)
+    return FlowResult(paths[0], bool(converged[0]))
 
 
 def basin_labels(
@@ -561,7 +572,7 @@ def basin_labels(
     merge_r = sigma / _FLOW_MERGE_DIV
     starts = _points(starts, measure.dim)
     x, paths, converged, escaped = _flow(measure, kernel, starts, sigma)
-    results = [FlowResult(*row) for row in zip(starts, x, paths, converged.tolist())]
+    results = [FlowResult(*row) for row in zip(paths, converged.tolist())]
     reps: list[np.ndarray] = []
     labels = np.full(len(results), -1, dtype=np.int64)
     for i in np.flatnonzero(~escaped):
@@ -572,6 +583,4 @@ def basin_labels(
         else:
             reps.append(x[i])
             labels[i] = len(reps) - 1
-    for res, label in zip(results, labels.tolist()):
-        res.basin_id = label
     return labels, np.reshape(reps, (-1, measure.dim)), results

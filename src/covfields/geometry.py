@@ -185,16 +185,16 @@ class SurfaceCurvatureEstimate:
     """Principal curvatures of a surface in R^3, up to a common sign.
 
     kappa1 >= kappa2 and kappa1 + kappa2 >= 0 by convention;
-    ``sign_ambiguity`` records that (-kappa1, -kappa2) fits equally well.
+    ``sign_ambiguity``, always True, records that (-kappa1, -kappa2) fits equally well.
     """
 
     point: np.ndarray
     sigma_ladder: np.ndarray
     kappa1: float
     kappa2: float
-    sign_ambiguity: bool
     residual_trace: float
     residual_det: float
+    sign_ambiguity = True
 
 
 def _ladder_tensors(measure: WeightedMeasure, x, sigma_ladder, d: int, what: str):
@@ -268,7 +268,7 @@ def surface_curvatures(
     k_diff = math.sqrt(s_clamped)
     k1 = 0.5 * (k_sum + k_diff)
     k2 = 0.5 * (k_sum - k_diff)
-    return SurfaceCurvatureEstimate(p, ladder, k1, k2, True, res_t, res_d)
+    return SurfaceCurvatureEstimate(p, ladder, k1, k2, res_t, res_d)
 
 
 def gaussian_transfer_hat(sigma: float, d: int, xi) -> float:

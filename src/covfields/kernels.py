@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import _point
+from .measures import _data_lines, _point
 
 
 def _check_sigma(sigma: float) -> None:
@@ -205,19 +204,18 @@ def tabulated_kernel(r_knots, f_values) -> RadialKernel:
 def load_profile_csv(path) -> RadialKernel:
     """Read a two-column CSV of (r, f(r)) samples into a tabulated kernel.
 
-    Line 1 is a header and is skipped; a line 1 of two numbers is a knot,
-    so it raises ``ValueError`` instead of being lost."""
+    Blank lines are skipped and ``#`` starts no comment, as in ``load_measure``.
+    Line 1 is a header and is skipped; a line 1 of two numbers is a knot, so
+    it raises ``ValueError`` instead of being lost."""
     with open(path) as fh:
-        first = fh.readline().strip()
+        first, *rows = list(_data_lines(fh)) or [""]
     try:
         knot = [float(cell) for cell in first.split(",")]
     except ValueError:
         knot = []
     if len(knot) == 2:
         raise ValueError(f"kernel profile {path} must be a header and rows r,f(r), got the row {first!r} on line 1")
-    with warnings.catch_warnings():  # a header with no row warns; it is rejected below
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 1))
     if data.shape[1] != 2:
         raise ValueError(f"kernel profile {path} must be a header and rows r,f(r), got shape {data.shape}")
     return tabulated_kernel(data[:, 0], data[:, 1])
@@ -246,7 +244,7 @@ class KernelConstants:
 
     ``c_d`` evaluates the normalizer C_d(sigma); ``a_f`` = 2 (a1 + a2) is the
     Lipschitz constant used by smooth-kernel stability bounds, infinite when
-    the kernel carries no finite A1.
+    the kernel carries no finite A1, which makes it ineligible for them.
     """
 
     dim: int
@@ -254,7 +252,10 @@ class KernelConstants:
     c: float
     a1: float
     a2: float
-    smooth_stability_eligible: bool
+
+    @property
+    def smooth_stability_eligible(self) -> bool:
+        return math.isfinite(self.a1)
 
     @property
     def a_f(self) -> float:
@@ -273,14 +274,12 @@ def derive_constants(kernel: RadialKernel, d: int) -> KernelConstants:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    a1 = float(kernel.analytic.get("A1", math.inf))
     return KernelConstants(
         dim=d,
         m_d=kernel.moment(d),
         c=float(kernel._constant("C")),
-        a1=a1,
+        a1=float(kernel.analytic.get("A1", math.inf)),
         a2=float(kernel._constant("A2")),
-        smooth_stability_eligible=math.isfinite(a1),
     )
 
 

@@ -347,8 +347,9 @@ def _sample_segments(segments, counts) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(pts), np.repeat(np.arange(len(pts), dtype=np.int64), counts)
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+def _separated(units, degrees: float) -> bool:
+    """Whether every two of the unit vectors ``units`` span lines >= ``degrees`` apart: |u.v| <= cos."""
+    return all(abs(np.dot(u, v)) <= np.cos(np.radians(degrees)) for u, v in itertools.combinations(units, 2))
 
 
 def _random_segment(rng, box_lo, box_hi, min_len):
@@ -366,9 +367,7 @@ def _separated_segments(rng, count):
     box_lo, box_hi = np.zeros(2), np.ones(2)
     while True:
         segs = [_random_segment(rng, box_lo, box_hi, 0.7) for _ in range(count)]
-        dirs = [(b - a) / np.linalg.norm(b - a) for a, b in segs]
-        if all(abs(_cross2(u, v)) >= np.sin(np.radians(30.0))
-               for u, v in itertools.combinations(dirs, 2)):
+        if _separated([(b - a) / np.linalg.norm(b - a) for a, b in segs], 30.0):
             return segs
 
 
@@ -394,8 +393,7 @@ def _gen_planes3d(rng, grid_per_side, noise_sd):
     while True:
         normals = rng.normal(size=(3, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        if all(abs(np.dot(p, q)) <= np.cos(np.radians(40.0))
-               for p, q in itertools.combinations(normals, 2)):
+        if _separated(normals, 40.0):
             break
     pts = []
     u = np.linspace(-0.5, 0.5, grid_per_side)

@@ -681,6 +681,18 @@ class TestErrorPaths:
         assert config_error(capsys, code) == (f"kernel profile {profile} must be a header and rows r,f(r), "
                                               "got the row '0,1' on line 1")
 
+    @pytest.mark.parametrize("text", ["r,f\n0,1\n#0.5,1\n1,0\n", "r,f\n0,1\n0.5,1 # peak\n1,0\n"])
+    def test_kernel_profile_hash_exit_2(self, tmp_path, capsys, text):
+        from covfields import empirical_measure
+
+        data, profile = tmp_path / "m.csv", tmp_path / "profile.csv"
+        save_measure(empirical_measure([[0.0, 0.0], [1.0, 1.0]]), data)
+        profile.write_text(text)
+        code = run_cli("--out", str(tmp_path / "out"), "ctf", "--input", str(data), "--kernel", str(profile),
+                       "--sigma", "0.5", "--grid=-1:1:3")
+        assert "could not convert string" in config_error(capsys, code)
+        assert not (tmp_path / "out" / "ctf.csv").exists()
+
     def test_indexed_full_support_exit_2(self, tmp_path, capsys):
         from covfields import empirical_measure
 
@@ -739,15 +751,17 @@ class TestCsvBytesFrozen:
     """
 
     # recorded with the per-command row loops, before one writer served all;
-    # ``merges`` re-recorded when the rows became scipy's (smaller id first)
+    # ``merges`` re-recorded when the rows became scipy's (smaller id first);
+    # ``ctf`` and ``curvature_surface`` when V became the tensors' trace and the
+    # sign ambiguity a constant, so the stand-ins can no longer contradict them
     FROZEN_DIGESTS = {
         "measure": "d73195567428887a6532edade76eba3c338aac88156f0457d5d2c8ffe5939b71",
         "labeled_measure": "439c43ccab71c38f1dc6c400111c7d2dbac957226209a224539cb816fc056e5b",
-        "ctf": "8cdfcbf0c2d5c6158cce2da60f0e8823fe22fabb3ac35249891d32829cbad8fa",
+        "ctf": "9ca1d9d8e3b8ee3e2e218621f95c8677ba7a827616d21b7f4dee89ca62f23f69",
         "frechet": "ecd9ba87c10a9df2ae96e9973f6e4ea6713f41ce8c7630c62b6166770481e4d8",
         "flow": "50d0e984abc1bbd810de6688882d52d2ac11576264a4d39a9b594f0688504d94",
         "curvature": "137fa66fe9e2351e7b7037e8adaf35c94cd64829aa737cbba21b8ab95f082362",
-        "curvature_surface": "d6fb8b13a72de452fe09f64e666d7ca46064363882f1e44cc667361e18d27bcd",
+        "curvature_surface": "c06651c51f6433ce10ec06ba90bb6df8d2041db177d885bc768f7fe65e312fcd",
         "merges": "397c197aa4aad2f7346178f55e7249eceabd4d16d62ed02c567808ec5b29178d",
         "converge": "766b89a822df356feec4736f85740a94286a08294ac201a17499a81bf78ae481",
         "bench_lines2d": "5035a86d059de75659823a679c68080485aded7d44bb98ee15450e36b2af17cb",
@@ -779,16 +793,14 @@ class TestCsvBytesFrozen:
 
         def fake_ctf_grid(measure, kernel, grid, sigma, acceleration="exact"):
             m = len(grid)
-            s = _seeded(6, (m, 3))
-            tensors = np.empty((m, 2, 2))
-            tensors[:, 0, 0], tensors[:, 1, 1] = s[:, 0], s[:, 1]
-            tensors[:, 0, 1] = tensors[:, 1, 0] = s[:, 2]
-            return FieldGrid(grid, sigma, tensors, _seeded(7, m))
+            tensors = np.zeros((m, 2, 2))  # [[0, s], [s, V]], whose trace is V exactly
+            tensors[:, 0, 1] = tensors[:, 1, 0] = _seeded(6, m)
+            tensors[:, 1, 1] = _seeded(7, m)
+            return FieldGrid(grid, sigma, tensors)
 
         def fake_basin_labels(measure, kernel, starts, sigma):
             attractors = _seeded(8, starts.shape)
-            results = [FlowResult(s, a, np.array([s, a]), bool(i % 2))
-                       for i, (s, a) in enumerate(zip(starts, attractors))]
+            results = [FlowResult(np.array([s, a]), bool(i % 2)) for i, (s, a) in enumerate(zip(starts, attractors))]
             labels = np.arange(len(starts)) % 4
             return labels, attractors[:4], results
 
@@ -802,7 +814,7 @@ class TestCsvBytesFrozen:
         monkeypatch.setattr(cli, "curve_curvature", estimate(
             CurveCurvatureEstimate, *_seeded(11, 2).tolist(), True))
         monkeypatch.setattr(cli, "surface_curvatures", estimate(
-            SurfaceCurvatureEstimate, *_seeded(12, 2).tolist(), False, *_seeded(13, 2).tolist()))
+            SurfaceCurvatureEstimate, *_seeded(12, 2).tolist(), *_seeded(13, 2).tolist()))
         half = np.triu(_seeded(14, (9, 9), positive=True), 1)
         monkeypatch.setattr(clustering, "tensorized_condensed", lambda m, p: squareform(half + half.T))
         rng = np.random.default_rng(15)

@@ -625,7 +625,7 @@ class TestVectorizedAgainstLoops:
         # keeps both, and ids 1 and 3 break toward id 1
         labels = np.array([0, 0, 1, 2, 2, 3])
         pts = np.array([[0.0], [0.1], [5.0], [9.0], [9.1], [4.0]])
-        asg = ClusterAssignment(labels, 4, 0.0)
+        asg = ClusterAssignment(labels, 0.0)
         d = cdist(pts, pts)
         for k in (1, 2, 3, 4):
             want = loop_topk_reassign(asg, d, k)
@@ -642,7 +642,7 @@ class TestVectorizedAgainstLoops:
         pts = np.array([[0.0], [1.0], [2.0], [1.0], [0.0], [2.0], [1.0], [3.0], [0.0]])  # tied distances
         d = cdist(pts, pts)
         n_ids = np.unique(labels).size
-        asg = ClusterAssignment(labels, n_ids, 0.0)
+        asg = ClusterAssignment(labels, 0.0)
         for k in range(1, n_ids + 1):
             want = loop_topk_reassign(asg, d, k)
             for metric in (d, squareform(d)):
@@ -661,7 +661,7 @@ class TestVectorizedAgainstLoops:
         d[0, 5] = d[5, 0] = 1.0
         d[1, 2] = d[2, 1] = d[3, 4] = d[4, 3] = 1.0
         d[5, [2, 3]] = d[[2, 3], 5] = 2.0
-        asg = ClusterAssignment(labels, 4, 0.0)
+        asg = ClusterAssignment(labels, 0.0)
         got = topk_reassign(asg, d, 2).labels
         np.testing.assert_array_equal(got, [1, 1, 1, 0, 0, 1])
         np.testing.assert_array_equal(got, loop_topk_reassign(asg, d, 2))
@@ -670,7 +670,7 @@ class TestVectorizedAgainstLoops:
             topk_reassign(asg, d, 2)
 
     def test_topk_reassign_k_below_one(self):
-        asg = ClusterAssignment(np.array([0, 1]), 2, 0.0)
+        asg = ClusterAssignment(np.array([0, 1]), 0.0)
         with pytest.raises(ValueError, match="at least 1"):
             topk_reassign(asg, np.zeros((2, 2)), 0)
 
@@ -711,9 +711,9 @@ def test_benchmark_threads_match_serial():
 
 
 @st.composite
-def grid_metrics(draw):
-    """Euclidean metrics of 2-12 points on a 1/2 grid (ties and zeros)."""
-    n = draw(st.integers(2, 12))
+def grid_metrics(draw, min_n=2):
+    """Euclidean metrics of ``min_n``-12 points on a 1/2 grid (ties and zeros)."""
+    n = draw(st.integers(min_n, 12))
     pts = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(-4, 4))) / 2.0
     return cdist(pts, pts)
 
@@ -741,6 +741,29 @@ class TestUltrametricProperties:
         assert np.all(u <= d)
         # u(i, j) <= max(u(i, k), u(k, j)), indexed [i, k, j]
         assert np.all(u[:, None, :] <= np.maximum(u[:, :, None], u[None, :, :]))
+
+
+class TestDerivedCounts:
+    """``n_leaves`` and ``k`` are derived from the leaf order and the labels; they equal the counts
+    single_linkage and cut once stored (the runs of the cut leaf order) and the k of topk_reassign."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_metrics(min_n=0), st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0]))
+    def test_counts_as_stored(self, d, h):
+        n = d.shape[0]
+        dend = single_linkage(d)
+        assert dend.n_leaves == n
+        asg = cut(dend, height=h)
+        assert asg.k == (int(np.sum(dend.gaps > h)) + 1 if n else 0)
+        for k in range(1, n + 1):
+            got = cut(dend, k=k)
+            assert got.k == (1 if k == 1 else int(np.sum(dend.gaps >= got.cutoff_height)) + 1)
+        for k in range(1, asg.k + 1):
+            assert topk_reassign(asg, d, k).k == k
+
+    def test_empty_cut_has_no_cluster(self):
+        asg = cut(single_linkage(np.zeros((0, 0))), height=1.0)
+        assert asg.labels.size == 0 and asg.k == 0
 
 
 class TestCondensedMetric:

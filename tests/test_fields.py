@@ -645,6 +645,17 @@ class TestSpectrum:
         gram_eigs = np.linalg.eigvalsh(dirs.T @ dirs) * scale
         np.testing.assert_allclose(s.eigenvalues, gram_eigs, rtol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3) | st.just(0.0))))
+    def test_derived_values_as_stored(self, a):
+        # the trace and ratios spectrum() computed and stored, bit for bit
+        m = a @ a.T
+        s = spectrum(m)
+        vals = np.linalg.eigh(0.5 * (m + m.T))[0]
+        want = vals[:-1] / vals[-1] if vals[-1] > 0 else np.zeros(len(vals) - 1)
+        assert s.trace == float(vals.sum()) and s.anisotropy_ratios.tobytes() == want.tobytes()
+
 
 class TestDimensionEstimate:
     def test_ratio_cases(self):
@@ -730,6 +741,9 @@ class TestFrechetGradient:
         m = empirical_measure([[0.0, 0.0]])
         with pytest.raises(ValueError, match="gaussian"):
             frechet_gradient(m, builtin_truncation(), [1.0, 0.0], 1.0)
+        for starts in (np.zeros((0, 2)), [[1.0, 0.0]]):  # rejected whatever the number of starts
+            with pytest.raises(ValueError, match="gaussian"):
+                basin_labels(m, builtin_truncation(), starts, 1.0)
 
     def test_tabulated_kernel_is_never_taken_for_gaussian(self, tmp_path):
         """Every tabulated kernel is named "tabulated", so no name lets its
@@ -890,7 +904,6 @@ def assert_flows_match_reference(measure, kernel, starts, sigma, labels, results
     for start, label, res in zip(starts, labels, results):
         x, path, converged = reference_flow(measure, kernel, start, sigma)
         escaped = nearest_atom(measure, x) > 3.0 * sigma
-        assert res.basin_id == label
         if len(res.path) < len(path):
             proved += 1
             if len(path) > fields._FLOW_MAX_STEPS:  # the step cap cut the reference: run it on
@@ -925,6 +938,24 @@ class TestBatchedFlow:
         proved = assert_flows_match_reference(m, g, starts, self.SIGMA, labels, results)
         assert 0 < proved == np.sum(labels == -1) < len(starts)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_start_and_attractor_as_stored(self, seed, count):
+        # a flow's start and attractor, once stored beside its path, are its ends: the start it
+        # was given and the point whose position labels it, bit for bit
+        rng = np.random.default_rng(seed)
+        m, starts = random_measure(rng, 20, 2), rng.normal(0.0, 1.0, size=(count, 2))
+        labels, attractors, results = basin_labels(m, builtin_gaussian(), starts, self.SIGMA)
+        seen = set()
+        for start, label, res in zip(starts, labels, results):
+            assert res.start.tobytes() == start.tobytes() == res.path[0].tobytes()
+            assert res.attractor.tobytes() == res.path[-1].tobytes()
+            if label >= 0:
+                assert np.linalg.norm(res.attractor - attractors[label]) <= self.SIGMA / 100.0
+                if label not in seen:  # the basin's first flow gave its position
+                    assert res.attractor.tobytes() == attractors[label].tobytes()
+                    seen.add(label)
+
     def test_max_iter_matches_reference(self, monkeypatch):
         m, g = two_cluster_sample(22, 40), builtin_gaussian()
         monkeypatch.setattr(fields, "_FLOW_MAX_STEPS", 3)
@@ -957,8 +988,8 @@ class TestBatchedFlow:
         m = two_cluster_sample(0)
         labels, attractors, results = basin_labels(m, builtin_gaussian(), start_grid(-4.0, 4.0, 20), self.SIGMA)
         assert np.mean(labels == -1) > 0.5  # most starts escape, each where the proof first holds
-        for res in results:
-            if res.basin_id == -1:
+        for res, label in zip(results, labels):
+            if label == -1:
                 assert box_outside(m, res.attractor) > math.sqrt(2.0) * self.SIGMA
                 assert len(res.path) == 1 or box_outside(m, res.path[-2]) <= math.sqrt(2.0) * self.SIGMA
         digest = hashlib.sha256(labels.tobytes())
@@ -1021,7 +1052,7 @@ class TestBatchedFlow:
         assert not res.converged
         labels, attractors, results = basin_labels(m, builtin_gaussian(), [[30.0, 0.0]], self.SIGMA)
         assert labels.tolist() == [-1] and attractors.shape == (0, 2)
-        assert results[0].basin_id == -1 and not results[0].converged
+        assert not results[0].converged
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_start_raises(self, bad):

@@ -294,6 +294,27 @@ def test_load_profile_csv_needs_a_header(tmp_path):
         load_profile_csv(path)
 
 
+@pytest.mark.parametrize("text, cell", [
+    ("r,f\n0,1\n#0.5,1\n1,0\n", "#0.5"),  # a knot, not a comment to drop: f(0.5) is 1, not 0.5
+    ("r,f\n0,1\n0.5,1 # peak\n1,0\n", "1 # peak"),
+])
+def test_load_profile_csv_hash_is_no_comment(tmp_path, text, cell):
+    from covfields import load_profile_csv
+
+    path = tmp_path / "prof.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(repr(cell))):
+        load_profile_csv(path)
+
+
+def test_load_profile_csv_skips_blank_lines(tmp_path):
+    from covfields import load_profile_csv
+
+    path = tmp_path / "prof.csv"
+    path.write_text("\nr,f\n0,1\n\n0.5,1\n1,0\n")  # the header is the first line that is not blank
+    assert load_profile_csv(path).profile(np.array([0.0, 0.5, 0.75])).tolist() == [1.0, 1.0, 0.5]
+
+
 def test_kernel_without_constants_rejected():
     # nothing is integrated or searched numerically: a missing constant is named
     gauss = builtin_gaussian()
